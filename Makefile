@@ -5,7 +5,7 @@ GO ?= go
 BURST ?= 32
 DATE  := $(shell date +%Y-%m-%d)
 
-.PHONY: all build test vet doclint crossbuild race stress chaos control-chaos fuzz-short bench-smoke bench-guard bench-fig5 bench-bridge bench-json ci
+.PHONY: all build test vet doclint crossbuild race stress chaos control-chaos fuzz-short bench-check bench-smoke bench-guard bench-fig5 bench-bridge bench-json loc ci
 
 all: build vet test
 
@@ -46,22 +46,30 @@ crossbuild:
 race:
 	$(GO) test -race ./internal/netsim/... ./internal/core/... ./internal/trans/... ./internal/orch/... ./internal/state/... ./internal/fleet/...
 
-# Scheduler stress gate: the burst/steal equivalence proofs (identical
-# delivered sets + state digests across burst 1/32/adaptive and steal
-# on/off under deterministic loss) and the per-queue FIFO hammer, three
-# times each under -race, to shake out claim-migration races that a single
-# run can miss.
+# Scheduler stress gate: the burst/steal equivalence proofs (delivered sets
+# + state digests identical to the per-packet reference at burst 32 and
+# adaptive, with one worker and with two stealing workers, under
+# deterministic loss) and the per-queue FIFO hammer, three times each under
+# -race, to shake out claim-migration races that a single run can miss.
 stress:
 	$(GO) test -race -count=3 -run 'TestBurstEquivalence|TestStealEquivalence' ./internal/core/
 	$(GO) test -race -count=3 -run 'TestQueueSchedPerQueueFIFO|TestQueueSchedSteal|TestQueueSchedReleaseRings' ./internal/netsim/
 
-# Piggyback codec fuzz gate: replays the checked-in seed corpus (both wire
-# versions, every v2 update kind, coalesced/elided logs, truncations), then
-# fuzzes the decoder briefly for fresh inputs. Short and deterministic
+# Piggyback codec fuzz gate: replays the seed corpus (every update kind,
+# coalesced/elided logs, truncations, and a retired-v1 blob that must be
+# rejected), then fuzzes the decoder briefly for fresh inputs. Short and deterministic
 # enough for every CI run; longer campaigns raise -fuzztime locally.
 fuzz-short:
 	$(GO) test ./internal/core -run='^FuzzMessageCodec$$' -count=1
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzMessageCodec$$' -fuzztime=5s
+
+# Frozen-harness gate: bench/ is its own module that imports internal/*
+# through a replace directive, so root `go build ./...` never compiles it.
+# Vet and smoke-test it against this tree so a change outside bench/ that
+# breaks the harness is caught before the benchmark pipeline runs.
+bench-check:
+	$(GO) -C bench vet .
+	$(GO) -C bench test .
 
 # Fast allocation gate: runs the zero-alloc fast-path benchmark a fixed
 # number of iterations so CI can catch an allocation regression in seconds.
@@ -81,7 +89,7 @@ bench-guard:
 		| tee /dev/stderr | $(GO) run scripts/bench_compare.go
 
 # Deterministic chaos campaigns under -race: CHAOS_COUNT consecutive seeds
-# (56 sweeps the f=1..2 × {2pl,occ} × {steal,nosteal} matrix 7 times), and
+# (56 sweeps the 4-cell f=1..2 × {2pl,occ} matrix 14 times), and
 # SOAK_SECONDS keeps extending the sweep for the nightly soak lane. Every
 # failure prints a copy-pasteable single-seed repro command.
 #   make chaos                       # pre-merge: 56 seeds, ~5 min
@@ -110,15 +118,16 @@ bench-fig5:
 
 # Multi-process transport benchmark: loopback tunnel throughput at
 # burst=1 (per-packet datagrams) vs burst=32 (packed datagrams), crossing
-# jumbo (8972) and real-Ethernet (1472) MTU budgets with the packed
-# one-syscall-per-datagram reference vs the sendmmsg/recvmmsg path.
+# jumbo (8972) and real-Ethernet (1472) MTU budgets with the portable
+# one-syscall-per-datagram transport (forced through the benchmark's
+# in-package seam) vs the sendmmsg/recvmmsg path.
 bench-bridge:
 	$(GO) test ./internal/trans -run=NONE -bench=BridgeThroughput -benchtime=2s -benchmem
 
 # Machine-readable benchmark snapshot: runs the Figure 5 and Figure 7
 # benchmarks at the configured burst size — including the skewed
-# elephant-queue benchmark (BenchmarkFig5Skewed, steal vs nosteal; the
-# steal win needs ≥2 physical cores, see DESIGN.md §9) — plus the
+# elephant-queue benchmark (BenchmarkFig5Skewed; stealing needs ≥2 physical
+# cores to pay, see DESIGN.md §9) — plus the
 # million-flow store sweep (fixed iteration count, see bench-guard) and the
 # multi-process bridge benchmark, and writes BENCH_<date>.json with pps,
 # ns/op, and allocs/op per sub-benchmark.
@@ -134,9 +143,16 @@ bench-json:
 		> BENCH_$(DATE).json
 	@echo wrote BENCH_$(DATE).json
 
+# Size ledger for the "least machinery" aim: non-test Go lines outside the
+# frozen bench/, test lines, and the core.Config field count.
+loc:
+	@echo "non-test go lines: $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
+	@echo "_test.go lines:    $$(find . -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
+	@echo "core.Config fields: $$(awk '/^type Config struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z][A-Za-z]* /{n++} END{print n}' internal/core/config.go)"
+
 # The full pre-merge gate: build, vet, doc lint, the non-Linux
-# cross-compile gate, the piggyback codec fuzz gate, the benchmark
-# regression guard (allocation smoke benchmarks diffed against baseline),
+# cross-compile gate, the frozen bench/ harness check, the piggyback codec
+# fuzz gate, the benchmark regression guard (allocation smoke benchmarks diffed against baseline),
 # the race-sensitive packages under -race, the scheduler stress gate, the
 # orchestrator-crash campaign matrix, and the whole test suite.
-ci: build vet doclint crossbuild fuzz-short bench-guard race stress control-chaos test
+ci: build vet doclint crossbuild bench-check fuzz-short bench-guard race stress control-chaos test

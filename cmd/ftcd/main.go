@@ -19,8 +19,8 @@
 // so one knob tunes the whole pipeline; -burst 1 reproduces the per-packet
 // transport. On Linux the socket path moves whole vectors of those packed
 // datagrams per syscall (sendmmsg/recvmmsg) across -sockets SO_REUSEPORT
-// sockets; -no-mmsg falls back to one syscall per datagram with an
-// unchanged wire format, so mixed deployments interoperate. Traffic enters
+// sockets; off Linux it sends one datagram per syscall in the same wire
+// format, so mixed deployments interoperate. Traffic enters
 // by sending packed frames (as ftcgen sends them) to replica 0's UDP
 // address; released packets leave from the last replica to -egress in the
 // same packed format.
@@ -98,13 +98,9 @@ func main() {
 		listenTCP = flag.String("listen-tcp", "127.0.0.1:0", "control-plane listen address")
 		egress    = flag.String("egress", "", "UDP address released packets are sent to (last replica only)")
 		burst     = flag.Int("burst", 0, "frames per batch, in-process and on the tunnel (0 = adaptive NAPI-style sizing, 1 = per-packet)")
-		maxBurst  = flag.Int("max-burst", netsim.DefaultMaxBurst, "adaptive burst ceiling (with -burst 0)")
-		noSteal   = flag.Bool("no-steal", false, "pin workers 1:1 onto ingress queues instead of work stealing")
-		stealFact = flag.Int("steal-factor", core.DefaultStealFactor, "steal partitions per worker (with stealing enabled)")
 		mtuBudget = flag.Int("mtu-budget", trans.DefaultMTUBudget, "tunnel datagram packing budget in bytes")
 		sockets   = flag.Int("sockets", 0, "SO_REUSEPORT data-plane sockets sharing the UDP port (0 = GOMAXPROCS; non-Linux always 1)")
 		sockBuf   = flag.Int("sockbuf", 0, "requested SO_RCVBUF/SO_SNDBUF per data-plane socket in bytes (0 = OS default)")
-		noMMsg    = flag.Bool("no-mmsg", false, "disable sendmmsg/recvmmsg batching, one syscall per datagram (wire format unchanged)")
 		orchEns   = flag.String("orch-ensemble", "", "comma-separated orchestrator ensemble member addresses this replica accepts control commands from (logged for operators; discovery is the ensemble's job)")
 		minTerm   = flag.Uint64("min-controller-term", 0, "preset the controller fence floor: control commands below this term are rejected, so a leader deposed while this replica was down cannot adopt it (DESIGN.md \u00a714)")
 	)
@@ -123,8 +119,7 @@ func main() {
 		log.Fatalf("ftcd: %v", err)
 	}
 
-	cfg := core.Config{F: *f, NumMB: numMB, Workers: *workers, Burst: *burst,
-		MaxBurst: *maxBurst, NoSteal: *noSteal, StealFactor: *stealFact}.WithDefaults()
+	cfg := core.Config{F: *f, NumMB: numMB, Workers: *workers, Burst: *burst}.WithDefaults()
 	ring := cfg.Ring()
 	if *index < 0 || *index >= ring.M() {
 		log.Fatalf("ftcd: index %d out of ring range 0..%d", *index, ring.M()-1)
@@ -180,7 +175,7 @@ func main() {
 
 	bridge, err := trans.NewBridge(fabric, local.ID(), *listenUDP, *listenTCP, peerList,
 		trans.Config{Burst: *burst, MTUBudget: *mtuBudget,
-			Sockets: *sockets, SocketBuf: *sockBuf, NoMMsg: *noMMsg})
+			Sockets: *sockets, SocketBuf: *sockBuf})
 	if err != nil {
 		log.Fatalf("ftcd: %v", err)
 	}
@@ -198,7 +193,7 @@ func main() {
 	}
 	burstDesc := fmt.Sprintf("%d", cfg.Burst)
 	if cfg.Burst == 0 {
-		burstDesc = fmt.Sprintf("adaptive(max %d)", cfg.MaxBurst)
+		burstDesc = fmt.Sprintf("adaptive(max %d)", netsim.DefaultMaxBurst)
 	}
 	bs := bridge.Stats()
 	// Socket-buffer truth logging: the kernel clamps (and on Linux

@@ -81,8 +81,8 @@ func (r *Result) Failed() bool { return len(r.Violations) > 0 }
 // OneLine renders the result as a single log line.
 func (r *Result) OneLine() string {
 	return fmt.Sprintf(
-		"seed=%-6d f=%d engine=%s nosteal=%-5v ttl=%-5v sent=%d delivered=%d crashes=%d recoveries=%d retries=%d detected=%d leaderkills=%d takeovers=%d resumed=%d rec_p99=%v violations=%d elapsed=%v",
-		r.Campaign.Seed, r.Campaign.F, r.Campaign.Engine, r.Campaign.NoSteal, r.Campaign.FlowTTL,
+		"seed=%-6d f=%d engine=%s ttl=%-5v sent=%d delivered=%d crashes=%d recoveries=%d retries=%d detected=%d leaderkills=%d takeovers=%d resumed=%d rec_p99=%v violations=%d elapsed=%v",
+		r.Campaign.Seed, r.Campaign.F, r.Campaign.Engine, r.Campaign.FlowTTL,
 		r.Sent, r.Delivered, r.Crashes, r.Recoveries, r.Retries, r.Detected,
 		r.LeaderKills, r.Takeovers, r.Resumed,
 		r.Recovery.P99.Round(time.Microsecond), len(r.Violations),
@@ -145,7 +145,6 @@ func Run(c Campaign, opt Options) *Result {
 		Workers:        c.Workers,
 		Partitions:     32,
 		QueueCap:       4096,
-		NoSteal:        c.NoSteal,
 		PropagateEvery: time.Millisecond,
 		RepairEvery:    2 * time.Millisecond,
 		RepairDeadline: 10 * time.Second,

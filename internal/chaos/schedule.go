@@ -111,7 +111,7 @@ type LinkFaultSpec struct {
 }
 
 // Campaign is one fully specified chaos run: the matrix cell (f, state
-// engine, scheduler), the workload, and the fault schedule. Build one with
+// engine), the workload, and the fault schedule. Build one with
 // Derive or by hand (negative-control tests hand-build invalid ones).
 type Campaign struct {
 	// Seed reproduces the campaign; it also seeds the fabric's link
@@ -121,9 +121,6 @@ type Campaign struct {
 	F int
 	// Engine selects the state engine (Engine2PL or EngineOCC).
 	Engine string
-	// NoSteal pins workers 1:1 onto ingress queues instead of the
-	// work-stealing scheduler.
-	NoSteal bool
 	// FlowTTL arms flow-state aging on the chain (a long TTL on a manual
 	// clock, so nothing expires mid-workload); after the normal audits the
 	// runner jumps the clock past the TTL, forces expiry, and audits that no
@@ -169,10 +166,12 @@ func (c Campaign) RingLen() int {
 	return c.ChainLen
 }
 
-// Derive expands a seed into a campaign. The matrix cell comes from
-// seed mod 8 — bit 0 picks f∈{1,2}, bit 1 the state engine, bit 2 the
-// scheduler — so any 8 consecutive seeds sweep the full
-// f=1..2 × {2pl,occ} × {steal,nosteal} matrix; bit 3 toggles FlowTTL (read
+// Derive expands a seed into a campaign. The matrix cell comes from the
+// seed's low bits — bit 0 picks f∈{1,2}, bit 1 the state engine — so any 4
+// consecutive seeds sweep the full f=1..2 × {2pl,occ} matrix. Bit 2 once
+// chose a scheduler that no longer exists; it is left unread rather than
+// renumbering the bits above it, so every seed keeps the schedule it always
+// derived. Bit 3 toggles FlowTTL (read
 // straight off the seed, consuming no rng draws, so adding it did not
 // reshuffle existing schedules); everything else comes from a rand stream
 // seeded with the seed. Bits 4–6 select the orchestrator-leader kill
@@ -185,7 +184,6 @@ func Derive(seed int64) Campaign {
 		Seed:           seed,
 		F:              1 + cell&1,
 		Engine:         Engine2PL,
-		NoSteal:        cell&4 != 0,
 		FlowTTL:        (seed>>3)&1 != 0,
 		Workers:        2,
 		OrchMembers:    3,

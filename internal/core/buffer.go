@@ -44,8 +44,8 @@ func (b *egressBuffer) len() int {
 // transfers the packet's remaining piggyback message to the forwarder,
 // then holds or releases the packet per the §5.1 release rule. The return
 // value reports whether the buffer took ownership of pkt.Buf (held it);
-// held frames are recycled by tryRelease once they egress. A non-nil worker
-// defers egress sends and the held-packet release scan to the burst flush.
+// held frames are recycled by tryRelease once they egress. Egress sends and
+// the held-packet release scan are deferred to w's flush.
 func (r *Replica) bufferStage(pkt *wire.Packet, msg *Message, w *worker) bool {
 	// Transfer wrapped logs and in-flight commit vectors to the forwarder
 	// so they continue around the ring (the paper ships these on a
@@ -74,25 +74,18 @@ func (r *Replica) bufferStage(pkt *wire.Packet, msg *Message, w *worker) bool {
 	xferLogs := msg.Logs
 	for i := range msg.Logs {
 		if msg.Logs[i].Elided() {
-			var dst []Log
-			if w != nil {
-				dst = w.xfer[:0]
-			}
+			xferLogs = w.xfer[:0]
 			for _, l := range msg.Logs {
 				if !l.Elided() {
-					dst = append(dst, l)
+					xferLogs = append(xferLogs, l)
 				}
 			}
-			xferLogs = dst
-			if w != nil {
-				w.xfer = dst[:0]
-			}
+			w.xfer = xferLogs[:0]
 			break
 		}
 	}
 	if len(xferLogs) > 0 || len(commits) > 0 {
 		transfer := &Message{
-			Ver:     r.ver,
 			Flags:   FlagBufferTransfer,
 			Gen:     msg.Gen,
 			Logs:    xferLogs,
@@ -118,9 +111,6 @@ func (r *Replica) bufferStage(pkt *wire.Packet, msg *Message, w *worker) bool {
 	if msg.Propagating() {
 		// Propagating packets die at the buffer after their commits have
 		// been merged (step 1 of processPacket).
-		if w == nil {
-			r.maybeRelease()
-		}
 		return false
 	}
 
@@ -133,15 +123,10 @@ func (r *Replica) bufferStage(pkt *wire.Packet, msg *Message, w *worker) bool {
 
 	// Fast path: everything this packet needs may already be committed.
 	if r.releasable(msg.Logs) {
-		if w != nil {
-			// The frame joins the worker's egress burst; ownership of the
-			// backing array stays with the inbound frame, which the worker
-			// recycles after the flush.
-			w.egr = append(w.egr, pkt.Buf)
-		} else {
-			r.release(pkt.Buf)
-			r.maybeRelease()
-		}
+		// The frame joins the worker's egress burst; ownership of the
+		// backing array stays with the inbound frame, which the worker
+		// recycles after the flush.
+		w.egr = append(w.egr, pkt.Buf)
 		return false
 	}
 	r.stats.Held.Add(1)
@@ -153,9 +138,6 @@ func (r *Replica) bufferStage(pkt *wire.Packet, msg *Message, w *worker) bool {
 	r.buf.mu.Lock()
 	r.buf.held = append(r.buf.held, heldPacket{frame: pkt.Buf, logs: heldLogs, gen: msg.Gen})
 	r.buf.mu.Unlock()
-	if w == nil {
-		r.maybeRelease()
-	}
 	return true
 }
 
@@ -221,9 +203,9 @@ func (r *Replica) tryRelease() {
 	}
 	r.buf.held = kept
 	r.buf.mu.Unlock()
+	r.egressBurst(ready)
 	for _, frame := range ready {
-		r.release(frame)
-		// The buffer was the frame's sole owner; release copied it into the
+		// The buffer was the frame's sole owner; the send copied it into the
 		// egress queue, so the buffer can go back to the frame pool.
 		netsim.ReleaseFrame(frame)
 	}
@@ -233,14 +215,11 @@ func (r *Replica) tryRelease() {
 	}
 }
 
-// release sends a finalized packet to the chain's egress.
-func (r *Replica) release(frame []byte) {
-	if r.egress == "" {
-		r.stats.Egress.Add(1)
-		return
-	}
-	if err := r.sim.SendBlocking(r.egress, frame); err == nil {
-		r.stats.Egress.Add(1)
+// egressBurst sends finalized packets out of the chain (counted and
+// discarded when the chain has no egress node).
+func (r *Replica) egressBurst(frames [][]byte) {
+	if r.egress == "" || r.sim.SendBurstBlocking(r.egress, frames) == nil {
+		r.stats.Egress.Add(uint64(len(frames)))
 	}
 }
 

@@ -73,7 +73,6 @@ func storeDigest(h *testHarness) string { return h.chain.StoreDigest() }
 type workloadOpts struct {
 	burst   int // 0 = adaptive controller
 	workers int
-	noSteal bool
 }
 
 // runBurstWorkload pushes n packets through a fresh chain at the given burst
@@ -88,7 +87,7 @@ func runBurstWorkload(t *testing.T, burst, n int, newStore func(int) state.Backe
 }
 
 // runSchedWorkload is runBurstWorkload generalized over worker count and
-// scheduler mode, for the stealing/adaptive equivalence proofs. The
+// burst mode, for the stealing/adaptive equivalence proofs. The
 // delivered set stays a pure function of the fabric seed because loss
 // happens on the generator link before any scheduling decision, and the
 // state digest stays order-independent because the workload's middleboxes
@@ -98,7 +97,6 @@ func runSchedWorkload(t *testing.T, o workloadOpts, n int, newStore func(int) st
 	cfg := testConfig()
 	cfg.Workers = o.workers
 	cfg.Burst = o.burst
-	cfg.NoSteal = o.noSteal
 	cfg.NewStore = newStore
 	mbs := []Middlebox{&flowMB{"a"}, &countMB{"c1"}, &flowMB{"b"}}
 	h := newHarness(t, cfg, mbs, netsim.Config{Seed: 42})
@@ -162,12 +160,12 @@ func TestBurstEquivalence(t *testing.T) {
 }
 
 // TestStealEquivalence is the scheduling counterpart of
-// TestBurstEquivalence: with two workers, every scheduler configuration —
-// pinned workers vs work stealing, and fixed burst 1 / fixed burst 32 /
-// the adaptive controller — must deliver exactly the same packets under
-// deterministic ingress loss and converge every head and follower store to
-// exactly the same state, on both concurrency-control engines. Claim
-// migration between workers must be invisible in the output.
+// TestBurstEquivalence: with two stealing workers, fixed burst 32 and the
+// adaptive controller must deliver exactly the same packets as the
+// per-packet reference (fixed burst 1) under deterministic ingress loss and
+// converge every head and follower store to exactly the same state, on both
+// concurrency-control engines. Claim migration between workers must be
+// invisible in the output.
 func TestStealEquivalence(t *testing.T) {
 	engines := []struct {
 		name     string
@@ -180,11 +178,9 @@ func TestStealEquivalence(t *testing.T) {
 		name string
 		o    workloadOpts
 	}{
-		{"nosteal-fixed32", workloadOpts{burst: 32, workers: 2, noSteal: true}},
-		{"steal-fixed32", workloadOpts{burst: 32, workers: 2}},
 		{"steal-fixed1", workloadOpts{burst: 1, workers: 2}},
+		{"steal-fixed32", workloadOpts{burst: 32, workers: 2}},
 		{"steal-adaptive", workloadOpts{burst: 0, workers: 2}},
-		{"nosteal-adaptive", workloadOpts{burst: 0, workers: 2, noSteal: true}},
 	}
 	const n = 400
 	for _, e := range engines {

@@ -370,12 +370,3 @@ func (c *Chain) checkFence(term uint64) error {
 	}
 	return nil
 }
-
-// TestMonitors builds n trivial counting middleboxes for probes and tests.
-func TestMonitors(n int) []Middlebox {
-	mbs := make([]Middlebox, n)
-	for i := range mbs {
-		mbs[i] = &probeCounter{key: fmt.Sprintf("c%d", i)}
-	}
-	return mbs
-}

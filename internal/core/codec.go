@@ -6,48 +6,16 @@ import (
 	"github.com/ftsfc/ftc/internal/state"
 )
 
-// appendLog encodes one piggyback log in the fixed-width v1 form. A v1 log
-// has no base vector; coalesced logs must travel in v2 messages.
-func appendLog(dst []byte, l *Log) []byte {
-	dst = binary.BigEndian.AppendUint16(dst, l.MB)
-	dst = append(dst, l.Flags)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(l.Vec)))
-	for _, e := range l.Vec {
-		dst = binary.BigEndian.AppendUint16(dst, e.Part)
-		dst = binary.BigEndian.AppendUint64(dst, e.Seq)
-	}
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(l.Updates)))
-	for _, u := range l.Updates {
-		dst = appendUpdate(dst, u)
-	}
-	return dst
-}
-
-func appendUpdate(dst []byte, u state.Update) []byte {
-	dst = binary.BigEndian.AppendUint16(dst, u.Partition)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(u.Key)))
-	dst = append(dst, u.Key...)
-	if u.Value == nil {
-		dst = append(dst, 0)
-	} else {
-		dst = append(dst, 1)
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(u.Value)))
-		dst = append(dst, u.Value...)
-	}
-	return dst
-}
-
-// v2 update kind byte: what follows the key.
+// Update kind byte: what follows the key.
 const (
 	updKindDelete = 0 // nothing: the key is deleted
 	updKindFull   = 1 // uvarint valLen + value bytes
 	updKindDelta  = 2 // svarint delta against the receiver's current value
 )
 
-// appendLogV2 encodes one piggyback log in the varint v2 form. fullValues
-// forces delta-classified updates onto the full-value wire form when the
+// appendLog encodes one piggyback log. fullValues forces delta-classified updates onto the full-value wire form when the
 // value is still at hand (control-plane messages; see Message.FullValues).
-func appendLogV2(dst []byte, l *Log, fullValues bool) []byte {
+func appendLog(dst []byte, l *Log, fullValues bool) []byte {
 	dst = binary.AppendUvarint(dst, uint64(l.MB))
 	dst = append(dst, l.Flags)
 	dst = binary.AppendUvarint(dst, uint64(len(l.Vec)))
@@ -63,12 +31,12 @@ func appendLogV2(dst []byte, l *Log, fullValues bool) []byte {
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(l.Updates)))
 	for _, u := range l.Updates {
-		dst = appendUpdateV2(dst, u, fullValues)
+		dst = appendUpdate(dst, u, fullValues)
 	}
 	return dst
 }
 
-func appendUpdateV2(dst []byte, u state.Update, fullValues bool) []byte {
+func appendUpdate(dst []byte, u state.Update, fullValues bool) []byte {
 	dst = binary.AppendUvarint(dst, uint64(u.Partition))
 	dst = binary.AppendUvarint(dst, uint64(len(u.Key)))
 	dst = append(dst, u.Key...)
@@ -87,43 +55,6 @@ func appendUpdateV2(dst []byte, u state.Update, fullValues bool) []byte {
 }
 
 func (d *decoder) update() (state.Update, error) {
-	if d.ver >= msgV2 {
-		return d.updateV2()
-	}
-	var u state.Update
-	var err error
-	if u.Partition, err = d.u16(); err != nil {
-		return u, err
-	}
-	kl, err := d.u16()
-	if err != nil {
-		return u, err
-	}
-	kb, err := d.bytes(int(kl))
-	if err != nil {
-		return u, err
-	}
-	u.Key = string(kb)
-	present, err := d.u8()
-	if err != nil {
-		return u, err
-	}
-	if present != 0 {
-		vl, err := d.u32()
-		if err != nil {
-			return u, err
-		}
-		vb, err := d.bytes(int(vl))
-		if err != nil {
-			return u, err
-		}
-		u.Value = make([]byte, len(vb)) // non-nil even when empty: nil means delete
-		copy(u.Value, vb)
-	}
-	return u, nil
-}
-
-func (d *decoder) updateV2() (state.Update, error) {
 	var u state.Update
 	var err error
 	if u.Partition, err = d.n16(); err != nil {
@@ -189,9 +120,6 @@ func (d *decoder) log() (Log, error) {
 		return l, err
 	}
 	if l.Coalesced() {
-		if d.ver < msgV2 {
-			return l, ErrDecode // coalesced logs exist only in v2
-		}
 		if l.Base, err = d.base(l.Vec); err != nil {
 			return l, err
 		}
@@ -200,26 +128,26 @@ func (d *decoder) log() (Log, error) {
 	if err != nil {
 		return l, err
 	}
-	if d.sc != nil && nu > 0 {
-		start := len(d.sc.upds)
-		for j := 0; j < int(nu); j++ {
-			u, err := d.update()
-			if err != nil {
-				return l, err
-			}
-			d.sc.upds = append(d.sc.upds, u)
-		}
-		// Full slice expression: later arena appends must not overwrite
-		// this log's updates.
-		l.Updates = d.sc.upds[start:len(d.sc.upds):len(d.sc.upds)]
-		return l, nil
+	// As with vectors, updates land in the scratch's arena when there is one.
+	var a []state.Update
+	if d.sc != nil {
+		a = d.sc.upds
 	}
+	start := len(a)
 	for j := 0; j < int(nu); j++ {
 		u, err := d.update()
 		if err != nil {
 			return l, err
 		}
-		l.Updates = append(l.Updates, u)
+		a = append(a, u)
+	}
+	if d.sc != nil {
+		d.sc.upds = a
+	}
+	if nu > 0 {
+		// Full slice expression: later arena appends must not overwrite
+		// this log's updates.
+		l.Updates = a[start:len(a):len(a)]
 	}
 	return l, nil
 }
@@ -283,22 +211,21 @@ func encodeFetchState(fs *FetchState) []byte {
 	for _, v := range fs.Vector {
 		dst = binary.BigEndian.AppendUint64(dst, v)
 	}
-	// Logs and snapshot ride in v2 form: buffered coalesced logs need their
-	// base vectors, and full values are forced so the recovering replica can
-	// install everything without delta context.
+	// Full values are forced so the recovering replica can install
+	// everything without delta context.
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(fs.Logs)))
 	for i := range fs.Logs {
-		dst = appendLogV2(dst, &fs.Logs[i], true)
+		dst = appendLog(dst, &fs.Logs[i], true)
 	}
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(fs.Snapshot)))
 	for _, u := range fs.Snapshot {
-		dst = appendUpdateV2(dst, u, true)
+		dst = appendUpdate(dst, u, true)
 	}
 	return dst
 }
 
 func decodeFetchState(b []byte) (*FetchState, error) {
-	d := &decoder{b: b, ver: msgV2}
+	d := &decoder{b: b}
 	fs := &FetchState{}
 	var err error
 	if fs.MB, err = d.u16(); err != nil {

@@ -27,23 +27,9 @@ type Config struct {
 	// bursts flush immediately, so bursting adds no latency floor; Burst=1
 	// degenerates to per-packet processing. Burst 0 — the default — selects
 	// the NAPI-style adaptive controller: each worker's burst starts at 1,
-	// doubles toward MaxBurst while its queue stays backlogged, and halves
+	// doubles toward netsim.DefaultMaxBurst while its queue stays backlogged, and halves
 	// toward 1 when drains come up short (DESIGN.md §9).
 	Burst int
-	// MaxBurst caps the adaptive controller's growth (default
-	// netsim.DefaultMaxBurst). Ignored when Burst > 0 pins a fixed size.
-	MaxBurst int
-	// NoSteal pins workers 1:1 onto ingress queues (the pre-stealing
-	// layout). By default, with Workers > 1, each replica node exposes
-	// Workers×StealFactor ingress queues that double as steal-granularity
-	// flow partitions: a worker drains its home partitions first and steals
-	// the deepest backlogged sibling partition when they run empty,
-	// preserving per-flow FIFO order (DESIGN.md §9).
-	NoSteal bool
-	// StealFactor is the number of flow partitions (ingress queues) per
-	// worker when stealing is enabled (default 8). More partitions steal at
-	// a finer grain but cost more scan work per scheduling decision.
-	StealFactor int
 	// QueueCap is the per-ingress-queue capacity in frames.
 	QueueCap int
 	// PropagateEvery is the forwarder's idle timer: with no incoming
@@ -56,16 +42,6 @@ type Config struct {
 	// RepairDeadline bounds the total wait for a missing log; packets whose
 	// logs cannot be repaired within it are counted and passed on.
 	RepairDeadline time.Duration
-	// ResendAfter is how long the forwarder waits for a pending piggyback
-	// log to be committed before attaching it to another packet.
-	ResendAfter time.Duration
-	// CommitRefresh bounds how stale a tail's disseminated commit vector
-	// may get: commits ride every commitEvery'th packet, but at low rates a
-	// time-based refresh keeps buffer-release latency bounded.
-	CommitRefresh time.Duration
-	// Gen is the chain generation; recovery bumps it to fence stale
-	// in-flight packets (§4.1 "will no longer admit packets in flight").
-	Gen uint32
 	// NewStore builds the state engine for each replica store. Defaults to
 	// the pessimistic state.New (wound-wait 2PL); state.NewOCC selects the
 	// optimistic engine (§3.2's HTM-style adaptation).
@@ -78,23 +54,10 @@ type Config struct {
 	// stay equal across the replication group. Zero (the default) disables
 	// aging; existing workloads and baselines are unaffected.
 	FlowTTL time.Duration
-	// ExpiryEvery throttles how often a head scans its TTL wheels (default
-	// 1ms). Scans are capped at ExpiryBatch keys, so a backlog of expired
-	// flows drains over several bursts instead of stalling one.
-	ExpiryEvery time.Duration
-	// ExpiryBatch caps the replicated deletions per expiry scan (default
-	// 256).
-	ExpiryBatch int
 	// ExpiryClock overrides the expiry time source (nanoseconds; must be
 	// positive). Nil means wall clock. Tests and the chaos harness inject a
 	// manual clock to force or forbid expiry deterministically.
 	ExpiryClock func() int64
-	// NoDiet disables the piggyback diet: replicas speak the fixed-width v1
-	// wire format, burst coalescing and delta encoding are off, and every
-	// transaction's log rides its own packet in full. The diet is on by
-	// default; NoDiet exists for baselines, equivalence tests, and talking
-	// to pre-diet peers.
-	NoDiet bool
 	// PiggybackBudget caps the piggyback trailer bytes attached to one data
 	// packet. A log that would push the trailer past the budget is elided
 	// from the packet (its dependency vector still rides, gating release at
@@ -129,15 +92,6 @@ func (c Config) WithDefaults() Config {
 	if c.Burst < 0 {
 		c.Burst = 0 // adaptive
 	}
-	if c.MaxBurst <= 0 {
-		c.MaxBurst = netsim.DefaultMaxBurst
-	}
-	if c.Burst > c.MaxBurst {
-		c.MaxBurst = c.Burst
-	}
-	if c.StealFactor <= 0 {
-		c.StealFactor = DefaultStealFactor
-	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 1024
 	}
@@ -150,26 +104,8 @@ func (c Config) WithDefaults() Config {
 	if c.RepairDeadline <= 0 {
 		c.RepairDeadline = 2 * time.Second
 	}
-	if c.ResendAfter <= 0 {
-		// Resend covers *lost* transfer frames, so it must sit well above
-		// the normal commit latency (ring traversal + dissemination period);
-		// resending live-but-uncommitted logs snowballs message sizes.
-		c.ResendAfter = 4 * c.PropagateEvery
-		if c.ResendAfter < 10*time.Millisecond {
-			c.ResendAfter = 10 * time.Millisecond
-		}
-	}
-	if c.CommitRefresh <= 0 {
-		c.CommitRefresh = 200 * time.Microsecond
-	}
 	if c.NewStore == nil {
 		c.NewStore = func(partitions int) state.Backend { return state.New(partitions) }
-	}
-	if c.ExpiryEvery <= 0 {
-		c.ExpiryEvery = time.Millisecond
-	}
-	if c.ExpiryBatch <= 0 {
-		c.ExpiryBatch = 256
 	}
 	return c
 }
@@ -180,30 +116,53 @@ func (c Config) WithDefaults() Config {
 // reference point for baselines and equivalence tests.
 const DefaultBurst = 32
 
-// DefaultStealFactor is the default number of flow partitions (ingress
-// queues) per worker when work stealing is enabled.
-const DefaultStealFactor = 8
+// Fixed protocol parameters. Each was a Config field no caller ever set.
+const (
+	// stealFactor is the number of flow partitions (ingress queues) per
+	// worker on multi-worker replicas: more partitions steal at a finer
+	// grain but cost more scan work per scheduling decision.
+	stealFactor = 8
+	// commitRefresh bounds how stale a tail's disseminated commit vector may
+	// get: commits ride every commitEvery'th packet, but at low rates a
+	// time-based refresh keeps buffer-release latency bounded.
+	commitRefresh = 200 * time.Microsecond
+	// expiryEvery throttles how often a head scans its TTL wheels. Scans are
+	// capped at expiryBatch replicated deletions, so a backlog of expired
+	// flows drains over several bursts instead of stalling one.
+	expiryEvery = time.Millisecond
+	expiryBatch = 256
+)
+
+// resendAfter is how long the forwarder waits for a pending piggyback log
+// to be committed before attaching it to another packet, and the head's
+// anti-entropy period. Resend covers *lost* transfer frames, so it must sit
+// well above the normal commit latency (ring traversal + dissemination
+// period); resending live-but-uncommitted logs snowballs message sizes.
+func (c Config) resendAfter() time.Duration {
+	return max(4*c.PropagateEvery, 10*time.Millisecond)
+}
 
 // maxBurst returns the largest burst a worker may drain — the fixed size,
-// or the adaptive cap. Receive buffers are sized with it.
+// or the adaptive controller's cap. Receive buffers are sized with it.
 func (c Config) maxBurst() int {
 	if c.Burst > 0 {
 		return c.Burst
 	}
-	return c.MaxBurst
+	return netsim.DefaultMaxBurst
 }
 
 // NumIngressQueues is the ingress-queue count a replica node needs under
-// this config: Workers queues pinned 1:1 when stealing is off or moot
-// (single worker), Workers×StealFactor flow partitions otherwise. Keeping
-// the partition count a multiple of Workers makes the stride home layout
-// (partition p homes on worker p mod Workers) agree with RSS hashing at
-// either queue count.
+// this config: one queue for a single worker, stealFactor flow partitions
+// per worker otherwise. Workers drain their home partitions first and steal
+// the deepest backlogged sibling partition when those run empty, preserving
+// per-flow FIFO order (DESIGN.md §9). Keeping the partition count a multiple
+// of Workers makes the stride home layout (partition p homes on worker
+// p mod Workers) agree with RSS hashing.
 func (c Config) NumIngressQueues() int {
-	if c.NoSteal || c.Workers <= 1 {
+	if c.Workers <= 1 {
 		return c.Workers
 	}
-	return c.Workers * c.StealFactor
+	return c.Workers * stealFactor
 }
 
 // Ring derives the chain's logical ring from the configuration.

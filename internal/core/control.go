@@ -118,7 +118,7 @@ func (r *Replica) handleRepair(_ netsim.NodeID, req []byte) ([]byte, error) {
 	// Full values forced: the requester may have just recovered from a
 	// snapshot that partially overlaps a coalesced run, where a delta-form
 	// update cannot be applied (see Follower.applyCoalescedLocked).
-	m := &Message{Ver: r.ver, FullValues: true, Gen: r.gen.Load(), Logs: logs}
+	m := &Message{FullValues: true, Gen: r.gen.Load(), Logs: logs}
 	return m.Encode(make([]byte, 0, m.LenEstimate())), nil
 }
 
@@ -235,9 +235,6 @@ func EncodeSetGen(term uint64, gen uint32) []byte {
 func EncodeFence(term uint64) []byte {
 	return binary.BigEndian.AppendUint64(nil, term)
 }
-
-// ControlRPC exposes the control-plane names for the orchestrator package.
-type ControlRPC struct{}
 
 // Names of the control RPCs, exported for the orchestrator.
 const (

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -38,7 +37,7 @@ func (f *dietFlowMB) Process(p *wire.Packet, tx state.Txn) (Verdict, error) {
 	return Forward, nil
 }
 
-// sampleV2Message exercises every v2-only encoding form: a delta update, a
+// sampleV2Message exercises every update kind and log form: a delta update, a
 // delete, a full value, and a coalesced log with a base vector.
 func sampleV2Message() *Message {
 	return &Message{
@@ -115,28 +114,6 @@ func TestMessageV2FullValuesForcesDeltas(t *testing.T) {
 	}
 }
 
-func TestMessageV2SmallerThanV1(t *testing.T) {
-	// The point of the diet: the same logical message must shrink on the
-	// wire. Counter traffic (short keys, delta values, small seqs) should
-	// shrink well past 30%.
-	m := sampleMessage()
-	v1 := len(m.Encode(nil))
-	m.Ver = msgV2
-	v2 := len(m.Encode(nil))
-	if v2 >= v1 {
-		t.Fatalf("v2 encoding (%dB) not smaller than v1 (%dB)", v2, v1)
-	}
-	t.Logf("v1=%dB v2=%dB (%.0f%%)", v1, v2, 100*float64(v2)/float64(v1))
-}
-
-func TestV1CannotCarryCoalescedLogs(t *testing.T) {
-	m := sampleV2Message()
-	m.Ver = msgV1 // a coalesced log forced onto the v1 wire loses its Base
-	if _, err := DecodeMessage(m.Encode(nil)); !errors.Is(err, ErrDecode) {
-		t.Fatalf("err = %v, want ErrDecode", err)
-	}
-}
-
 func TestV2DecodeRejectsTruncation(t *testing.T) {
 	enc := sampleV2Message().Encode(nil)
 	for cut := 1; cut < len(enc); cut++ {
@@ -192,34 +169,45 @@ func dietDigest(t *testing.T, cfg Config, n int) map[string]string {
 	return digest
 }
 
-// TestDietEquivalence is the tentpole's correctness gate: with the diet on
-// (delta encoding, coalescing, elided markers) and off (fixed-width v1),
-// the same traffic must leave byte-identical state on both engines, and
-// every follower must converge to its head either way.
+// TestDietEquivalence is the data path's correctness gate against an
+// independent oracle — what a fault-free single instance of each middlebox
+// computes from the same n packets: both shared counters read n and every
+// per-flow counter reads the number of packets sendPackets gave that source
+// port. Delta encoding, coalescing and elided markers must land exactly
+// there on both engines at per-packet, fixed and adaptive burst sizes, with
+// every follower byte-equal to its head (dietDigest).
 func TestDietEquivalence(t *testing.T) {
 	engines := map[string]func(int) state.Backend{
 		"2pl": nil,
 		"occ": func(p int) state.Backend { return state.NewOCC(p) },
 	}
 	const n = 300
+	counter := func(v uint64) string { return string(binary.BigEndian.AppendUint64(nil, v)) }
+	want := map[string]string{"c0": counter(n), "c2": counter(n)}
+	perFlow := map[int]uint64{}
+	for i := 0; i < n; i++ {
+		perFlow[1024+i%1000]++ // sendPackets' source port
+	}
+	for port, c := range perFlow {
+		want[fmt.Sprintf("fc:%d", port)] = counter(c)
+	}
 	for name, newStore := range engines {
-		t.Run(name, func(t *testing.T) {
-			base := testConfig()
-			base.NewStore = newStore
-			on := base
-			off := base
-			off.NoDiet = true
-			dOn := dietDigest(t, on, n)
-			dOff := dietDigest(t, off, n)
-			if len(dOn) != len(dOff) {
-				t.Fatalf("diet on: %d keys, off: %d keys", len(dOn), len(dOff))
-			}
-			for k, v := range dOff {
-				if dOn[k] != v {
-					t.Fatalf("key %q: diet on=%x off=%x", k, []byte(dOn[k]), []byte(v))
+		for _, burst := range []int{1, DefaultBurst, 0} {
+			t.Run(fmt.Sprintf("%s/burst%d", name, burst), func(t *testing.T) {
+				cfg := testConfig()
+				cfg.NewStore = newStore
+				cfg.Burst = burst
+				got := dietDigest(t, cfg, n)
+				if len(got) != len(want) {
+					t.Fatalf("%d keys, want %d", len(got), len(want))
 				}
-			}
-		})
+				for k, v := range want {
+					if got[k] != v {
+						t.Fatalf("key %q = %x, want %x", k, []byte(got[k]), []byte(v))
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -542,40 +530,35 @@ func TestChainCostAwarePlacement(t *testing.T) {
 	}
 }
 
-// TestDietGoodput is the tentpole's performance gate: on a counter chain the
-// diet must cut piggyback wire bytes enough to lift goodput (application
-// bytes per wire byte) by at least 1.3x over the v1 baseline.
+// TestDietGoodput is the piggyback diet's performance gate: on a counter
+// chain, application bytes must stay at least 0.55 of all bytes put on chain
+// links. Timer-driven carriers and commit refreshes make the ratio depend on
+// how fast the run is, so the floor sits between the two bands measured at
+// commit 38365d2 across plain and -race runs: the retired fixed-width v1
+// wire read 0.41–0.49 on this chain, the diet 0.60–0.72.
 func TestDietGoodput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("goodput measurement")
 	}
-	run := func(noDiet bool) (app, wireB uint64) {
-		cfg := testConfig()
-		cfg.NoDiet = noDiet
-		mbs := []Middlebox{
-			&countDeltaMB{countMB{"c0"}},
-			&dietFlowMB{"fc:"},
-			&countDeltaMB{countMB{"c2"}},
-		}
-		h := newHarness(t, cfg, mbs, netsim.Config{})
-		const n = 600
-		h.sendPackets(t, n)
-		h.collect(t, n, 20*time.Second)
-		waitForQuiescence(t, h, n)
-		for i := 0; i < h.chain.Len(); i++ {
-			s := h.chain.Replica(i).Stats()
-			app += s.AppBytesOut.Load()
-			wireB += s.WireBytesOut.Load()
-		}
-		return app, wireB
+	mbs := []Middlebox{
+		&countDeltaMB{countMB{"c0"}},
+		&dietFlowMB{"fc:"},
+		&countDeltaMB{countMB{"c2"}},
 	}
-	appOff, wireOff := run(true)
-	appOn, wireOn := run(false)
-	gOff := float64(appOff) / float64(wireOff)
-	gOn := float64(appOn) / float64(wireOn)
-	t.Logf("goodput: diet off %.4f (%d/%d), diet on %.4f (%d/%d), ratio %.2fx",
-		gOff, appOff, wireOff, gOn, appOn, wireOn, gOn/gOff)
-	if gOn < 1.3*gOff {
-		t.Fatalf("diet goodput %.4f < 1.3x baseline %.4f", gOn, gOff)
+	h := newHarness(t, testConfig(), mbs, netsim.Config{})
+	const n = 600
+	h.sendPackets(t, n)
+	h.collect(t, n, 20*time.Second)
+	waitForQuiescence(t, h, n)
+	var app, wireB uint64
+	for i := 0; i < h.chain.Len(); i++ {
+		s := h.chain.Replica(i).Stats()
+		app += s.AppBytesOut.Load()
+		wireB += s.WireBytesOut.Load()
+	}
+	goodput := float64(app) / float64(wireB)
+	t.Logf("goodput %.4f (%d/%d)", goodput, app, wireB)
+	if goodput < 0.55 {
+		t.Fatalf("goodput %.4f < 0.55", goodput)
 	}
 }

@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -315,11 +318,29 @@ func TestConfigDefaults(t *testing.T) {
 	if c.F != 1 || c.Partitions != 64 || c.Workers != 1 {
 		t.Fatalf("defaults = %+v", c)
 	}
-	if c.CommitRefresh <= 0 || c.ResendAfter <= 0 || c.RepairDeadline <= 0 {
+	if c.resendAfter() != 10*time.Millisecond || c.RepairEvery <= 0 || c.RepairDeadline <= 0 {
 		t.Fatalf("timer defaults = %+v", c)
 	}
 	if (Config{NumMB: 3, F: 2}).Ring().M() != 3 {
 		t.Fatal("ring derivation")
+	}
+}
+
+// TestConfigSurface makes the next Config knob a conscious decision: the
+// struct holds these 15 fields and nothing else, so neither a retired switch
+// nor a new one gets in without editing this list.
+func TestConfigSurface(t *testing.T) {
+	allowed := strings.Fields(`F NumMB Partitions Workers Burst QueueCap PropagateEvery
+		RepairEvery RepairDeadline NewStore FlowTTL ExpiryClock PiggybackBudget Groups
+		CarrierCapacity`)
+	typ := reflect.TypeOf(Config{})
+	if n := typ.NumField(); n > 15 {
+		t.Errorf("Config has %d fields, budget is 15", n)
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		if name := typ.Field(i).Name; !slices.Contains(allowed, name) {
+			t.Errorf("Config.%s is not on the allowed surface", name)
+		}
 	}
 }
 

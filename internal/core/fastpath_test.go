@@ -9,15 +9,15 @@ import (
 
 // fastPathRig builds a mid-ring pass-through replica: an extension node
 // that is neither the forwarder (ring node 0) nor the buffer (last node)
-// and hosts no middlebox, so handleFrame exercises exactly the steady-state
-// per-hop forwarding work — parse, piggyback decode, commit merge, log
-// replication checks, trailer re-encode, send. The next-hop node's queue is
-// drained by the caller.
+// and hosts no middlebox, so a one-frame burst through its worker exercises
+// exactly the steady-state per-hop forwarding work — parse, piggyback
+// decode, commit merge, log replication checks, trailer re-encode, flush.
+// The next-hop node's queue is drained by the caller.
 type fastPathRig struct {
 	fab   *netsim.Fabric
 	r     *Replica
 	next  *netsim.Node
-	fp    *fastPath
+	w     *worker
 	tmpl  []byte // frame template: UDP packet + FTC option + trailer
 	frame []byte // reusable mutation buffer for the frame under test
 }
@@ -48,7 +48,6 @@ func newFastPathRig(tb testing.TB) *fastPathRig {
 		tb.Fatalf("InsertFTCOption: %v", err)
 	}
 	msg := &Message{
-		Gen:     cfg.Gen,
 		Logs:    []Log{{MB: 0, Flags: LogNoop, Vec: SparseVec{{Part: 3, Seq: 0}}}},
 		Commits: []Commit{{MB: 0, Vec: SparseVec{{Part: 3, Seq: 0}}}},
 	}
@@ -59,7 +58,7 @@ func newFastPathRig(tb testing.TB) *fastPathRig {
 		fab:  fab,
 		r:    r,
 		next: fab.Node("r3"),
-		fp:   &fastPath{},
+		w:    &worker{},
 		tmpl: append([]byte(nil), pkt.Buf...),
 	}
 	rig.frame = make([]byte, len(rig.tmpl), len(rig.tmpl)+trailerHeadroom)
@@ -69,12 +68,15 @@ func newFastPathRig(tb testing.TB) *fastPathRig {
 // trailerHeadroom leaves room for in-place trailer growth during a hop.
 const trailerHeadroom = 128
 
-// hop pushes the template frame through one replica hop and drains the
-// forwarded copy from the next node's queue.
-func (rig *fastPathRig) hop(tb testing.TB) {
+// forwardOne pushes the template frame through one replica hop as a burst of
+// one and returns the forwarded copy from the next node's queue.
+func (rig *fastPathRig) forwardOne(tb testing.TB) []byte {
 	rig.frame = rig.frame[:len(rig.tmpl)]
 	copy(rig.frame, rig.tmpl)
-	retained := rig.r.handleFrame(netsim.Inbound{From: "r1", Frame: rig.frame}, rig.fp, nil)
+	rig.r.beginBurst(rig.w)
+	rig.w.last = true
+	retained := rig.r.handleFrame(netsim.Inbound{From: "r1", Frame: rig.frame}, rig.w)
+	rig.r.flushBurst(rig.w)
 	if retained {
 		tb.Fatal("pass-through hop retained the frame")
 	}
@@ -82,7 +84,12 @@ func (rig *fastPathRig) hop(tb testing.TB) {
 	if !ok {
 		tb.Fatal("frame was not forwarded")
 	}
-	netsim.ReleaseFrame(out.Frame)
+	return out.Frame
+}
+
+// hop is forwardOne with the forwarded copy recycled.
+func (rig *fastPathRig) hop(tb testing.TB) {
+	netsim.ReleaseFrame(rig.forwardOne(tb))
 }
 
 // TestFastPathAllocs pins the zero-allocation budget of the per-hop
@@ -118,16 +125,7 @@ func BenchmarkFastPathAllocs(b *testing.B) {
 // the original trailer (modulo the commit this replica's position strips).
 func TestFastPathForwardEquivalence(t *testing.T) {
 	rig := newFastPathRig(t)
-	rig.frame = rig.frame[:len(rig.tmpl)]
-	copy(rig.frame, rig.tmpl)
-	if rig.r.handleFrame(netsim.Inbound{From: "r1", Frame: rig.frame}, rig.fp, nil) {
-		t.Fatal("pass-through hop retained the frame")
-	}
-	out, ok := rig.next.Recv(0)
-	if !ok {
-		t.Fatal("frame was not forwarded")
-	}
-	fwd, err := wire.Parse(out.Frame)
+	fwd, err := wire.Parse(rig.forwardOne(t))
 	if err != nil {
 		t.Fatalf("forwarded frame unparseable: %v", err)
 	}

@@ -91,14 +91,10 @@ func (h *Head) Transaction(fn func(tx state.Txn) error) (Log, error) {
 // partition locks acquired by earlier transactions in the burst are reused,
 // and the retransmission-buffer append is left to the caller (burst workers
 // collect logs and flush them in one addAll at the burst boundary). The
-// caller must hold FetchGate's read side across the whole burst.
+// caller must hold fetchMu's read side across the whole burst.
 func (h *Head) TransactionBatch(b state.Batch, fn func(tx state.Txn) error) (Log, error) {
 	return h.transactionOn(b, fn)
 }
-
-// FetchGate exposes the fetch/transaction exclusion lock so burst workers
-// can hold the read side across a whole batch (see fetchMu).
-func (h *Head) FetchGate() *sync.RWMutex { return &h.fetchMu }
 
 // execer is the common transaction surface of state.Backend and state.Batch.
 type execer interface {

@@ -43,7 +43,7 @@ func TestMessageRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Ver = msgV1 // decode records the inbound wire dialect
+	m.Ver = msgV2 // decode records the wire version
 	if !reflect.DeepEqual(m, got) {
 		t.Fatalf("round trip mismatch:\n want %+v\n got  %+v", m, got)
 	}
@@ -75,12 +75,45 @@ func TestMessageDeleteUpdateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsBadVersion(t *testing.T) {
-	enc := sampleMessage().Encode(nil)
-	enc[0] = 99
-	if _, err := DecodeMessage(enc); !errors.Is(err, ErrDecode) {
-		t.Fatalf("err = %v", err)
+// TestDecodeRejectsOtherVersions pins the single-dialect contract on outside
+// input: an otherwise well-formed message under any version byte but 2 —
+// including 1, the retired fixed-width layout — is ErrDecode.
+func TestDecodeRejectsOtherVersions(t *testing.T) {
+	for _, ver := range []byte{0, 1, 3, 99} {
+		enc := sampleMessage().Encode(nil)
+		enc[0] = ver
+		if _, err := DecodeMessage(enc); !errors.Is(err, ErrDecode) {
+			t.Errorf("version %d: err = %v, want ErrDecode", ver, err)
+		}
+		var sc MsgScratch
+		if _, err := sc.Decode(enc); !errors.Is(err, ErrDecode) {
+			t.Errorf("version %d (scratch): err = %v, want ErrDecode", ver, err)
+		}
 	}
+	if _, err := DecodeMessage(formerV1Blob); !errors.Is(err, ErrDecode) {
+		t.Errorf("former v1 message: err = %v, want ErrDecode", err)
+	}
+}
+
+// TestEncodeIgnoresVer: whatever Ver holds, the wire says version 2.
+func TestEncodeIgnoresVer(t *testing.T) {
+	for _, ver := range []uint8{0, 1, 2, 7} {
+		m := sampleMessage()
+		m.Ver = ver
+		if enc := m.Encode(nil); enc[0] != msgV2 {
+			t.Errorf("Ver=%d encoded version byte %d", ver, enc[0])
+		}
+	}
+}
+
+// formerV1Blob is a message in the retired fixed-width v1 layout, as the
+// last v1 encoder (commit 38365d2) wrote it: gen 7, one log (mb 2, vec
+// {1:5}, update "k"="v" on partition 1), one commit (mb 1, vec {0:4}).
+var formerV1Blob = []byte{
+	1, 0, 0, 0, 0, 7, 0, 1, 0, 1, // version, flags, gen, nLogs, nCommits
+	0, 2, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 5, // log: mb, flags, nVec, (part, seq)
+	0, 1, 0, 1, 0, 1, 'k', 1, 0, 0, 0, 1, 'v', // nUpd, part, keyLen, key, present, valLen, val
+	0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, // commit: mb, nVec, (part, seq)
 }
 
 func TestDecodeRejectsTruncation(t *testing.T) {
@@ -209,7 +242,7 @@ func TestManyLogsAndCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Ver = msgV1 // decode records the inbound wire dialect
+	m.Ver = msgV2 // decode records the wire version
 	if !reflect.DeepEqual(m, got) {
 		t.Fatal("many-log round trip mismatch")
 	}

@@ -85,8 +85,6 @@ type Replica struct {
 	fwd *forwarder    // non-nil on ring node 0
 	buf *egressBuffer // non-nil on the last ring node
 
-	diet  bool  // piggyback diet on: v2 wire, coalescing, delta updates
-	ver   uint8 // wire version stamped on every message this replica builds
 	tails []int // middleboxes whose group tail sits at this node (precomputed)
 
 	wrapOnce sync.Once
@@ -100,8 +98,9 @@ type Replica struct {
 
 	expiryOn   bool         // head store has TTL prefixes armed
 	lastExpiry atomic.Int64 // expiry-clock nanos of the last wheel scan
-	expMu      sync.Mutex   // serializes expiry scans
+	expMu      sync.Mutex   // serializes expiry scans; guards expKeys and expW
 	expKeys    []string     // reusable CollectExpired buffer
+	expW       *worker      // carries each scan's deletion log out of the node
 
 	stats    Stats
 	sched    SchedStats
@@ -156,12 +155,6 @@ func NewReplica(cfg Config, spec ReplicaSpec) *Replica {
 		pruneTick:  make(map[uint16]int),
 		stopped:    make(chan struct{}),
 	}
-	r.gen.Store(cfg.Gen)
-	r.diet = !cfg.NoDiet
-	r.ver = msgV2
-	if cfg.NoDiet {
-		r.ver = msgV1
-	}
 	r.tails = ring.TailsOf(spec.Index)
 	ttlFor := func(mb int) []string {
 		if cfg.FlowTTL <= 0 || spec.TTLPrefixes == nil {
@@ -181,8 +174,9 @@ func NewReplica(cfg Config, spec ReplicaSpec) *Replica {
 		if pre := ttlFor(spec.Index); len(pre) > 0 {
 			armTTL(r.head.Store(), pre)
 			r.expiryOn = true
+			r.expW = &worker{}
 		}
-		if r.diet && spec.DeltaPrefixes != nil {
+		if spec.DeltaPrefixes != nil {
 			// Only the head classifies deltas (at its commit points);
 			// followers merely resolve them on apply, which needs no config.
 			if pre := spec.DeltaPrefixes(spec.Index); len(pre) > 0 {
@@ -250,28 +244,17 @@ func (r *Replica) SetGen(g uint32) {
 }
 
 // Start launches the worker threads and, on the first node, the propagating
-// timer, and registers the control-plane handlers. With more ingress queues
-// than configured workers (the stealing layout, Config.NumIngressQueues),
-// Workers goroutines schedule over the queues claim-based; otherwise one
-// worker pins to each queue, the pre-stealing 1:1 layout.
+// timer, and registers the control-plane handlers. Workers goroutines
+// schedule claim-based over whatever ingress queues the node has
+// (Config.NumIngressQueues when the chain built it).
 func (r *Replica) Start() {
 	r.registerControl()
-	if nq := r.sim.NumQueues(); !r.cfg.NoSteal && nq > r.cfg.Workers {
-		for i := 0; i < r.cfg.Workers; i++ {
-			r.wg.Add(1)
-			go func(i int) {
-				defer r.wg.Done()
-				r.runStealing(i)
-			}(i)
-		}
-	} else {
-		for q := 0; q < nq; q++ {
-			r.wg.Add(1)
-			go func(q int) {
-				defer r.wg.Done()
-				r.runPinned(q)
-			}(q)
-		}
+	for i := 0; i < r.cfg.Workers; i++ {
+		r.wg.Add(1)
+		go func(i int) {
+			defer r.wg.Done()
+			r.run(i)
+		}(i)
 	}
 	if r.fwd != nil {
 		r.wg.Add(1)
@@ -283,42 +266,26 @@ func (r *Replica) Start() {
 	}
 }
 
-// runPinned is the 1:1 worker loop: block on one ingress queue, drain up
-// to the controller's budget, process, flush, repeat.
-func (r *Replica) runPinned(q int) {
-	w := r.newWorker()
-	ctl := netsim.NewBurstController(r.cfg.Burst, r.cfg.MaxBurst)
-	for {
-		n := r.sim.RecvBurst(q, w.in[:ctl.Size()])
-		if n == 0 {
-			// Crash or shutdown mid-stream: release any state locks
-			// the batch retains so post-mortem store reads (recovery,
-			// digests) never block on a dead worker.
-			if w.batch != nil {
-				w.batch.Flush()
-			}
-			return
-		}
-		r.handleBurst(w, n)
-		ctl.Observe(n, r.sim.QueueLen(q))
-		r.sched.Burst.Set(int64(ctl.Size()))
+// run is the worker loop: claim a non-empty flow partition (home first,
+// then the deepest backlogged sibling partition), drain one burst, process
+// it AND flush its deferred effects, and only then release the claim.
+// Holding the claim through the flush is what preserves per-flow FIFO order
+// across claim migrations: a flow hashes to exactly one partition, and a
+// partition never has frames in flight at two workers at once (DESIGN.md
+// §9). A single worker homes every queue and never steals.
+func (r *Replica) run(idx int) {
+	w := &worker{in: make([]netsim.Inbound, r.cfg.maxBurst())}
+	if r.head != nil {
+		w.batch = r.head.Store().NewBatch()
 	}
-}
-
-// runStealing is the work-stealing worker loop: claim a non-empty flow
-// partition (home first, then the deepest backlogged sibling partition),
-// drain one burst, process it AND flush its deferred effects, and only
-// then release the claim. Holding the claim through the flush is what
-// preserves per-flow FIFO order across claim migrations: a flow hashes to
-// exactly one partition, and a partition never has frames in flight at
-// two workers at once (DESIGN.md §9).
-func (r *Replica) runStealing(idx int) {
-	w := r.newWorker()
-	ctl := netsim.NewBurstController(r.cfg.Burst, r.cfg.MaxBurst)
+	ctl := netsim.NewBurstController(r.cfg.Burst, 0)
 	sched := r.sim.NewQueueSched(idx, r.cfg.Workers)
 	for {
 		q, stolen := sched.Acquire()
 		if q < 0 {
+			// Crash or shutdown mid-stream: release any state locks the
+			// batch retains so post-mortem store reads (recovery, digests)
+			// never block on a dead worker.
 			if w.batch != nil {
 				w.batch.Flush()
 			}
@@ -342,26 +309,35 @@ func (r *Replica) runStealing(idx int) {
 	}
 }
 
-// worker is one goroutine's burst-processing state: the fastPath decode
-// scratch plus the deferred-work queues that let a burst pay once for what
-// the per-packet path pays per frame — next-hop route resolution and sends,
-// state-lock begin/commit, retransmission-buffer appends, and commit
-// dissemination.
+// worker is one goroutine's burst-processing state, none of it shared: the
+// scratch that makes steady-state frame handling allocation-free (packet
+// view, piggyback decode arenas, ingress message header, all reused across
+// frames) plus the deferred-work queues that let a burst pay once for what
+// a per-packet pipeline pays per frame — next-hop route resolution and
+// sends, state-lock begin/commit, retransmission-buffer appends, and commit
+// dissemination. The queue workers (run) and the timers (propagateLoop,
+// resendLoop, expiry) each own one: everything the pipeline emits leaves the
+// node through a worker's beginBurst/flushBurst bracket.
 type worker struct {
-	fp fastPath
-	in []netsim.Inbound // drain landing zone, len == cfg.maxBurst()
+	pkt     wire.Packet
+	dec     MsgScratch
+	ingress Message          // reused header for raw-ingress packets
+	in      []netsim.Inbound // drain landing zone (queue workers), len == cfg.maxBurst()
 
 	out []([]byte) // trailered frames awaiting the flush to the next hop
 	egr []([]byte) // finalized frames awaiting the flush to egress
 	rel []([]byte) // frames to recycle once the flush has copied them out
 
-	batch state.Batch // head packet transactions; flushed per burst
+	// batch runs the head's packet transactions and flushes per burst. Only
+	// queue workers on a node hosting a middlebox have one; the timers never
+	// transact inside a bracket.
+	batch state.Batch
 
 	headLogs []Log // head retransmission-buffer appends, one addAll per burst
 	pendF    []*Follower
 	pendL    []Log // follower appends; pendF[i] buffers pendL[i]
 
-	co    coalescer // open coalesced run (diet mode); never spans a flush
+	co    coalescer // open coalesced run; never spans a flush
 	spill []Log     // over-budget logs awaiting the spillover RPC at the flush
 	xfer  []Log     // buffer-transfer scratch: logs minus elided markers
 
@@ -369,21 +345,34 @@ type worker struct {
 	dissemDue bool // a commitEvery tick fired; disseminate at the boundary
 }
 
-func (r *Replica) newWorker() *worker {
-	w := &worker{in: make([]netsim.Inbound, r.cfg.maxBurst())}
-	if r.head != nil {
-		w.batch = r.head.Store().NewBatch()
-	}
-	return w
-}
-
 // handleBurst runs one received burst through the pipeline and flushes the
 // deferred work at its boundary. A burst of 1 (partial or Burst=1 config)
-// flushes immediately after its only frame, reproducing per-packet behavior
-// exactly — bursting never adds a latency floor.
+// flushes immediately after its only frame, so bursting never adds a
+// latency floor.
 func (r *Replica) handleBurst(w *worker, n int) {
-	w.fp.dec.BeginBurst()
-	if r.head != nil {
+	r.beginBurst(w)
+	for i := 0; i < n; i++ {
+		w.last = i == n-1
+		if !r.handleFrame(w.in[i], w) {
+			w.rel = append(w.rel, w.in[i].Frame)
+		}
+	}
+	r.flushBurst(w)
+	if r.expiryOn {
+		// Flow aging rides the burst cadence: no extra goroutine touches the
+		// data path, and expiry deletions enter the same log → commit →
+		// release machinery as packet writes. Runs after the flush: the
+		// expiry transaction takes the fetch gate itself, which deadlocks
+		// inside the bracket if a fetch writer is queued behind this burst.
+		r.maybeExpire()
+	}
+}
+
+// beginBurst opens the bracket that flushBurst closes; between the two, the
+// pipeline stages queue their sends and buffer appends on w.
+func (r *Replica) beginBurst(w *worker) {
+	w.dec.BeginBurst()
+	if w.batch != nil {
 		// Fetch gate, held burst-wide: the batch keeps partition locks
 		// between transactions, so a per-transaction read lock could deadlock
 		// against a pending fetch writer. flushBurst releases it once the
@@ -391,13 +380,6 @@ func (r *Replica) handleBurst(w *worker, n int) {
 		// flushed — the earliest point a fetch sees a consistent cut.
 		r.head.fetchMu.RLock()
 	}
-	for i := 0; i < n; i++ {
-		w.last = i == n-1
-		if !r.handleFrame(w.in[i], &w.fp, w) {
-			w.rel = append(w.rel, w.in[i].Frame)
-		}
-	}
-	r.flushBurst(w)
 }
 
 // flushBurst drains the worker's deferred queues: one burst send per
@@ -411,24 +393,24 @@ func (r *Replica) flushBurst(w *worker) {
 	// still open here and rides its own propagating carrier.
 	r.flushRun(w)
 	if len(w.out) > 0 {
+		// Blocking send: pipeline stages exert flow control on each other,
+		// like the paper's DPDK rings — overload drops happen at the chain
+		// ingress, never between replicas (which would cost repair round
+		// trips).
 		if next := r.nextHop(); next != "" {
 			if err := r.sim.SendBurstBlocking(next, w.out); err == nil {
 				r.stats.TxFrames.Add(uint64(len(w.out)))
 			}
 		}
-		clearFrames(&w.out)
+		reset(&w.out)
 	}
 	if len(w.egr) > 0 {
-		if r.egress == "" {
-			r.stats.Egress.Add(uint64(len(w.egr)))
-		} else if err := r.sim.SendBurstBlocking(r.egress, w.egr); err == nil {
-			r.stats.Egress.Add(uint64(len(w.egr)))
-		}
-		clearFrames(&w.egr)
+		r.egressBurst(w.egr)
+		reset(&w.egr)
 	}
 	if len(w.headLogs) > 0 {
 		r.head.Buffer().addAll(w.headLogs)
-		clearLogs(&w.headLogs)
+		reset(&w.headLogs)
 	}
 	for i := 0; i < len(w.pendL); {
 		f := w.pendF[i]
@@ -440,30 +422,16 @@ func (r *Replica) flushBurst(w *worker) {
 		i = j
 	}
 	if len(w.pendL) > 0 {
-		clearLogs(&w.pendL)
-		for i := range w.pendF {
-			w.pendF[i] = nil
-		}
-		w.pendF = w.pendF[:0]
+		reset(&w.pendL)
+		reset(&w.pendF)
 	}
 	if w.batch != nil {
 		w.batch.Flush()
-	}
-	if r.head != nil {
-		// End of the fetch gate (see handleBurst). Must drop before
-		// maybeExpire: the expiry transaction re-enters the read lock, which
-		// deadlocks if a fetch writer is already queued behind this burst.
-		r.head.fetchMu.RUnlock()
+		r.head.fetchMu.RUnlock() // end of the fetch gate (see beginBurst)
 	}
 	if len(w.spill) > 0 {
 		r.spillLogs(w.spill)
-		clearLogs(&w.spill)
-	}
-	if r.expiryOn {
-		// Flow aging rides the burst cadence: no extra goroutine touches
-		// the data path, and expiry deletions enter the same log → commit →
-		// release machinery as packet writes.
-		r.maybeExpire()
+		reset(&w.spill)
 	}
 	if r.buf != nil {
 		r.maybeRelease()
@@ -471,24 +439,13 @@ func (r *Replica) flushBurst(w *worker) {
 	for _, fr := range w.rel {
 		netsim.ReleaseFrame(fr)
 	}
-	clearFrames(&w.rel)
+	reset(&w.rel)
 }
 
-// clearFrames truncates a frame list, zeroing entries so recycled buffers
-// are not pinned between bursts.
-func clearFrames(s *[][]byte) {
-	for i := range *s {
-		(*s)[i] = nil
-	}
-	*s = (*s)[:0]
-}
-
-// clearLogs truncates a log list, zeroing entries so retained Vec/Updates
-// arrays are not pinned between bursts.
-func clearLogs(s *[]Log) {
-	for i := range *s {
-		(*s)[i] = Log{}
-	}
+// reset truncates a deferred-work list, zeroing entries so recycled frames
+// and retained Vec/Updates arrays are not pinned between bursts.
+func reset[T any](s *[]T) {
+	clear(*s)
 	*s = (*s)[:0]
 }
 
@@ -527,32 +484,20 @@ func (r *Replica) SetRoute(i int, id netsim.NodeID) {
 	r.routeMu.Unlock()
 }
 
-// fastPath is the per-worker scratch state that makes steady-state frame
-// handling allocation-free: the packet view, the piggyback decode arenas,
-// and the ingress message header are all reused across frames. One worker
-// goroutine owns each fastPath; none of it is shared.
-type fastPath struct {
-	pkt     wire.Packet
-	dec     MsgScratch
-	ingress Message // reused header for raw-ingress packets
-}
-
 // handleFrame runs one inbound frame through the replica pipeline. It
 // reports whether some stage retained ownership of in.Frame (only the
 // egress buffer does, when it holds the packet); unretained frames go back
-// to the frame pool. With a non-nil worker, sends and buffer appends are
-// deferred to the burst flush; with nil they happen inline (per-packet
-// callers: propagateLoop, tests).
-func (r *Replica) handleFrame(in netsim.Inbound, fp *fastPath, w *worker) bool {
+// to the frame pool. Sends and buffer appends are deferred to w's flush.
+func (r *Replica) handleFrame(in netsim.Inbound, w *worker) bool {
 	r.stats.RxFrames.Add(1)
-	pkt := &fp.pkt
+	pkt := &w.pkt
 	if err := wire.ParseInto(pkt, in.Frame); err != nil {
 		r.stats.ParseErrors.Add(1)
 		return false
 	}
 	var msg *Message
 	if tr := pkt.Trailer(); tr != nil {
-		m, err := fp.dec.Decode(tr)
+		m, err := w.dec.Decode(tr)
 		if err != nil {
 			r.stats.ParseErrors.Add(1)
 			return false
@@ -566,11 +511,10 @@ func (r *Replica) handleFrame(in netsim.Inbound, fp *fastPath, w *worker) bool {
 			r.stats.ParseErrors.Add(1)
 			return false
 		}
-		logs, commits := r.fwd.take(time.Now(), r.cfg.ResendAfter, r.cfg.PiggybackBudget)
-		msg = &fp.ingress
+		logs, commits := r.fwd.take(time.Now(), r.cfg.resendAfter(), r.cfg.PiggybackBudget)
+		msg = &w.ingress
 		// Copy into the reused ingress arrays so the head-log append below
 		// stays within amortized capacity instead of reallocating per packet.
-		msg.Ver = r.ver
 		msg.Flags = 0
 		msg.FullValues = false
 		msg.Gen = gen
@@ -588,7 +532,7 @@ func (r *Replica) handleFrame(in netsim.Inbound, fp *fastPath, w *worker) bool {
 		if msg.Flags&FlagBufferTransfer != 0 {
 			if r.fwd != nil {
 				r.fwd.addTransfer(msg)
-				r.pruneFromCommits(msg.Commits)
+				r.mergeCommits(msg.Commits)
 			}
 			return false
 		}
@@ -601,8 +545,8 @@ func (r *Replica) handleFrame(in netsim.Inbound, fp *fastPath, w *worker) bool {
 }
 
 // processPacket runs the full §5.1 pipeline for one packet at this replica.
-// It reports whether the egress buffer took ownership of pkt.Buf. A non-nil
-// worker defers sends, state commits, and buffer appends to the burst flush.
+// It reports whether the egress buffer took ownership of pkt.Buf. Sends,
+// state commits, and buffer appends are deferred to w's flush.
 func (r *Replica) processPacket(pkt *wire.Packet, msg *Message, w *worker) bool {
 	// 1. Commit vectors: merge for pruning and buffer release. A commit
 	// rides the full ring — through the buffer→forwarder transfer when the
@@ -619,12 +563,8 @@ func (r *Replica) processPacket(pkt *wire.Packet, msg *Message, w *worker) bool 
 	msg.Commits = kept
 
 	// 2. Piggyback logs: replicate in dependency order; tails strip the log
-	// they have just replicated for the f+1'th time. Burst workers sink the
-	// retransmission-buffer appends for a one-pass flush at the boundary.
-	var sink *[]Log
-	if w != nil {
-		sink = &w.pendL
-	}
+	// they have just replicated for the f+1'th time. The retransmission-
+	// buffer appends sink into w for a one-pass flush at the boundary.
 	keptLogs := msg.Logs[:0]
 	for _, l := range msg.Logs {
 		if l.Elided() {
@@ -644,15 +584,13 @@ func (r *Replica) processPacket(pkt *wire.Packet, msg *Message, w *worker) bool 
 			continue
 		}
 		mb := l.MB
-		if !f.waitApply(l, r.cfg.RepairEvery, func() { r.repair(mb, f) }, r.cfg.RepairDeadline, sink) {
+		if !f.waitApply(l, r.cfg.RepairEvery, func() { r.repair(mb, f) }, r.cfg.RepairDeadline, &w.pendL) {
 			r.stats.ApplyTimeouts.Add(1)
 			keptLogs = append(keptLogs, l)
 			continue
 		}
-		if w != nil {
-			for len(w.pendF) < len(w.pendL) {
-				w.pendF = append(w.pendF, f)
-			}
+		for len(w.pendF) < len(w.pendL) {
+			w.pendF = append(w.pendF, f)
 		}
 		if r.ring.IsTail(r.idx, int(l.MB)) {
 			continue // f+1 times replicated; strip (§5.1)
@@ -662,45 +600,22 @@ func (r *Replica) processPacket(pkt *wire.Packet, msg *Message, w *worker) bool 
 	msg.Logs = keptLogs
 
 	// 3. The packet transaction (data packets only; propagating packets are
-	// never handed to middleboxes, §5.1). Burst workers run it through their
-	// state batch, so consecutive packets touching the same partitions pay
-	// one lock acquisition, and defer the retransmission-buffer append.
+	// never handed to middleboxes, §5.1). It runs through the worker's state
+	// batch, so consecutive packets touching the same partitions pay one
+	// lock acquisition; its log feeds the worker's coalescer.
 	if r.head != nil && !msg.Propagating() {
 		var verdict Verdict
-		fn := func(tx state.Txn) error {
+		log, err := r.head.TransactionBatch(w.batch, func(tx state.Txn) error {
 			v, perr := r.mb.Process(pkt, tx)
 			verdict = v
 			return perr
-		}
-		var log Log
-		var err error
-		batching := w != nil && w.batch != nil
-		if batching {
-			log, err = r.head.TransactionBatch(w.batch, fn)
-		} else {
-			log, err = r.head.Transaction(fn)
-		}
+		})
 		if err != nil {
 			r.stats.MBErrors.Add(1)
 			verdict = Drop
 			log = Log{MB: r.head.MB(), Flags: LogNoop}
 		}
-		if r.diet && batching {
-			r.attachDiet(msg, log, w, w.last || verdict == Drop)
-		} else {
-			if batching && err == nil && !log.Noop() {
-				w.headLogs = append(w.headLogs, log)
-			}
-			if batching && !log.Noop() && r.overBudget(msg, &log) {
-				// Over the byte budget: only the dependency vector rides (to
-				// gate release at the egress buffer); the updates go to the
-				// group followers over the spillover RPC at the flush.
-				msg.Logs = append(msg.Logs, Log{MB: log.MB, Flags: log.Flags | LogElided, Vec: log.Vec})
-				w.spill = append(w.spill, log)
-			} else {
-				msg.Logs = append(msg.Logs, log)
-			}
-		}
+		r.attachLog(msg, log, w, w.last || verdict == Drop)
 		if verdict == Drop {
 			r.stats.Filtered.Add(1)
 			// The filtered packet's piggyback message continues on a
@@ -712,26 +627,21 @@ func (r *Replica) processPacket(pkt *wire.Packet, msg *Message, w *worker) bool 
 	}
 
 	// 4. Tail duty: announce the latest f+1-replicated prefix. The tail
-	// disseminates "periodically" (§4.1): every commitEvery'th packet and on
-	// every propagating packet, so idle chains still make release progress
-	// without paying a full MAX snapshot per packet. Burst workers collapse
-	// the check to the burst boundary: ticks accumulate per packet, but the
-	// MAX snapshot rides the burst's last packet (CommitRefresh still bounds
-	// staleness in time). With Burst=1 every packet is a boundary, which is
-	// exactly the per-packet schedule.
+	// disseminates "periodically" (§4.1): ticks accumulate per packet, but
+	// the MAX snapshot rides the burst's last packet once a commitEvery'th
+	// tick fired (commitRefresh bounds staleness in time), and every
+	// propagating packet, so idle chains still make release progress without
+	// paying a full MAX snapshot per packet. With Burst=1 every packet is a
+	// boundary, which is exactly the per-packet schedule.
 	if len(r.tails) > 0 {
 		disseminate := msg.Propagating()
 		if !disseminate {
-			if w == nil {
-				disseminate = r.tailTick.Add(1)%commitEvery == 1 || r.commitStale()
-			} else {
-				if r.tailTick.Add(1)%commitEvery == 1 {
-					w.dissemDue = true
-				}
-				if w.last && (w.dissemDue || r.commitStale()) {
-					disseminate = true
-					w.dissemDue = false
-				}
+			if r.tailTick.Add(1)%commitEvery == 1 {
+				w.dissemDue = true
+			}
+			if w.last && (w.dissemDue || r.commitStale()) {
+				disseminate = true
+				w.dissemDue = false
 			}
 		}
 		if disseminate {
@@ -747,8 +657,8 @@ func (r *Replica) processPacket(pkt *wire.Packet, msg *Message, w *worker) bool 
 				}
 				if dense != nil {
 					sv := SparseFromDense(dense)
-					r.mergeCommit(uint16(j), sv)
 					msg.Commits = append(msg.Commits, Commit{MB: uint16(j), Vec: sv})
+					r.mergeCommits(msg.Commits[len(msg.Commits)-1:])
 				}
 			}
 		}
@@ -779,33 +689,19 @@ func (r *Replica) forward(pkt *wire.Packet, msg *Message, w *worker) {
 		// Carrier frames are pure replication overhead, template included.
 		r.stats.PiggybackBytesOut.Add(uint64(pre))
 	}
-	if w != nil {
-		// Burst path: the frame joins the worker's outgoing burst; the
-		// route resolves once for all of them at the flush.
-		w.out = append(w.out, pkt.Buf)
-		return
-	}
-	next := r.nextHop()
-	if next == "" {
-		return
-	}
-	// Blocking send: pipeline stages exert flow control on each other, like
-	// the paper's DPDK rings — overload drops happen at the chain ingress,
-	// never between replicas (which would cost repair round trips).
-	if err := r.sim.SendBlocking(next, pkt.Buf); err == nil {
-		r.stats.TxFrames.Add(1)
-	}
+	// The frame joins the worker's outgoing burst; the route resolves once
+	// for all of them at the flush.
+	w.out = append(w.out, pkt.Buf)
 }
 
-// attachDiet routes a burst transaction's log through the diet machinery
-// (burst workers only): write logs feed the worker's coalescer and ride the
+// attachLog routes a transaction's log onto the wire: write logs feed the worker's coalescer and ride the
 // packet as elided vector-only markers; the coalesced run closes onto the
 // burst's last data packet, onto the current packet when another worker
 // interleaves a transaction on a shared partition, or onto the spillover
 // path when the byte budget is hit. closing forces the run out now — the
 // burst's final frame, or a Drop verdict about to divert the message onto a
 // propagating carrier.
-func (r *Replica) attachDiet(msg *Message, log Log, w *worker, closing bool) {
+func (r *Replica) attachLog(msg *Message, log Log, w *worker, closing bool) {
 	if log.Noop() || len(log.Vec) == 0 {
 		// Noops install nothing; their vector only gates this packet's
 		// release. They ride elided — a full noop log would carry observed
@@ -862,8 +758,7 @@ func (r *Replica) flushRun(w *worker) {
 		w.spill = append(w.spill, run) // too big even for a carrier frame
 		return
 	}
-	msg := &Message{Ver: r.ver, Gen: r.gen.Load(), Logs: []Log{run}}
-	r.emitPropagating(msg, w)
+	r.emitPropagating(&Message{Gen: r.gen.Load(), Logs: []Log{run}}, w)
 }
 
 // overBudget reports whether attaching l would push the packet's piggyback
@@ -886,7 +781,7 @@ func (r *Replica) spillLogs(logs []Log) {
 		return
 	}
 	mb := int(r.head.MB())
-	msg := &Message{Ver: r.ver, FullValues: true, Gen: r.gen.Load(), Logs: logs}
+	msg := &Message{FullValues: true, Gen: r.gen.Load(), Logs: logs}
 	body := msg.Encode(nil)
 	r.stats.SpilledLogs.Add(uint64(len(logs)))
 	members := r.ring.Members(mb)
@@ -901,52 +796,11 @@ func (r *Replica) spillLogs(logs []Log) {
 	}
 }
 
-// mergeCommit folds a commit vector into the replica's view. Retransmission
-// buffers are pruned on an amortized schedule: commits arrive on every
-// packet, but an O(buffer) scan per packet would dominate the data plane
-// (the paper prunes "periodically", §4.1).
-func (r *Replica) mergeCommit(mb uint16, v SparseVec) {
-	r.commitMu.Lock()
-	seen, ok := r.commitSeen[mb]
-	if !ok {
-		seen = make([]uint64, r.cfg.Partitions)
-		r.commitSeen[mb] = seen
-	}
-	for _, e := range v {
-		if int(e.Part) < len(seen) && e.Seq > seen[e.Part] {
-			seen[e.Part] = e.Seq
-		}
-	}
-	if r.buf != nil {
-		// Any middlebox's commit can unblock held packets: elided markers
-		// gate release on every group, not just wrapped ones.
-		r.releaseDirty.Store(true)
-	}
-	r.pruneTick[mb]++
-	due := r.pruneTick[mb] >= 128
-	if due {
-		r.pruneTick[mb] = 0
-	}
-	var snapshot []uint64
-	if due {
-		snapshot = CloneDense(seen)
-	}
-	r.commitMu.Unlock()
-	if !due {
-		return
-	}
-	if r.head != nil && r.head.MB() == mb {
-		r.head.Buffer().Prune(snapshot)
-	}
-	if f := r.followers[mb]; f != nil {
-		f.Prune(snapshot)
-	}
-}
-
-// mergeCommits folds a whole message's commit vectors into the replica's
-// view under a single commitMu acquisition (mergeCommit pays one per
-// vector). Due prunes are collected under the lock and executed outside it,
-// preserving mergeCommit's lock ordering.
+// mergeCommits folds commit vectors into the replica's view under a single
+// commitMu acquisition. Retransmission buffers are pruned on an amortized
+// schedule: commits arrive on every packet, but an O(buffer) scan per packet
+// would dominate the data plane (the paper prunes "periodically", §4.1). Due
+// prunes are collected under the lock and executed outside it.
 func (r *Replica) mergeCommits(commits []Commit) {
 	if len(commits) == 0 {
 		return
@@ -966,7 +820,9 @@ func (r *Replica) mergeCommits(commits []Commit) {
 			}
 		}
 		if r.buf != nil {
-			r.releaseDirty.Store(true) // see mergeCommit
+			// Any middlebox's commit can unblock held packets: elided markers
+			// gate release on every group, not just wrapped ones.
+			r.releaseDirty.Store(true)
 		}
 		r.pruneTick[c.MB]++
 		if r.pruneTick[c.MB] >= 128 {
@@ -984,10 +840,6 @@ func (r *Replica) mergeCommits(commits []Commit) {
 			f.Prune(dueSnap[i])
 		}
 	}
-}
-
-func (r *Replica) pruneFromCommits(commits []Commit) {
-	r.mergeCommits(commits)
 }
 
 func (r *Replica) commitSnapshot(mb uint16) []uint64 {
@@ -1033,20 +885,14 @@ func (r *Replica) emitPropagating(msg *Message, w *worker) {
 	r.stats.Propagating.Add(1)
 	if r.buf != nil {
 		// Last node: the propagating content goes straight to the buffer
-		// stage (nothing further down the chain). Propagating packets are
-		// never held, so the carrier frame is ours to recycle.
+		// stage (nothing further down the chain).
 		r.bufferStage(pkt, msg, w)
-		netsim.ReleaseFrame(pkt.Buf)
-		return
+	} else {
+		r.forward(pkt, msg, w)
 	}
-	r.forward(pkt, msg, w)
-	if w != nil {
-		// The carrier sits in the worker's outgoing burst until the flush
-		// copies it into the fabric; recycle it after that.
-		w.rel = append(w.rel, pkt.Buf)
-		return
-	}
-	netsim.ReleaseFrame(pkt.Buf)
+	// Propagating packets are never held, so the carrier is ours to recycle
+	// once the flush has copied it into the fabric.
+	w.rel = append(w.rel, pkt.Buf)
 }
 
 // propagateLoop is the forwarder's idle timer (§5.1): when traffic pauses,
@@ -1055,6 +901,7 @@ func (r *Replica) propagateLoop() {
 	defer r.wg.Done()
 	t := time.NewTicker(r.cfg.PropagateEvery)
 	defer t.Stop()
+	w := &worker{}
 	for {
 		select {
 		case <-r.stopped:
@@ -1067,17 +914,21 @@ func (r *Replica) propagateLoop() {
 			}
 			// Drain the whole pending backlog in bounded batches so a
 			// traffic burst's worth of wrapped logs replicates promptly.
+			r.beginBurst(w)
 			for {
-				logs, commits := r.fwd.take(time.Now(), r.cfg.ResendAfter, r.cfg.PiggybackBudget)
+				logs, commits := r.fwd.take(time.Now(), r.cfg.resendAfter(), r.cfg.PiggybackBudget)
 				if len(logs) == 0 && len(commits) == 0 {
 					break
 				}
-				msg := &Message{Ver: r.ver, Gen: r.gen.Load(), Flags: FlagPropagating, Logs: logs, Commits: commits}
-				r.processPacket(mustCarrier(), msg, nil)
+				msg := &Message{Gen: r.gen.Load(), Flags: FlagPropagating, Logs: logs, Commits: commits}
+				pkt := r.carrierFrom(msg.LenEstimate())
+				r.processPacket(pkt, msg, w)
+				w.rel = append(w.rel, pkt.Buf)
 				if len(logs) < takeBatch {
 					break
 				}
 			}
+			r.flushBurst(w)
 		}
 	}
 }
@@ -1088,13 +939,14 @@ func (r *Replica) propagateLoop() {
 // anything is missing once traffic pauses: repair is pull-based and only
 // triggers when a later log arrives out of order. The loop watches the
 // commit vector for the head's own middlebox; if it stalls behind the
-// dependency vector for a full ResendAfter with no progress, the unpruned
+// dependency vector for a full resendAfter with no progress, the unpruned
 // uncommitted logs are re-emitted on propagating carriers (followers
 // suppress duplicates via their MAX vectors).
 func (r *Replica) resendLoop() {
 	defer r.wg.Done()
-	t := time.NewTicker(r.cfg.ResendAfter)
+	t := time.NewTicker(r.cfg.resendAfter())
 	defer t.Stop()
+	w := &worker{}
 	mb := r.head.MB()
 	var lastSum uint64
 	stale := false // one full interval of lag must elapse before resending
@@ -1155,8 +1007,9 @@ func (r *Replica) resendLoop() {
 				r.spillLogs(oversize)
 			}
 			if len(logs) > 0 {
-				msg := &Message{Ver: r.ver, Gen: r.gen.Load(), Logs: logs}
-				r.emitPropagating(msg, nil)
+				r.beginBurst(w)
+				r.emitPropagating(&Message{Gen: r.gen.Load(), Logs: logs}, w)
+				r.flushBurst(w)
 			}
 		}
 	}
@@ -1176,7 +1029,7 @@ func (r *Replica) expiryNow() int64 {
 func (r *Replica) maybeExpire() {
 	now := r.expiryNow()
 	last := r.lastExpiry.Load()
-	if now-last < int64(r.cfg.ExpiryEvery) {
+	if now-last < int64(expiryEvery) {
 		return
 	}
 	if !r.lastExpiry.CompareAndSwap(last, now) {
@@ -1185,17 +1038,19 @@ func (r *Replica) maybeExpire() {
 	r.expireOnce(now)
 }
 
-// expireOnce turns up to ExpiryBatch due keys into one replicated deletion
+// expireOnce turns up to expiryBatch due keys into one replicated deletion
 // transaction and emits its log on a propagating carrier, so expiry flows
 // through the normal log → commit → release machinery and follower stores
 // converge to the head's. DeleteExpired re-validates each key under the
 // transaction: a flow refreshed between collection and commit survives.
-// Returns the number of deletions installed.
+// The transaction takes the fetch gate itself, so it must run outside any
+// beginBurst/flushBurst bracket (see handleBurst). Returns the number of
+// deletions installed.
 func (r *Replica) expireOnce(now int64) int {
 	r.expMu.Lock()
 	defer r.expMu.Unlock()
 	st := r.head.Store()
-	keys := st.CollectExpired(now, r.cfg.ExpiryBatch, r.expKeys[:0])
+	keys := st.CollectExpired(now, expiryBatch, r.expKeys[:0])
 	r.expKeys = keys[:0]
 	if len(keys) == 0 {
 		return 0
@@ -1225,8 +1080,9 @@ func (r *Replica) expireOnce(now int64) int {
 	if err != nil || log.Noop() {
 		return 0
 	}
-	msg := &Message{Ver: r.ver, Gen: r.gen.Load(), Logs: []Log{log}}
-	r.emitPropagating(msg, nil)
+	r.beginBurst(r.expW)
+	r.emitPropagating(&Message{Gen: r.gen.Load(), Logs: []Log{log}}, r.expW)
+	r.flushBurst(r.expW)
 	return deleted
 }
 
@@ -1251,8 +1107,8 @@ func (r *Replica) ExpireNow() int {
 }
 
 // commitEvery throttles tail commit dissemination and the buffer's
-// commit-view transfers to once per this many packets; Config.CommitRefresh
-// bounds the staleness in time at low rates.
+// commit-view transfers to once per this many packets; commitRefresh bounds
+// the staleness in time at low rates.
 const commitEvery = 16
 
 // commitStale reports (and refreshes) whether the time-based commit
@@ -1260,7 +1116,7 @@ const commitEvery = 16
 func (r *Replica) commitStale() bool {
 	now := time.Now().UnixNano()
 	last := r.lastCommit.Load()
-	if now-last < int64(r.cfg.CommitRefresh) {
+	if now-last < int64(commitRefresh) {
 		return false
 	}
 	return r.lastCommit.CompareAndSwap(last, now)
@@ -1314,4 +1170,12 @@ func (r *Replica) HeldPackets() int {
 		return 0
 	}
 	return r.buf.len()
+}
+
+// ForwarderPending reports the forwarder's pending log count (first node).
+func (r *Replica) ForwarderPending() int {
+	if r.fwd == nil {
+		return 0
+	}
+	return r.fwd.pendingLen()
 }

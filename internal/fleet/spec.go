@@ -149,6 +149,3 @@ func (s State) String() string {
 		return fmt.Sprintf("State(%d)", int(s))
 	}
 }
-
-// Terminal reports whether the state ends the lifecycle.
-func (s State) Terminal() bool { return s == StateReclaimed || s == StateRejected }

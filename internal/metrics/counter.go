@@ -24,19 +24,6 @@ func (c *Counter) Value() uint64 { return c.n.Load() }
 // Reset zeroes the counter.
 func (c *Counter) Reset() { c.n.Store(0) }
 
-// Rate measures the counter's rate over the given window by sampling the
-// value, sleeping, and sampling again. It blocks for the window duration.
-func (c *Counter) Rate(window time.Duration) float64 {
-	start := c.n.Load()
-	t0 := time.Now()
-	time.Sleep(window)
-	elapsed := time.Since(t0).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(c.n.Load()-start) / elapsed
-}
-
 // RateSampler takes periodic rate samples of a counter, following the
 // paper's methodology of reporting "the average of maximum throughput values
 // measured every second in a 10 second interval" (§7.1). Intervals here are

@@ -106,9 +106,6 @@ type Member struct {
 	wg       sync.WaitGroup
 }
 
-// Rank is the member's position in the ensemble (0-based, stable).
-func (m *Member) Rank() int { return m.rank }
-
 // NodeID is the member's fabric node id.
 func (m *Member) NodeID() netsim.NodeID { return m.node.ID() }
 

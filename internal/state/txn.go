@@ -235,9 +235,6 @@ func (t *lockTxn) Delete(key string) error {
 	return nil
 }
 
-// Timestamp exposes the wound-wait priority (useful in tests).
-func (t *lockTxn) Timestamp() uint64 { return t.ts }
-
 func (t *lockTxn) releaseAll() {
 	for _, p := range t.held {
 		t.store.parts[p].lock.unlock(t)

@@ -17,10 +17,10 @@ import (
 //
 //   - burst=1 frames one datagram per packet (the pre-batching transport).
 //   - packed is the PR 3 reference: packed datagrams, one syscall each,
-//     one socket (Config.NoMMsg).
+//     one socket (the portable transport, forced through the test seam).
 //   - mmsg is the default Linux path: sendmmsg/recvmmsg datagram vectors
 //     plus SO_REUSEPORT socket-per-worker (identical to packed on other
-//     platforms, where NoMMsg is the only transport).
+//     platforms, where the portable path is the only transport).
 //   - mtu=8972 is the jumbo loopback budget; mtu=1472 is a real Ethernet
 //     MTU, where ~6× more datagrams per frame make the per-syscall cost
 //     the wall the mmsg path exists to tear down.
@@ -32,10 +32,10 @@ import (
 func BenchmarkBridgeThroughput(b *testing.B) {
 	mtu1472 := 1500 - 28
 	cases := []struct {
-		name   string
-		burst  int
-		mtu    int
-		noMMsg bool
+		name     string
+		burst    int
+		mtu      int
+		portable bool
 	}{
 		{"burst=1", 1, DefaultMTUBudget, false},
 		{"burst=32/mtu=8972/packed", 32, DefaultMTUBudget, true},
@@ -45,12 +45,12 @@ func BenchmarkBridgeThroughput(b *testing.B) {
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			benchBridge(b, c.burst, c.mtu, c.noMMsg)
+			benchBridge(b, c.burst, c.mtu, c.portable)
 		})
 	}
 }
 
-func benchBridge(b *testing.B, burst, mtu int, noMMsg bool) {
+func benchBridge(b *testing.B, burst, mtu int, portable bool) {
 	// UDP has no flow control: an unpaced sender just overruns the
 	// receive socket, and the benchmark would measure kernel drop
 	// processing. The sender therefore keeps a bounded credit window of
@@ -60,11 +60,11 @@ func benchBridge(b *testing.B, burst, mtu int, noMMsg bool) {
 	const sockBuf = 4 << 20
 
 	sockets := 0 // default: GOMAXPROCS on the mmsg path
-	if noMMsg {
+	if portable {
 		sockets = 1 // the PR 3 single-socket reference
 	}
 	cfg := Config{Burst: burst, MTUBudget: mtu, SocketBuf: sockBuf,
-		Sockets: sockets, NoMMsg: noMMsg}
+		Sockets: sockets, portable: portable}
 
 	rxFab := netsim.New(netsim.Config{})
 	defer rxFab.Stop()

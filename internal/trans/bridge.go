@@ -83,12 +83,12 @@ type Config struct {
 	// fast path, where the bridge runs the portable single-socket
 	// transport.
 	Sockets int
-	// NoMMsg disables the Linux sendmmsg/recvmmsg batched-syscall path,
-	// forcing the portable one-datagram-per-syscall transport (the
-	// behaviour of non-Linux builds). The wire format is unchanged, so
-	// NoMMsg and mmsg bridges interoperate; it exists for benchmarking
-	// the syscall batching win and for mixed-deployment tests.
-	NoMMsg bool
+	// portable is the in-package test seam that forces a Linux bridge onto
+	// the portable one-datagram-per-syscall transport — the only transport
+	// off Linux, and the fallback when a socket has no raw connection. The
+	// wire format is the same, so portable and mmsg bridges interoperate;
+	// the mixed-deployment test and the packed benchmark arm set it.
+	portable bool
 }
 
 // withDefaults fills zero fields with the package defaults.
@@ -442,7 +442,7 @@ func (t *txBatch) emit() {
 }
 
 // sendPortable ships the sealed vector one sendto syscall per datagram —
-// the non-Linux transport and the Config.NoMMsg reference path. Like a
+// the non-Linux transport and the fallback for sockets mmsg cannot drive. Like a
 // real NIC, send failures (e.g. a crashed peer's closed port) are not
 // reported upstream — the chain's repair path owns loss recovery.
 func (t *txBatch) sendPortable() {

@@ -146,7 +146,7 @@ func runBridgeWorkload(t *testing.T, burst, n int) ([]int, string) {
 }
 
 // runBridgeWorkloadOpts is runBridgeWorkload with a per-process transport
-// config hook, so equivalence suites can pit mmsg, NoMMsg, and multi-socket
+// config hook, so equivalence suites can pit mmsg, portable, and multi-socket
 // bridges against each other in one chain.
 func runBridgeWorkloadOpts(t *testing.T, burst, n int, transCfg func(i int, base Config) Config) ([]int, string) {
 	t.Helper()
@@ -234,7 +234,7 @@ func TestBridgeBurstEquivalence(t *testing.T) {
 
 // TestBridgeMixedMMsgPortableDeployment runs the burst-equivalence workload
 // through a deliberately heterogeneous chain — one replica on the default
-// mmsg multi-socket transport, one forced onto the portable NoMMsg path,
+// mmsg multi-socket transport, one forced onto the portable path,
 // one on mmsg with an explicit 2-socket SO_REUSEPORT group — and requires
 // the same delivered set and the same converged state digest as a uniform
 // default-transport chain. This is the wire-compatibility guarantee: mmsg
@@ -249,7 +249,7 @@ func TestBridgeMixedMMsgPortableDeployment(t *testing.T) {
 		switch i % 3 {
 		case 0: // default mmsg, GOMAXPROCS sockets
 		case 1:
-			base.NoMMsg = true
+			base.portable = true
 			base.Sockets = 1
 		case 2:
 			base.Sockets = 2

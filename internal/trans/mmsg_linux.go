@@ -145,14 +145,15 @@ type mmsgTx struct {
 	off, cnt int // vector window being submitted
 	res      int // messages accepted by the last syscall (-1: hard error)
 	writeFn  func(fd uintptr) bool
-	fallback bool // sockaddr unpackable or NoMMsg: use sendPortable
+	fallback bool // no raw conn or sockaddr unpackable: use sendPortable
 }
 
 // initPlatform prepares a txBatch's sendmmsg vector for its peer, falling
-// back to the portable per-datagram path when the config disables mmsg or
-// the peer's sockaddr cannot be packed (e.g. a zoned link-local address).
+// back to the portable per-datagram path when the socket has no raw
+// connection or the peer's sockaddr cannot be packed (e.g. a zoned
+// link-local address).
 func (t *txBatch) initPlatform() {
-	if t.b.cfg.NoMMsg || t.s == nil || t.s.raw == nil || !t.packSockaddr() {
+	if t.b.cfg.portable || t.s == nil || t.s.raw == nil || !t.packSockaddr() {
 		t.mm.fallback = true
 		return
 	}
@@ -277,10 +278,10 @@ func (r *rxBatch) initMMsg(b *Bridge, s *sock) {
 
 // readBurst fills the receive vector with one blocking-equivalent recvmmsg
 // (the raw read parks on the netpoller until the socket holds datagrams,
-// then scoops up to the whole vector in one syscall). Config.NoMMsg and
-// raw-connection failures degrade to the portable one-datagram reads.
+// then scoops up to the whole vector in one syscall). Raw-connection
+// failures degrade to the portable one-datagram reads.
 func (b *Bridge) readBurst(s *sock, r *rxBatch) (int, bool) {
-	if b.cfg.NoMMsg || s.raw == nil {
+	if b.cfg.portable || s.raw == nil {
 		return b.readBurstPortable(s, r)
 	}
 	if r.mm.readFn == nil {
@@ -302,9 +303,9 @@ func (b *Bridge) readBurst(s *sock, r *rxBatch) (int, bool) {
 }
 
 // rxDatagramBudget sizes the receive vector: the full recvmmsg vector on
-// the mmsg path, the pre-mmsg drain bound on the NoMMsg reference path.
+// the mmsg path, the portable drain bound when tests force that path.
 func (b *Bridge) rxDatagramBudget() int {
-	if b.cfg.NoMMsg {
+	if b.cfg.portable {
 		return b.portableRxBudget()
 	}
 	return recvBatchDatagrams

@@ -16,7 +16,7 @@ var rssGolden = []struct {
 	hash    uint64
 	q4      int // RSSSelector at 4 queues (the pinned workers=4 layout)
 	q8      int
-	q32     int // workers=4 × StealFactor=8 partitions
+	q32     int // workers=4 × 8 flow partitions each
 }{
 	{1, 1024, 0x839e88ca00092877, 3, 7, 23},
 	{2, 1025, 0x43e68adfd9d72b83, 3, 3, 3},
