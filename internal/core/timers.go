@@ -1,0 +1,261 @@
+package core
+
+import (
+	"time"
+
+	"github.com/ftsfc/ftc/internal/netsim"
+	"github.com/ftsfc/ftc/internal/state"
+	"github.com/ftsfc/ftc/internal/wire"
+)
+
+// propagateLoop is the forwarder's idle timer (§5.1): when traffic pauses,
+// pending piggyback state still flows through the chain.
+func (r *Replica) propagateLoop() {
+	defer r.wg.Done()
+	t := time.NewTicker(r.cfg.PropagateEvery)
+	defer t.Stop()
+	w := &worker{}
+	for {
+		select {
+		case <-r.stopped:
+			return
+		case <-t.C:
+			if r.sim.Crashed() {
+				// Fail-stopped but never Stop()ed (the chain replaced this
+				// replica): exit rather than tick forever.
+				return
+			}
+			// Drain the whole pending backlog in bounded batches so a
+			// traffic burst's worth of wrapped logs replicates promptly.
+			r.beginBurst(w)
+			for {
+				logs, commits := r.fwd.take(time.Now(), r.cfg.resendAfter(), r.cfg.PiggybackBudget)
+				if len(logs) == 0 && len(commits) == 0 {
+					break
+				}
+				msg := &Message{Gen: r.gen.Load(), Flags: FlagPropagating, Logs: logs, Commits: commits}
+				pkt := r.carrierFrom(msg.LenEstimate())
+				r.processPacket(pkt, msg, w)
+				w.rel = append(w.rel, pkt.Buf)
+				if len(logs) < takeBatch {
+					break
+				}
+			}
+			r.flushBurst(w)
+		}
+	}
+}
+
+// resendLoop is the head's anti-entropy timer. A head's logs normally ride
+// data packets, so a frame lost between adjacent servers (a crashed
+// successor not yet routed around) leaves followers with no signal that
+// anything is missing once traffic pauses: repair is pull-based and only
+// triggers when a later log arrives out of order. The loop watches the
+// commit vector for the head's own middlebox; if it stalls behind the
+// dependency vector for a full resendAfter with no progress, the unpruned
+// uncommitted logs are re-emitted on propagating carriers (followers
+// suppress duplicates via their MAX vectors).
+func (r *Replica) resendLoop() {
+	defer r.wg.Done()
+	t := time.NewTicker(r.cfg.resendAfter())
+	defer t.Stop()
+	w := &worker{}
+	mb := r.head.MB()
+	var lastSum uint64
+	stale := false // one full interval of lag must elapse before resending
+	for {
+		select {
+		case <-r.stopped:
+			return
+		case <-t.C:
+			if r.sim.Crashed() {
+				return // replaced after a crash; never Stop()ed
+			}
+			if r.expiryOn {
+				r.maybeExpire() // idle chains still age flows out
+			}
+			commit := r.commitSnapshot(mb)
+			vec := r.head.Vector()
+			var sum uint64
+			lag := false
+			for p := range vec {
+				sum += commit[p]
+				if commit[p] < vec[p] {
+					lag = true
+				}
+			}
+			if !lag || sum > lastSum {
+				// Caught up, or commits still flowing: not wedged.
+				lastSum = sum
+				stale = false
+				continue
+			}
+			if !stale {
+				stale = true
+				continue
+			}
+			stale = false
+			// Push only the frontier: the oldest takeBatch missing logs.
+			// If the stall is real loss, one batch fills the gap and commits
+			// resume; if replication is merely slow (a large backlog under
+			// contention), flooding every unpruned log would outrun the
+			// drain and balloon the forwarder's pending set.
+			logs := r.head.Buffer().Missing(commit)
+			if len(logs) > takeBatch {
+				logs = logs[:takeBatch]
+			}
+			if b := r.cfg.PiggybackBudget; b > 0 {
+				// Oversize logs cannot ride a carrier frame (it is a data
+				// frame, MTU applies); re-push those over the spillover RPC.
+				carry := logs[:0]
+				var oversize []Log
+				for _, l := range logs {
+					if 16+logLenEstimate(&l) > b {
+						oversize = append(oversize, l)
+					} else {
+						carry = append(carry, l)
+					}
+				}
+				logs = carry
+				r.spillLogs(oversize)
+			}
+			if len(logs) > 0 {
+				r.beginBurst(w)
+				r.emitPropagating(&Message{Gen: r.gen.Load(), Logs: logs}, w)
+				r.flushBurst(w)
+			}
+		}
+	}
+}
+
+// expiryNow reads the expiry clock (Config.ExpiryClock or wall time).
+func (r *Replica) expiryNow() int64 {
+	if r.cfg.ExpiryClock != nil {
+		return r.cfg.ExpiryClock()
+	}
+	return time.Now().UnixNano()
+}
+
+// maybeExpire runs one throttled expiry scan at the head. Callers are the
+// burst boundary and the resend tick; the CAS keeps concurrent workers from
+// duplicating the scan (same pattern as commitStale).
+func (r *Replica) maybeExpire() {
+	now := r.expiryNow()
+	last := r.lastExpiry.Load()
+	if now-last < int64(expiryEvery) {
+		return
+	}
+	if !r.lastExpiry.CompareAndSwap(last, now) {
+		return
+	}
+	r.expireOnce(now)
+}
+
+// expireOnce turns up to expiryBatch due keys into one replicated deletion
+// transaction and emits its log on a propagating carrier, so expiry flows
+// through the normal log → commit → release machinery and follower stores
+// converge to the head's. DeleteExpired re-validates each key under the
+// transaction: a flow refreshed between collection and commit survives.
+// The transaction takes the fetch gate itself, so it must run outside any
+// beginBurst/flushBurst bracket (see handleBurst). Returns the number of
+// deletions installed.
+func (r *Replica) expireOnce(now int64) int {
+	r.expMu.Lock()
+	defer r.expMu.Unlock()
+	st := r.head.Store()
+	keys := st.CollectExpired(now, expiryBatch, r.expKeys[:0])
+	r.expKeys = keys[:0]
+	if len(keys) == 0 {
+		return 0
+	}
+	deleted := 0
+	log, err := r.head.Transaction(func(tx state.Txn) error {
+		deleted = 0 // reset on wound-wait/OCC re-execution
+		et, _ := tx.(state.ExpiryTxn)
+		for _, k := range keys {
+			if et != nil {
+				ok, err := et.DeleteExpired(k, now)
+				if err != nil {
+					return err
+				}
+				if ok {
+					deleted++
+				}
+			} else {
+				if err := tx.Delete(k); err != nil {
+					return err
+				}
+				deleted++
+			}
+		}
+		return nil
+	})
+	if err != nil || log.Noop() {
+		return 0
+	}
+	r.beginBurst(r.expW)
+	r.emitPropagating(&Message{Gen: r.gen.Load(), Logs: []Log{log}}, r.expW)
+	r.flushBurst(r.expW)
+	return deleted
+}
+
+// ExpireNow synchronously drains every due key at this replica's head,
+// looping until the TTL wheels report nothing further. Tests and the chaos
+// harness use it (via Chain.TriggerExpiry) to force deterministic expiry
+// after advancing a manual expiry clock; production aging runs through
+// maybeExpire on the burst/resend cadence instead. Returns deletions
+// installed.
+func (r *Replica) ExpireNow() int {
+	if r.head == nil || !r.expiryOn {
+		return 0
+	}
+	total := 0
+	for {
+		n := r.expireOnce(r.expiryNow())
+		total += n
+		if n == 0 {
+			return total
+		}
+	}
+}
+
+// carrierTemplate returns the replica's prebuilt carrier frame (built once;
+// the lazy init used to race when two workers emitted carriers at once).
+func (r *Replica) carrierTemplate() []byte {
+	r.carrierOnce.Do(func() { r.carrier = mustCarrier().Buf })
+	return r.carrier
+}
+
+// carrierFrom builds a carrier packet from the replica's prebuilt template
+// on a pooled frame sized for the trailer, avoiding a full header build +
+// checksum + allocation per control frame. The caller owns the frame and
+// recycles it via netsim.ReleaseFrame once it is copied into the fabric.
+func (r *Replica) carrierFrom(trailerCap int) *wire.Packet {
+	tmpl := r.carrierTemplate()
+	buf := netsim.AcquireFrame(len(tmpl) + trailerCap + 8)[:len(tmpl)]
+	copy(buf, tmpl)
+	p, err := wire.Parse(buf)
+	if err != nil {
+		panic("core: carrier template unparseable: " + err.Error())
+	}
+	return p
+}
+
+func buildCarrierPacket() (*wire.Packet, error) {
+	return wire.BuildUDP(wire.UDPSpec{
+		SrcMAC:  wire.MAC{0x02, 0xf7, 0xc0, 0, 0, 1},
+		DstMAC:  wire.MAC{0x02, 0xf7, 0xc0, 0, 0, 2},
+		Src:     wire.Addr4(169, 254, 0, 1), // link-local: never routed outside
+		Dst:     wire.Addr4(169, 254, 0, 2),
+		SrcPort: 0xF7C0, DstPort: 0xF7C0,
+		Headroom: 256,
+	})
+}
+
+func mustCarrier() *wire.Packet {
+	p, err := buildCarrierPacket()
+	if err != nil {
+		panic("core: carrier packet build failed: " + err.Error())
+	}
+	return p
+}

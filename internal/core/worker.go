@@ -1,0 +1,252 @@
+package core
+
+import (
+	"time"
+
+	"github.com/ftsfc/ftc/internal/netsim"
+	"github.com/ftsfc/ftc/internal/state"
+	"github.com/ftsfc/ftc/internal/wire"
+)
+
+// run is the worker loop: claim a non-empty flow partition (home first,
+// then the deepest backlogged sibling partition), drain one burst, process
+// it AND flush its deferred effects, and only then release the claim.
+// Holding the claim through the flush is what preserves per-flow FIFO order
+// across claim migrations: a flow hashes to exactly one partition, and a
+// partition never has frames in flight at two workers at once (DESIGN.md
+// §9). A single worker homes every queue and never steals.
+func (r *Replica) run(idx int) {
+	w := &worker{in: make([]netsim.Inbound, r.cfg.maxBurst())}
+	if r.head != nil {
+		w.batch = r.head.Store().NewBatch()
+	}
+	ctl := netsim.NewBurstController(r.cfg.Burst, 0)
+	sched := r.sim.NewQueueSched(idx, r.cfg.Workers)
+	for {
+		q, stolen := sched.Acquire()
+		if q < 0 {
+			// Crash or shutdown mid-stream: release any state locks the
+			// batch retains so post-mortem store reads (recovery, digests)
+			// never block on a dead worker.
+			if w.batch != nil {
+				w.batch.Flush()
+			}
+			return
+		}
+		if stolen {
+			r.sched.Steals.Inc()
+		}
+		n := r.sim.DrainClaimed(q, w.in[:ctl.Size()])
+		if n > 0 {
+			r.handleBurst(w, n)
+		}
+		depth := r.sim.QueueLen(q)
+		sched.Release(q)
+		ctl.Observe(n, depth)
+		r.sched.Burst.Set(int64(ctl.Size()))
+		// n == 0 is not a crash signal: a claim can be won on a queue a
+		// sibling drained empty moments earlier, and a crash mid-drain is
+		// caught by the next Acquire returning q == -1 — the only exit
+		// path, so a live replica never sheds workers.
+	}
+}
+
+// worker is one goroutine's burst-processing state, none of it shared: the
+// scratch that makes steady-state frame handling allocation-free (packet
+// view, piggyback decode arenas, ingress message header, all reused across
+// frames) plus the deferred-work queues that let a burst pay once for what
+// a per-packet pipeline pays per frame — next-hop route resolution and
+// sends, state-lock begin/commit, retransmission-buffer appends, and commit
+// dissemination. The queue workers (run) and the timers (propagateLoop,
+// resendLoop, expiry) each own one: everything the pipeline emits leaves the
+// node through a worker's beginBurst/flushBurst bracket.
+type worker struct {
+	pkt     wire.Packet
+	dec     MsgScratch
+	ingress Message          // reused header for raw-ingress packets
+	in      []netsim.Inbound // drain landing zone (queue workers), len == cfg.maxBurst()
+
+	out []([]byte) // trailered frames awaiting the flush to the next hop
+	egr []([]byte) // finalized frames awaiting the flush to egress
+	rel []([]byte) // frames to recycle once the flush has copied them out
+
+	// batch runs the head's packet transactions and flushes per burst. Only
+	// queue workers on a node hosting a middlebox have one; the timers never
+	// transact inside a bracket.
+	batch state.Batch
+
+	headLogs []Log // head retransmission-buffer appends, one addAll per burst
+	pendF    []*Follower
+	pendL    []Log // follower appends; pendF[i] buffers pendL[i]
+
+	co    coalescer // open coalesced run; never spans a flush
+	spill []Log     // over-budget logs awaiting the spillover RPC at the flush
+	xfer  []Log     // buffer-transfer scratch: logs minus elided markers
+
+	last      bool // processing the burst's final frame (flush boundary)
+	dissemDue bool // a commitEvery tick fired; disseminate at the boundary
+}
+
+// handleBurst runs one received burst through the pipeline and flushes the
+// deferred work at its boundary. A burst of 1 (partial or Burst=1 config)
+// flushes immediately after its only frame, so bursting never adds a
+// latency floor.
+func (r *Replica) handleBurst(w *worker, n int) {
+	r.beginBurst(w)
+	for i := 0; i < n; i++ {
+		w.last = i == n-1
+		if !r.handleFrame(w.in[i], w) {
+			w.rel = append(w.rel, w.in[i].Frame)
+		}
+	}
+	r.flushBurst(w)
+	if r.expiryOn {
+		// Flow aging rides the burst cadence: no extra goroutine touches the
+		// data path, and expiry deletions enter the same log → commit →
+		// release machinery as packet writes. Runs after the flush: the
+		// expiry transaction takes the fetch gate itself, which deadlocks
+		// inside the bracket if a fetch writer is queued behind this burst.
+		r.maybeExpire()
+	}
+}
+
+// beginBurst opens the bracket that flushBurst closes; between the two, the
+// pipeline stages queue their sends and buffer appends on w.
+func (r *Replica) beginBurst(w *worker) {
+	w.dec.BeginBurst()
+	if w.batch != nil {
+		// Fetch gate, held burst-wide: the batch keeps partition locks
+		// between transactions, so a per-transaction read lock could deadlock
+		// against a pending fetch writer. flushBurst releases it once the
+		// burst's logs are in the retransmission buffer and the batch has
+		// flushed — the earliest point a fetch sees a consistent cut.
+		r.head.fetchMu.RLock()
+	}
+}
+
+// flushBurst drains the worker's deferred queues: one burst send per
+// destination, one lock acquisition per retransmission buffer, one state
+// batch flush, one buffer-release scan. Frames recycle only after the burst
+// sends have copied them into the fabric.
+func (r *Replica) flushBurst(w *worker) {
+	// Safety net for the coalescer: a run is normally closed onto the
+	// burst's last data packet, but if that frame never reached the
+	// transaction stage (parse error, stale gen, buffer transfer) the run is
+	// still open here and rides its own propagating carrier.
+	r.flushRun(w)
+	if len(w.out) > 0 {
+		// Blocking send: pipeline stages exert flow control on each other,
+		// like the paper's DPDK rings — overload drops happen at the chain
+		// ingress, never between replicas (which would cost repair round
+		// trips).
+		if next := r.nextHop(); next != "" {
+			if err := r.sim.SendBurstBlocking(next, w.out); err == nil {
+				r.stats.TxFrames.Add(uint64(len(w.out)))
+			}
+		}
+		reset(&w.out)
+	}
+	if len(w.egr) > 0 {
+		r.egressBurst(w.egr)
+		reset(&w.egr)
+	}
+	if len(w.headLogs) > 0 {
+		r.head.Buffer().addAll(w.headLogs)
+		reset(&w.headLogs)
+	}
+	for i := 0; i < len(w.pendL); {
+		f := w.pendF[i]
+		j := i + 1
+		for j < len(w.pendL) && w.pendF[j] == f {
+			j++
+		}
+		f.buf.addAll(w.pendL[i:j])
+		i = j
+	}
+	if len(w.pendL) > 0 {
+		reset(&w.pendL)
+		reset(&w.pendF)
+	}
+	if w.batch != nil {
+		w.batch.Flush()
+		r.head.fetchMu.RUnlock() // end of the fetch gate (see beginBurst)
+	}
+	if len(w.spill) > 0 {
+		r.spillLogs(w.spill)
+		reset(&w.spill)
+	}
+	if r.buf != nil {
+		r.maybeRelease()
+	}
+	for _, fr := range w.rel {
+		netsim.ReleaseFrame(fr)
+	}
+	reset(&w.rel)
+}
+
+// reset truncates a deferred-work list, zeroing entries so recycled frames
+// and retained Vec/Updates arrays are not pinned between bursts.
+func reset[T any](s *[]T) {
+	clear(*s)
+	*s = (*s)[:0]
+}
+
+// handleFrame runs one inbound frame through the replica pipeline. It
+// reports whether some stage retained ownership of in.Frame (only the
+// egress buffer does, when it holds the packet); unretained frames go back
+// to the frame pool. Sends and buffer appends are deferred to w's flush.
+func (r *Replica) handleFrame(in netsim.Inbound, w *worker) bool {
+	r.stats.RxFrames.Add(1)
+	pkt := &w.pkt
+	if err := wire.ParseInto(pkt, in.Frame); err != nil {
+		r.stats.ParseErrors.Add(1)
+		return false
+	}
+	var msg *Message
+	if tr := pkt.Trailer(); tr != nil {
+		m, err := w.dec.Decode(tr)
+		if err != nil {
+			r.stats.ParseErrors.Add(1)
+			return false
+		}
+		msg = m
+	}
+	gen := r.gen.Load()
+	if msg == nil {
+		// External ingress: only the forwarder admits raw packets.
+		if r.fwd == nil {
+			r.stats.ParseErrors.Add(1)
+			return false
+		}
+		logs, commits := r.fwd.take(time.Now(), r.cfg.resendAfter(), r.cfg.PiggybackBudget)
+		msg = &w.ingress
+		// Copy into the reused ingress arrays so the head-log append below
+		// stays within amortized capacity instead of reallocating per packet.
+		msg.Flags = 0
+		msg.FullValues = false
+		msg.Gen = gen
+		msg.Logs = append(msg.Logs[:0], logs...)
+		msg.Commits = append(msg.Commits[:0], commits...)
+		if err := pkt.InsertFTCOption(); err != nil {
+			r.stats.ParseErrors.Add(1)
+			return false
+		}
+	} else {
+		if msg.Gen != gen {
+			r.stats.StaleGen.Add(1)
+			return false
+		}
+		if msg.Flags&FlagBufferTransfer != 0 {
+			if r.fwd != nil {
+				r.fwd.addTransfer(msg)
+				r.mergeCommits(msg.Commits)
+			}
+			return false
+		}
+	}
+	held := r.processPacket(pkt, msg, w)
+	// The buffer held pkt.Buf; in.Frame is retained only if they are still
+	// the same array (an in-header insert or trailer append can reallocate,
+	// leaving in.Frame free to recycle while the buffer owns the copy).
+	return held && len(in.Frame) > 0 && len(pkt.Buf) > 0 && &pkt.Buf[0] == &in.Frame[0]
+}
