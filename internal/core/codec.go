@@ -13,8 +13,9 @@ const (
 	updKindDelta  = 2 // svarint delta against the receiver's current value
 )
 
-// appendLog encodes one piggyback log. fullValues forces delta-classified updates onto the full-value wire form when the
-// value is still at hand (control-plane messages; see Message.FullValues).
+// appendLog encodes one piggyback log. fullValues forces delta-classified
+// updates onto the full-value wire form when the value is still at hand
+// (control-plane messages; see Message.FullValues).
 func appendLog(dst []byte, l *Log, fullValues bool) []byte {
 	dst = binary.AppendUvarint(dst, uint64(l.MB))
 	dst = append(dst, l.Flags)

@@ -27,8 +27,9 @@ type Config struct {
 	// bursts flush immediately, so bursting adds no latency floor; Burst=1
 	// degenerates to per-packet processing. Burst 0 — the default — selects
 	// the NAPI-style adaptive controller: each worker's burst starts at 1,
-	// doubles toward netsim.DefaultMaxBurst while its queue stays backlogged, and halves
-	// toward 1 when drains come up short (DESIGN.md §9).
+	// doubles toward netsim.DefaultMaxBurst while its queue stays
+	// backlogged, and halves toward 1 when drains come up short (DESIGN.md
+	// §9).
 	Burst int
 	// QueueCap is the per-ingress-queue capacity in frames.
 	QueueCap int

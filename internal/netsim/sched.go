@@ -71,10 +71,10 @@ func (c *BurstController) Observe(drained, backlog int) {
 // QueueSched is one worker's handle on a node's claim-based queue
 // scheduler. Workers stride-partition the queues — worker w of W homes
 // queues q with q ≡ w (mod W) — which makes the home layout at
-// Queues == Workers exactly the pre-stealing 1:1 pinning, and keeps
-// partition→home-worker assignment consistent with RSS arithmetic
-// whenever the queue count is a multiple of the worker count. A
-// QueueSched belongs to one worker goroutine.
+// Queues == Workers a 1:1 pinning (a lone worker homes every queue and
+// never steals), and keeps partition→home-worker assignment consistent
+// with RSS arithmetic whenever the queue count is a multiple of the
+// worker count. A QueueSched belongs to one worker goroutine.
 type QueueSched struct {
 	n       *Node
 	worker  int
