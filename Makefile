@@ -71,8 +71,9 @@ bench-check:
 	$(GO) -C bench vet .
 	$(GO) -C bench test .
 
-# Fast allocation gate: runs the zero-alloc fast-path benchmark a fixed
-# number of iterations so CI can catch an allocation regression in seconds.
+# Fast allocation gate: runs the per-role fast-path benchmarks (pass-through
+# hop, head hop, buffer hop; DESIGN.md §6) a fixed number of iterations so CI
+# can catch an allocation regression in seconds.
 bench-smoke:
 	$(GO) test ./... -run=NONE -bench=FastPath -benchtime=100x
 

@@ -63,7 +63,7 @@ func (r *Replica) bufferStage(pkt *wire.Packet, msg *Message, w *worker) bool {
 	}
 	if includeView {
 		for _, j := range r.wrappedMBs() {
-			if sv := SparseFromDense(r.commitSnapshot(j)); len(sv) > 0 {
+			if sv := w.sparse(r.commitSnapshot(j)); len(sv) > 0 {
 				commits = append(commits, Commit{MB: j, Vec: sv})
 			}
 		}
@@ -130,10 +130,10 @@ func (r *Replica) bufferStage(pkt *wire.Packet, msg *Message, w *worker) bool {
 		return false
 	}
 	r.stats.Held.Add(1)
-	heldLogs := make([]Log, len(msg.Logs))
+	heldLogs := w.heldLogs.Take(len(msg.Logs))
 	for i := range msg.Logs {
 		l := &msg.Logs[i]
-		heldLogs[i] = Log{MB: l.MB, Flags: l.Flags, Vec: l.Vec.Clone()}
+		heldLogs[i] = Log{MB: l.MB, Flags: l.Flags, Vec: w.heldVecs.Clone(l.Vec)}
 	}
 	r.buf.mu.Lock()
 	r.buf.held = append(r.buf.held, heldPacket{frame: pkt.Buf, logs: heldLogs, gen: msg.Gen})
@@ -183,7 +183,9 @@ func (r *Replica) maybeRelease() {
 func (r *Replica) tryRelease() {
 	cur := r.gen.Load()
 	r.buf.mu.Lock()
-	var ready, fenced [][]byte
+	// Sized for the common scan, where a commit releases everything held.
+	ready := make([][]byte, 0, len(r.buf.held))
+	var fenced [][]byte
 	kept := r.buf.held[:0]
 	r.commitMu.Lock()
 	commitFor := func(mb uint16) []uint64 { return r.commitSeen[mb] }

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"github.com/ftsfc/ftc/internal/slab"
 	"github.com/ftsfc/ftc/internal/state"
 )
 
@@ -17,6 +18,11 @@ type coalescer struct {
 	vec    SparseVec // running last-seq per partition (insertion order while open)
 	base   SparseVec // first seq per partition, parallel to vec
 	upds   []state.Update
+
+	// What finalize hands out, carved: a run's log waits in retransmission
+	// buffers until a commit prunes it.
+	vecs    slab.Slab[VecEntry]
+	updates slab.Slab[state.Update]
 }
 
 // absorb folds a write log into the open run, opening one if needed. It
@@ -86,15 +92,15 @@ func (c *coalescer) mergeUpdate(u *state.Update) {
 }
 
 // finalize closes the run and returns the coalesced log. The returned
-// slices are freshly allocated (the log outlives the packet: it enters the
-// head's retransmission buffer and possibly downstream follower buffers).
+// slices are the log's own (it outlives the packet: it enters the head's
+// retransmission buffer and possibly downstream follower buffers).
 func (c *coalescer) finalize() Log {
 	l := Log{
 		MB:      c.mb,
 		Flags:   LogCoalesced,
-		Vec:     append(SparseVec(nil), c.vec...),
-		Base:    append(SparseVec(nil), c.base...),
-		Updates: append([]state.Update(nil), c.upds...),
+		Vec:     c.vecs.Clone(c.vec),
+		Base:    c.vecs.Clone(c.base),
+		Updates: c.updates.Clone(c.upds),
 	}
 	sort.Sort(vecPair{l.Vec, l.Base})
 	c.reset()

@@ -148,14 +148,17 @@ func MergeMax(dst, src []uint64) {
 
 // SparseFromDense converts a dense vector to sparse form, omitting zeros
 // (an all-zero prefix carries no information: commit[p] ≥ 0 always holds).
-func SparseFromDense(v []uint64) SparseVec {
-	var out SparseVec
+func SparseFromDense(v []uint64) SparseVec { return AppendSparse(nil, v) }
+
+// AppendSparse is SparseFromDense into caller-provided storage: the sparse
+// entries of v are appended to dst and the result returned.
+func AppendSparse(dst SparseVec, v []uint64) SparseVec {
 	for i, s := range v {
 		if s != 0 {
-			out = append(out, VecEntry{Part: uint16(i), Seq: s})
+			dst = append(dst, VecEntry{Part: uint16(i), Seq: s})
 		}
 	}
-	return out
+	return dst
 }
 
 // DenseFromSparse expands a sparse vector into a dense one of length n,

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/ftsfc/ftc/internal/netsim"
+	"github.com/ftsfc/ftc/internal/state"
 	"github.com/ftsfc/ftc/internal/wire"
 )
 
@@ -149,6 +151,284 @@ func TestFastPathForwardEquivalence(t *testing.T) {
 		g, w := got.Logs[i], want.Logs[i]
 		if g.MB != w.MB || g.Flags != w.Flags || len(g.Vec) != len(w.Vec) {
 			t.Fatalf("log %d mutated in flight: got %+v want %+v", i, g, w)
+		}
+	}
+}
+
+// genMB mirrors mbox.Gen (core cannot import it): every packet writes size
+// bytes derived from its RSS hash into one of 16 precomputed keys. The value
+// it builds is the one allocation per packet the head hop is allowed.
+type genMB struct {
+	size int
+	keys [16]string
+}
+
+func newGenMB(size int) *genMB {
+	g := &genMB{size: size}
+	for i := range g.keys {
+		g.keys[i] = fmt.Sprintf("gen-%d", i)
+	}
+	return g
+}
+
+func (g *genMB) Name() string { return "gen" }
+
+func (g *genMB) Process(p *wire.Packet, tx state.Txn) (Verdict, error) {
+	seed := wire.RSSHash(p.Buf)
+	val := make([]byte, g.size)
+	for i := range val {
+		val[i] = byte(seed >> (uint(i%8) * 8))
+	}
+	if err := tx.Put(g.keys[seed%uint64(len(g.keys))], val); err != nil {
+		return Drop, err
+	}
+	return Forward, nil
+}
+
+// hopBurst is the burst size the role rigs drive; rigFrame the frame size.
+const (
+	hopBurst = 32
+	rigFrame = 128
+)
+
+// udpFrame builds a UDP frame of exactly size bytes for flow i.
+func udpFrame(tb testing.TB, size, i int) []byte {
+	tb.Helper()
+	const headers = wire.EthernetHeaderLen + wire.IPv4MinHeaderLen + wire.UDPHeaderLen
+	p, err := wire.BuildUDP(wire.UDPSpec{
+		Src: wire.Addr4(10, 0, 0, 1), Dst: wire.Addr4(10, 0, 1, 1),
+		SrcPort: uint16(1000 + i), DstPort: 80,
+		Payload: make([]byte, size-headers),
+	})
+	if err != nil {
+		tb.Fatalf("BuildUDP: %v", err)
+	}
+	if len(p.Buf) != size {
+		tb.Fatalf("built a %d B frame, want %d", len(p.Buf), size)
+	}
+	return p.Buf
+}
+
+// roleRig is a two-node ring (NumMB=1, F=1) whose replicas are driven by the
+// test goroutine instead of their run loops: node 0 is forwarder and head of
+// the one middlebox, node 1 its follower, tail and the egress buffer. Frames
+// cross the real fabric, so every hop sees a pooled receiver-owned copy.
+type roleRig struct {
+	gen, n0, n1, sink *netsim.Node
+	head, last        *Replica
+	hw, lw            *worker
+	ingress           [][]byte // hopBurst raw frames, one flow each
+}
+
+func newRoleRig(tb testing.TB, frameSize int) *roleRig {
+	tb.Helper()
+	cfg := Config{NumMB: 1, F: 1}
+	fab := netsim.New(netsim.Config{})
+	tb.Cleanup(fab.Stop)
+	node := func(id netsim.NodeID) *netsim.Node {
+		return fab.AddNode(id, netsim.NodeConfig{QueueCap: 64 * hopBurst})
+	}
+	rig := &roleRig{gen: node("gen"), n0: node("r0"), n1: node("r1"), sink: node("sink")}
+	ring := []netsim.NodeID{"r0", "r1"}
+	rig.head = NewReplica(cfg, ReplicaSpec{Index: 0, Sim: rig.n0, Fabric: fab, RingIDs: ring, MB: newGenMB(16)})
+	rig.last = NewReplica(cfg, ReplicaSpec{Index: 1, Sim: rig.n1, Fabric: fab, RingIDs: ring, Egress: "sink"})
+	rig.hw, rig.lw = rig.head.newQueueWorker(), rig.last.newQueueWorker()
+	for i := 0; i < hopBurst; i++ {
+		rig.ingress = append(rig.ingress, udpFrame(tb, frameSize, i))
+	}
+	return rig
+}
+
+// drain empties n's queue, recycling the frames, and returns how many.
+func drain(n *netsim.Node) int {
+	cnt := 0
+	for {
+		in, ok := n.TryRecv(0)
+		if !ok {
+			return cnt
+		}
+		netsim.ReleaseFrame(in.Frame)
+		cnt++
+	}
+}
+
+const headHopBudget = 1.5 // allocations per packet; genMB's value is 1.0
+
+// headHop sends one burst of raw packets from the generator and runs it
+// through the head hop: forwarder take, option insert, packet transaction,
+// coalescing, trailer encode, flush to node 1, whose queue it then drains.
+func (rig *roleRig) headHop(tb testing.TB) {
+	if err := rig.gen.SendBurst("r0", rig.ingress); err != nil {
+		tb.Fatal(err)
+	}
+	n := rig.n0.RecvBurst(0, rig.hw.in[:hopBurst])
+	rig.head.handleBurst(rig.hw, n)
+	// Nothing downstream commits in this rig; prune by the head's own vector
+	// so the retransmission buffer stays at its steady one-burst size.
+	rig.head.Head().Buffer().Prune(rig.head.Head().Vector())
+	if got := drain(rig.n1); got != hopBurst {
+		tb.Fatalf("head forwarded %d frames of a %d burst", got, hopBurst)
+	}
+}
+
+// TestFastPathHeadAllocs gates the hop gen-small's node 0 performs: a
+// forwarder-and-head replica hosting a 16 B Gen may allocate the middlebox's
+// own value per packet and only amortized chunks and per-burst logs beyond it.
+func TestFastPathHeadAllocs(t *testing.T) {
+	rig := newRoleRig(t, rigFrame)
+	for i := 0; i < 50; i++ {
+		rig.headHop(t)
+	}
+	per := testing.AllocsPerRun(100, func() { rig.headHop(t) }) / hopBurst
+	t.Logf("head hop: %.2f allocations per packet", per)
+	if per > headHopBudget {
+		t.Fatalf("head hop allocates %.2f times per packet, budget is %.2f", per, headHopBudget)
+	}
+}
+
+// BenchmarkFastPathHead is the head hop per packet (one op = one packet).
+func BenchmarkFastPathHead(b *testing.B) {
+	rig := newRoleRig(b, rigFrame)
+	for i := 0; i < 50; i++ {
+		rig.headHop(b)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += hopBurst {
+		rig.headHop(b)
+	}
+}
+
+// bufferBurst builds what the last node receives for one burst when the
+// head coalesces: data packets carrying only an elided marker for their own
+// transaction, the final one also carrying the commit that covers the
+// burst. (The run's substance is the follower role's cost, paid per run and
+// per key, not per packet; the rig leaves it out to price the buffer alone.)
+func (rig *roleRig) bufferBurst(tb testing.TB, seq *uint64) [][]byte {
+	frames := make([][]byte, hopBurst)
+	for i := range frames {
+		pkt, err := wire.Parse(append([]byte(nil), rig.ingress[i]...))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := pkt.InsertFTCOption(); err != nil {
+			tb.Fatal(err)
+		}
+		msg := &Message{Logs: []Log{{MB: 0, Flags: LogElided, Vec: SparseVec{{Part: 3, Seq: *seq}}}}}
+		*seq++
+		if i == hopBurst-1 {
+			msg.Commits = []Commit{{MB: 0, Vec: SparseVec{{Part: 3, Seq: *seq}}}}
+		}
+		if err := pkt.AppendTrailer(msg); err != nil {
+			tb.Fatal(err)
+		}
+		frames[i] = pkt.Buf
+	}
+	return frames
+}
+
+const bufferHopBudget = 0.25 // allocations per packet
+
+// bufferHop runs one prepared burst through the last node: every packet but
+// the final one is held; the final one's commit releases them all at the
+// flush. All hopBurst packets must have left through the sink.
+func (rig *roleRig) bufferHop(tb testing.TB, frames [][]byte) {
+	if err := rig.n0.SendBurst("r1", frames); err != nil {
+		tb.Fatal(err)
+	}
+	n := rig.n1.RecvBurst(0, rig.lw.in[:hopBurst])
+	held := rig.last.Stats().Held.Load()
+	rig.last.handleBurst(rig.lw, n)
+	if got := rig.last.Stats().Held.Load() - held; got != hopBurst-1 {
+		tb.Fatalf("buffer held %d packets of a %d burst, want all but the last", got, hopBurst)
+	}
+	if got := drain(rig.sink); got != hopBurst {
+		tb.Fatalf("buffer released %d packets of a %d burst", got, hopBurst)
+	}
+	drain(rig.n0) // buffer → forwarder transfers
+}
+
+// bufferRuns prepares runs+warm bursts up front (building frames allocates;
+// the hop must not pay for it) and returns a function running the next one.
+func (rig *roleRig) bufferRuns(tb testing.TB, runs int) func() {
+	var seq uint64
+	bursts := make([][][]byte, runs)
+	for i := range bursts {
+		bursts[i] = rig.bufferBurst(tb, &seq)
+	}
+	next := 0
+	return func() {
+		rig.bufferHop(tb, bursts[next])
+		next++
+	}
+}
+
+// TestFastPathBufferAllocs gates the egress-buffer hop: holding a packet and
+// releasing it on a commit costs amortized chunk carves and one release
+// list per scan, not an object per packet.
+func TestFastPathBufferAllocs(t *testing.T) {
+	rig := newRoleRig(t, rigFrame)
+	const warm, runs = 50, 100
+	hop := rig.bufferRuns(t, warm+runs+1) // AllocsPerRun adds a warm-up call
+	for i := 0; i < warm; i++ {
+		hop()
+	}
+	per := testing.AllocsPerRun(runs, hop) / hopBurst
+	t.Logf("buffer hop: %.2f allocations per packet", per)
+	if per > bufferHopBudget {
+		t.Fatalf("buffer hop allocates %.2f times per packet, budget is %.2f", per, bufferHopBudget)
+	}
+}
+
+// BenchmarkFastPathBuffer is the buffer hop per packet (one op = one packet).
+func BenchmarkFastPathBuffer(b *testing.B) {
+	rig := newRoleRig(b, rigFrame)
+	const warm = 50
+	hop := rig.bufferRuns(b, warm+(b.N+hopBurst-1)/hopBurst)
+	for i := 0; i < warm; i++ {
+		hop()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += hopBurst {
+		hop()
+	}
+}
+
+// TestIngressFrameKeepsPooledBuffer checks the fabric's receiver headroom:
+// a frame whose length equals its pool class (256 B, 1 KiB) takes the FTC
+// option and a trailer at the head without leaving the buffer it arrived
+// in, so nothing is reallocated and the buffer returns to the pool.
+func TestIngressFrameKeepsPooledBuffer(t *testing.T) {
+	for _, size := range []int{256, 1024} {
+		rig := newRoleRig(t, size)
+		if err := rig.gen.Send("r0", rig.ingress[0]); err != nil {
+			t.Fatal(err)
+		}
+		in, ok := rig.n0.Recv(0)
+		if !ok {
+			t.Fatal("ingress frame not delivered")
+		}
+		w := rig.hw
+		rig.head.beginBurst(w)
+		w.last = true
+		if rig.head.handleFrame(in, w) {
+			t.Fatal("head retained the frame")
+		}
+		if len(w.out) != 1 || len(w.out[0]) <= size {
+			t.Fatalf("%d B frame: head queued %d frames, want one grown by option and trailer", size, len(w.out))
+		}
+		if &w.pkt.Buf[0] != &in.Frame[0] || &w.out[0][0] != &in.Frame[0] {
+			t.Fatalf("%d B frame left its pooled buffer at the head", size)
+		}
+		rig.head.flushBurst(w)
+		fwd, ok := rig.n1.Recv(0)
+		if !ok {
+			t.Fatal("frame was not forwarded")
+		}
+		p, err := wire.Parse(fwd.Frame)
+		if err != nil || !p.HasFTCOption() || p.Trailer() == nil {
+			t.Fatalf("%d B frame reached the next hop without option and trailer (err %v)", size, err)
 		}
 	}
 }

@@ -70,7 +70,8 @@ func (h *Head) RestoreVector(v []uint64) {
 }
 
 // Transaction runs fn as a packet transaction against the middlebox state
-// and returns the piggyback log to attach to the packet.
+// and returns the piggyback log to attach to the packet. The log's memory is
+// the caller's: nothing the head does later touches it.
 //
 // At the commit point — partition locks still held, so entries for the
 // touched partitions cannot move concurrently — the head stamps the
@@ -80,49 +81,73 @@ func (h *Head) RestoreVector(v []uint64) {
 func (h *Head) Transaction(fn func(tx state.Txn) error) (Log, error) {
 	h.fetchMu.RLock()
 	defer h.fetchMu.RUnlock()
-	log, err := h.transactionOn(h.store, fn)
-	if err == nil && !log.Noop() {
-		h.buf.add(log)
-	}
-	return log, err
-}
-
-// TransactionBatch is Transaction executed through a worker's state batch:
-// partition locks acquired by earlier transactions in the burst are reused,
-// and the retransmission-buffer append is left to the caller (burst workers
-// collect logs and flush them in one addAll at the burst boundary). The
-// caller must hold fetchMu's read side across the whole burst.
-func (h *Head) TransactionBatch(b state.Batch, fn func(tx state.Txn) error) (Log, error) {
-	return h.transactionOn(b, fn)
-}
-
-// execer is the common transaction surface of state.Backend and state.Batch.
-type execer interface {
-	ExecWithHook(fn func(tx state.Txn) error, onCommit func(state.Result)) (state.Result, error)
-}
-
-func (h *Head) transactionOn(x execer, fn func(tx state.Txn) error) (Log, error) {
-	log := Log{MB: h.mb}
-	res, err := x.ExecWithHook(fn, func(r state.Result) {
-		vec := make(SparseVec, 0, len(r.Touched))
-		for _, p := range r.Touched {
-			if r.ReadOnly {
-				vec = append(vec, VecEntry{Part: p, Seq: h.vec[p].Load()})
-			} else {
-				vec = append(vec, VecEntry{Part: p, Seq: h.vec[p].Add(1) - 1})
-			}
-		}
-		log.Vec = vec // Touched is sorted, so vec is sorted
+	var vec SparseVec
+	res, err := h.store.ExecWithHook(fn, func(r state.Result) {
+		vec = h.stamp(make(SparseVec, 0, len(r.Touched)), r)
 	})
 	if err != nil {
 		return Log{}, err
 	}
-	if res.ReadOnly {
-		log.Flags |= LogNoop
-	} else {
-		log.Updates = res.Updates
+	log := h.logOf(res, vec)
+	if !log.Noop() {
+		h.buf.add(log)
 	}
 	return log, nil
+}
+
+// HeadBatch is one worker's handle for running packet transactions through
+// a state batch: the batch itself plus the dependency vector the commit
+// hook stamps, which the worker owns and every transaction overwrites.
+type HeadBatch struct {
+	state.Batch
+	vec   SparseVec
+	stamp func(state.Result) // bound once: stamps the head's vector into vec
+}
+
+// NewBatch returns a batch context for one worker's bursts of transactions.
+func (h *Head) NewBatch() *HeadBatch {
+	b := &HeadBatch{Batch: h.store.NewBatch()}
+	b.stamp = func(r state.Result) { b.vec = h.stamp(b.vec[:0], r) }
+	return b
+}
+
+// TransactionBatch is Transaction executed through a worker's batch:
+// partition locks acquired by earlier transactions in the burst are reused,
+// and the retransmission-buffer append is left to the caller (burst workers
+// collect logs and flush them in one addAll at the burst boundary). The
+// caller must hold fetchMu's read side across the whole burst.
+//
+// The returned log's Vec and Updates live in the batch's scratch: they are
+// valid until the next TransactionBatch on b, and whoever keeps any of it
+// longer copies it (the coalescer and the egress buffer do).
+func (h *Head) TransactionBatch(b *HeadBatch, fn func(tx state.Txn) error) (Log, error) {
+	res, err := b.ExecWithHook(fn, b.stamp)
+	if err != nil {
+		return Log{}, err
+	}
+	return h.logOf(res, b.vec), nil
+}
+
+// stamp is the commit hook's work: append the head's sequence number for
+// every touched partition to dst, advancing the written ones. Touched is
+// sorted, so the result is.
+func (h *Head) stamp(dst SparseVec, r state.Result) SparseVec {
+	for _, p := range r.Touched {
+		if r.ReadOnly {
+			dst = append(dst, VecEntry{Part: p, Seq: h.vec[p].Load()})
+		} else {
+			dst = append(dst, VecEntry{Part: p, Seq: h.vec[p].Add(1) - 1})
+		}
+	}
+	return dst
+}
+
+// logOf assembles a committed transaction's piggyback log.
+func (h *Head) logOf(res state.Result, vec SparseVec) Log {
+	if res.ReadOnly {
+		return Log{MB: h.mb, Flags: LogNoop, Vec: vec}
+	}
+	return Log{MB: h.mb, Vec: vec, Updates: res.Updates}
 }
 
 // logBuffer retains non-noop piggyback logs until a commit vector confirms

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"github.com/ftsfc/ftc/internal/netsim"
+	"github.com/ftsfc/ftc/internal/slab"
 	"github.com/ftsfc/ftc/internal/state"
 	"github.com/ftsfc/ftc/internal/wire"
 )
@@ -16,10 +17,7 @@ import (
 // partition never has frames in flight at two workers at once (DESIGN.md
 // §9). A single worker homes every queue and never steals.
 func (r *Replica) run(idx int) {
-	w := &worker{in: make([]netsim.Inbound, r.cfg.maxBurst())}
-	if r.head != nil {
-		w.batch = r.head.Store().NewBatch()
-	}
+	w := r.newQueueWorker()
 	ctl := netsim.NewBurstController(r.cfg.Burst, 0)
 	sched := r.sim.NewQueueSched(idx, r.cfg.Workers)
 	for {
@@ -72,8 +70,11 @@ type worker struct {
 
 	// batch runs the head's packet transactions and flushes per burst. Only
 	// queue workers on a node hosting a middlebox have one; the timers never
-	// transact inside a bracket.
-	batch state.Batch
+	// transact inside a bracket. process is the transaction body, built once
+	// over pkt and verdict so that running it costs no closure per packet.
+	batch   *HeadBatch
+	process func(tx state.Txn) error
+	verdict Verdict
 
 	headLogs []Log // head retransmission-buffer appends, one addAll per burst
 	pendF    []*Follower
@@ -83,8 +84,33 @@ type worker struct {
 	spill []Log     // over-budget logs awaiting the spillover RPC at the flush
 	xfer  []Log     // buffer-transfer scratch: logs minus elided markers
 
+	// Held packets keep a vec-only copy of their logs until a commit
+	// releases them; the egress buffer carves those from here.
+	heldLogs slab.Slab[Log]
+	heldVecs slab.Slab[VecEntry]
+
+	// commitVecs backs the commit vectors this worker mints: a commit is
+	// merged and encoded (or cloned by the forwarder) inside the burst that
+	// minted it, so the storage rewinds at every beginBurst.
+	commitVecs SparseVec
+
 	last      bool // processing the burst's final frame (flush boundary)
 	dissemDue bool // a commitEvery tick fired; disseminate at the boundary
+}
+
+// newQueueWorker builds the state of one run loop: the drain landing zone
+// and, on a node hosting a middlebox, the transaction batch and body.
+func (r *Replica) newQueueWorker() *worker {
+	w := &worker{in: make([]netsim.Inbound, r.cfg.maxBurst())}
+	if r.head != nil {
+		w.batch = r.head.NewBatch()
+		w.process = func(tx state.Txn) error {
+			v, err := r.mb.Process(&w.pkt, tx)
+			w.verdict = v
+			return err
+		}
+	}
+	return w
 }
 
 // handleBurst runs one received burst through the pipeline and flushes the
@@ -114,6 +140,7 @@ func (r *Replica) handleBurst(w *worker, n int) {
 // pipeline stages queue their sends and buffer appends on w.
 func (r *Replica) beginBurst(w *worker) {
 	w.dec.BeginBurst()
+	w.commitVecs = w.commitVecs[:0]
 	if w.batch != nil {
 		// Fetch gate, held burst-wide: the batch keeps partition locks
 		// between transactions, so a per-transaction read lock could deadlock
@@ -182,6 +209,15 @@ func (r *Replica) flushBurst(w *worker) {
 		netsim.ReleaseFrame(fr)
 	}
 	reset(&w.rel)
+}
+
+// sparse converts a dense commit vector to sparse form in the worker's
+// burst-scoped storage. A reallocating append leaves earlier results on the
+// old array, where they stay valid.
+func (w *worker) sparse(dense []uint64) SparseVec {
+	n := len(w.commitVecs)
+	w.commitVecs = AppendSparse(w.commitVecs, dense)
+	return w.commitVecs[n:len(w.commitVecs):len(w.commitVecs)]
 }
 
 // reset truncates a deferred-work list, zeroing entries so recycled frames

@@ -58,6 +58,7 @@ func counterAdd(tx state.Txn, key string, delta uint64) (uint64, error) {
 type Monitor struct {
 	sharing int
 	workers int
+	keys    []string // precomputed "pkt-count-<group>": no per-packet formatting
 }
 
 // NewMonitor creates a Monitor with the given sharing level (≥1) for a
@@ -69,7 +70,11 @@ func NewMonitor(sharing, workers int) *Monitor {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Monitor{sharing: sharing, workers: workers}
+	keys := make([]string, (workers-1)/sharing+1)
+	for g := range keys {
+		keys[g] = fmt.Sprintf("pkt-count-%d", g)
+	}
+	return &Monitor{sharing: sharing, workers: workers, keys: keys}
 }
 
 // Name implements core.Middlebox.
@@ -86,8 +91,7 @@ func (m *Monitor) DeltaPrefixes() []string { return []string{"pkt-count-"} }
 // paper sweeps in Figure 6.
 func (m *Monitor) Process(pkt *wire.Packet, tx state.Txn) (core.Verdict, error) {
 	worker := int(wire.RSSHash(pkt.Buf) % uint64(m.workers))
-	group := worker / m.sharing
-	if _, err := counterAdd(tx, fmt.Sprintf("pkt-count-%d", group), 1); err != nil {
+	if _, err := counterAdd(tx, m.keys[worker/m.sharing], 1); err != nil {
 		return core.Drop, err
 	}
 	return core.Forward, nil

@@ -269,8 +269,7 @@ func (f *Fabric) transmit(l *link, n *Node, src NodeID, frame []byte, block bool
 			f.dropped.inc()
 			return
 		}
-		buf := AcquireFrame(len(frame))
-		copy(buf, frame)
+		buf := receiverCopy(frame)
 		f.deliver(n, src, buf, block)
 		return
 	}
@@ -307,8 +306,7 @@ func (f *Fabric) transmit(l *link, n *Node, src NodeID, frame []byte, block bool
 		f.dropped.inc()
 		return
 	}
-	buf := AcquireFrame(len(frame))
-	copy(buf, frame)
+	buf := receiverCopy(frame)
 
 	if delay <= 0 {
 		f.deliver(n, src, buf, block)
@@ -317,6 +315,23 @@ func (f *Fabric) transmit(l *link, n *Node, src NodeID, frame []byte, block bool
 	// Scheduled deliveries never block: a timer goroutine stalling on a
 	// full queue would reorder the link arbitrarily.
 	time.AfterFunc(delay, func() { f.deliver(n, src, buf, false) })
+}
+
+// frameHeadroom is the spare capacity behind every delivered frame, so the
+// receiver can insert the 4-byte FTC option and append a piggyback trailer
+// in place instead of reallocating the frame and losing the pooled buffer.
+// Sized from what the frozen benchmark measures a packet to gain on a chain
+// link (core.piggyback_bytes_per_pkt: 25–106 B across its four workloads)
+// plus the option and the trailer footer; a bigger trailer (a coalesced run
+// of large values) still works, it just reallocates as before.
+const frameHeadroom = 128
+
+// receiverCopy makes the receiver-owned copy of frame on a pooled buffer
+// with frameHeadroom behind it.
+func receiverCopy(frame []byte) []byte {
+	buf := AcquireFrame(len(frame) + frameHeadroom)[:len(frame)]
+	copy(buf, frame)
+	return buf
 }
 
 // transmitBurst applies the link profile to a burst of frames for one
@@ -341,8 +356,7 @@ func (f *Fabric) transmitBurst(l *link, n *Node, src NodeID, frames [][]byte, bl
 			f.dropped.inc()
 			continue
 		}
-		buf := AcquireFrame(len(frame))
-		copy(buf, frame)
+		buf := receiverCopy(frame)
 		f.deliver(n, src, buf, block)
 	}
 }

@@ -1,6 +1,10 @@
 package state
 
-import "errors"
+import (
+	"errors"
+
+	"github.com/ftsfc/ftc/internal/slab"
+)
 
 // Batch amortizes transaction begin/commit cost across a burst of packet
 // transactions executed by one worker goroutine (vector packet processing,
@@ -15,7 +19,16 @@ import "errors"
 // held across transactions so other workers (and non-transactional readers)
 // are never starved between bursts. The batch remains usable after Flush.
 // A batch that only ever sees Exec → Flush → Exec (burst size 1) behaves
-// identically to calling Backend.Exec directly.
+// identically to calling Backend.Exec directly — except for who owns the
+// result.
+//
+// Result lifetime: the Touched and Updates slices of a Result returned by
+// (or passed to the commit hook of) a batch transaction may be backed by
+// the batch's own arrays. They are valid until the next Exec on this batch;
+// reading them after that is a bug. Consumers copy what they keep (the
+// coalescer copies entries, the codec encodes at once). Update values are
+// not part of the scratch: they are immutable and live as long as anything
+// references them. Backend.Exec results, by contrast, are caller-owned.
 type Batch interface {
 	// Exec runs fn as a packet transaction within the batch.
 	Exec(fn func(tx Txn) error) (Result, error)
@@ -137,65 +150,44 @@ func (b *lockBatch) clearWound() {
 
 // batchView is one transaction's state inside a lockBatch: its own touched
 // set, read-your-writes buffer, and write log, while lock ownership lives
-// with the batch holder. Reused across Execs by the owning worker.
+// with the batch holder. Reused across Execs by the owning worker, and the
+// Result it commits is backed by these same arrays (see Batch).
 //
-// Two pieces of per-packet garbage are recycled here. Reads return slices
-// of a per-view arena (valid until the next operation on the transaction —
-// middleboxes consume values before their next state call), so the steady
-// Get path allocates nothing. Update structs come from a slab whose entries
-// are reused across Execs; only the value buffers are freshly allocated,
-// because committed updates are retained by the replication log.
+// Reads return slices of a per-view arena (valid until the next operation
+// on the transaction — middleboxes consume values before their next state
+// call), so the steady Get path allocates nothing. Written values outlive
+// the transaction inside the replication log for a time nobody can
+// predict, so they are carved from a slab the garbage collector reclaims.
 type batchView struct {
 	batch    *lockBatch
-	touched  []uint16
-	touchArr [4]uint16
-	writes   map[string]*Update // latest write per key (lazy)
-	writeLog []*Update          // program order, deduplicated by key
-	upool    []Update           // Update slab; writeLog points into it
-	unext    int                // next free slab entry
-	rbuf     []byte             // read arena: holds the last Get's bytes
+	touched  []uint16       // backs Result.Touched
+	writes   map[string]int // key → index of its write in writeLog (lazy)
+	writeLog []Update       // program order, deduplicated by key; backs Result.Updates
+	vals     slab.Slab[byte]
+	rbuf     []byte // read arena: holds the last Get's bytes
 }
 
 func (v *batchView) reset() {
-	v.touched = v.touchArr[:0]
+	v.touched = v.touched[:0]
 	if len(v.writeLog) > 0 {
 		clear(v.writes)
+		clear(v.writeLog) // drop the value references
 		v.writeLog = v.writeLog[:0]
 	}
-	if v.unext == len(v.upool) {
-		// The slab filled up (or is new): grow it now, between transactions,
-		// when no writeLog pointers into the old backing array survive.
-		n := 2 * len(v.upool)
-		if n < 8 {
-			n = 8
-		}
-		v.upool = make([]Update, n)
-	}
-	v.unext = 0
 }
 
 // bufferWrite records a write of key (val == nil deletes), deduplicating by
-// key and drawing Update structs from the slab.
+// key.
 func (v *batchView) bufferWrite(key string, val []byte, p uint16) {
-	if w, ok := v.writes[key]; ok {
-		w.Value = val
+	if i, ok := v.writes[key]; ok {
+		v.writeLog[i].Value = val
 		return
 	}
-	var u *Update
-	if v.unext < len(v.upool) {
-		u = &v.upool[v.unext]
-		v.unext++
-	} else {
-		u = new(Update) // slab exhausted mid-Exec; reset resizes for the next
-	}
-	// Slab entries are reused across Execs: clear the commit-time delta
-	// classification a previous transaction may have left behind.
-	u.Key, u.Value, u.Partition, u.Flags, u.Delta = key, val, p, 0, 0
 	if v.writes == nil {
-		v.writes = make(map[string]*Update, 4)
+		v.writes = make(map[string]int, 4)
 	}
-	v.writes[key] = u
-	v.writeLog = append(v.writeLog, u)
+	v.writes[key] = len(v.writeLog)
+	v.writeLog = append(v.writeLog, Update{Key: key, Value: val, Partition: p})
 }
 
 // lockPartition ensures the batch holder owns partition p and records it in
@@ -234,11 +226,12 @@ func (v *batchView) Get(key string) ([]byte, bool, error) {
 	if err := v.lockPartition(p); err != nil {
 		return nil, false, err
 	}
-	if w, ok := v.writes[key]; ok { // read-your-writes
-		if w.Value == nil {
+	if i, ok := v.writes[key]; ok { // read-your-writes
+		w := v.writeLog[i].Value
+		if w == nil {
 			return nil, false, nil
 		}
-		return v.arena(w.Value), true, nil
+		return v.arena(w), true, nil
 	}
 	part := &v.batch.store.parts[p]
 	part.mu.Lock()
@@ -268,7 +261,7 @@ func (v *batchView) Put(key string, val []byte) error {
 	}
 	// The value buffer must be fresh — the committed update outlives this
 	// transaction inside the replication log.
-	buf := make([]byte, len(val))
+	buf := v.vals.Take(len(val))
 	copy(buf, val)
 	v.bufferWrite(key, buf, p)
 	return nil
@@ -312,9 +305,11 @@ func (v *batchView) DeleteExpired(key string, now int64) (bool, error) {
 // invokes the hook at the serialization point. Locks are NOT released —
 // that is the batch's whole point; Flush returns them at the burst boundary.
 func (v *batchView) commit(onCommit func(Result)) Result {
-	res := Result{ReadOnly: len(v.writeLog) == 0}
+	sortU16(v.touched)
+	res := Result{ReadOnly: len(v.writeLog) == 0, Touched: v.touched, Updates: v.writeLog}
 	now := v.batch.store.exp.nowTick()
-	for _, u := range v.writeLog {
+	for i := range v.writeLog {
+		u := &v.writeLog[i]
 		part := &v.batch.store.parts[u.Partition]
 		part.mu.Lock()
 		if u.Value == nil {
@@ -327,11 +322,7 @@ func (v *batchView) commit(onCommit func(Result)) Result {
 			part.tab.put(u.Key, u.Value, now)
 		}
 		part.mu.Unlock()
-		res.Updates = append(res.Updates, *u)
 	}
-	res.Touched = make([]uint16, len(v.touched))
-	copy(res.Touched, v.touched)
-	sortU16(res.Touched)
 	if onCommit != nil {
 		onCommit(res)
 	}

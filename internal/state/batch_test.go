@@ -1,9 +1,11 @@
 package state
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -19,11 +21,25 @@ func batchBackends(t *testing.T) map[string]Backend {
 	}
 }
 
-// TestBatchMatchesExec runs the same transaction stream through plain Exec
-// and through a batch (flushing every 4 transactions) and checks the final
-// stores agree key for key.
+// cloneResult deep-copies a Result while it is still valid.
+func cloneResult(r Result) Result {
+	out := Result{ReadOnly: r.ReadOnly, Touched: append([]uint16(nil), r.Touched...)}
+	for _, u := range r.Updates {
+		u.Value = append([]byte(nil), u.Value...)
+		out.Updates = append(out.Updates, u)
+	}
+	return out
+}
+
+// TestBatchMatchesExec runs the same transaction stream — writes, two-key
+// writes and read-only lookups — through plain Exec and through a batch
+// (flushing every 4 transactions) and checks that every Result and the
+// final stores agree. A batch Result is backed by the batch's own arrays
+// and is valid only until the next Exec on that batch (reading it later is
+// a bug), so each one is copied the moment it is returned; the copies must
+// equal the plain engine's caller-owned results.
 func TestBatchMatchesExec(t *testing.T) {
-	for name, _ := range batchBackends(t) {
+	for name := range batchBackends(t) {
 		t.Run(name, func(t *testing.T) {
 			mk := func() Backend {
 				if name == "occ" {
@@ -31,13 +47,14 @@ func TestBatchMatchesExec(t *testing.T) {
 				}
 				return New(8)
 			}
-			run := func(exec func(fn func(tx Txn) error) (Result, error), flush func(), s Backend) {
+			run := func(exec func(fn func(tx Txn) error) (Result, error), flush func()) []Result {
+				var results []Result
 				for i := 0; i < 64; i++ {
 					key := fmt.Sprintf("k%d", i%7)
-					_, err := exec(func(tx Txn) error {
+					res, err := exec(func(tx Txn) error {
 						val, _, err := tx.Get(key)
-						if err != nil {
-							return err
+						if err != nil || i%5 == 4 {
+							return err // every fifth transaction only reads
 						}
 						buf := make([]byte, 8)
 						if len(val) == 8 {
@@ -45,26 +62,37 @@ func TestBatchMatchesExec(t *testing.T) {
 						} else {
 							binary.BigEndian.PutUint64(buf, uint64(i))
 						}
+						if i%3 == 0 {
+							if err := tx.Put(fmt.Sprintf("second%d", i%11), buf[:4]); err != nil {
+								return err
+							}
+						}
 						return tx.Put(key, buf)
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
+					results = append(results, cloneResult(res))
 					if i%4 == 3 {
 						flush()
 					}
 				}
 				flush()
-				_ = s
+				return results
 			}
 
 			plain := mk()
-			run(plain.Exec, func() {}, plain)
+			want := run(plain.Exec, func() {})
 
 			batched := mk()
 			b := batched.NewBatch()
-			run(b.Exec, b.Flush, batched)
+			got := run(b.Exec, b.Flush)
 
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("transaction %d: batch result %+v, plain result %+v", i, got[i], want[i])
+				}
+			}
 			if plain.Len() != batched.Len() {
 				t.Fatalf("len mismatch: plain %d batched %d", plain.Len(), batched.Len())
 			}
@@ -73,9 +101,8 @@ func TestBatchMatchesExec(t *testing.T) {
 				if !ok {
 					t.Fatalf("key %q missing from batched store", u.Key)
 				}
-				if binary.BigEndian.Uint64(got) != binary.BigEndian.Uint64(u.Value) {
-					t.Fatalf("key %q: plain %d batched %d", u.Key,
-						binary.BigEndian.Uint64(u.Value), binary.BigEndian.Uint64(got))
+				if !bytes.Equal(got, u.Value) {
+					t.Fatalf("key %q: plain %x batched %x", u.Key, u.Value, got)
 				}
 			}
 		})

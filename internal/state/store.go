@@ -294,7 +294,6 @@ func New(n int) *Store {
 	s := &Store{parts: make([]partition, n)}
 	for i := range s.parts {
 		s.parts[i].tab.init(minTableCap)
-		s.parts[i].lock.init()
 	}
 	return s
 }

@@ -16,13 +16,12 @@ import (
 // impossible; wounded transactions retry with their original timestamp, so
 // they eventually become oldest and win (no starvation).
 type plock struct {
-	mu      sync.Mutex
-	owner   *lockTxn
-	release chan struct{} // closed and replaced on every release
-}
-
-func (l *plock) init() {
-	l.release = make(chan struct{})
+	mu    sync.Mutex
+	owner *lockTxn
+	// release is what waiters park on: created under mu by the first waiter,
+	// closed and cleared by the release that wakes it. nil while nobody
+	// waits, so an uncontended lock/unlock pair allocates nothing.
+	release chan struct{}
 }
 
 // acquire takes the lock for t, blocking as needed. Returns ErrWounded if t
@@ -45,6 +44,9 @@ func (l *plock) acquire(t *lockTxn) error {
 		if t.ts < l.owner.ts {
 			l.owner.wound()
 		}
+		if l.release == nil {
+			l.release = make(chan struct{})
+		}
 		ch := l.release
 		l.mu.Unlock()
 		select {
@@ -60,8 +62,10 @@ func (l *plock) unlock(t *lockTxn) {
 	l.mu.Lock()
 	if l.owner == t {
 		l.owner = nil
-		close(l.release)
-		l.release = make(chan struct{})
+		if l.release != nil {
+			close(l.release)
+			l.release = nil
+		}
 	}
 	l.mu.Unlock()
 }
