@@ -5,7 +5,7 @@ GO ?= go
 BURST ?= 32
 DATE  := $(shell date +%Y-%m-%d)
 
-.PHONY: all build test vet doclint crossbuild race stress chaos control-chaos fuzz-short bench-check bench-smoke bench-guard bench-fig5 bench-bridge bench-json loc ci
+.PHONY: all build test vet doclint crossbuild race stress chaos control-chaos fuzz-short bench-check bench-pairs bench-smoke bench-guard bench-fig5 bench-bridge bench-json loc ci
 
 all: build vet test
 
@@ -71,6 +71,18 @@ bench-check:
 	$(GO) -C bench vet .
 	$(GO) -C bench test .
 
+# Before/after on the frozen benchmark: N alternated parent/change pairs of
+# one workload, seeds 1..N, the parent extracted under .bench_build/ and each
+# side built by its own bench/run.sh; prints medians, quartiles,
+# wins/ties/losses, bound and verdict per end-to-end metric
+# (scripts/bench_pairs.sh). About 2 × N × 20 s.
+#   make bench-pairs W=bridge3 PARENT=HEAD~1
+W ?= bridge3
+N ?= 10
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pairs W=<workload> PARENT=<rev> [N=10]" >&2; exit 2; }
+	bash scripts/bench_pairs.sh $(W) $(PARENT) $(N)
+
 # Fast allocation gate: runs the per-role fast-path benchmarks (pass-through
 # hop, head hop, buffer hop; DESIGN.md §6) a fixed number of iterations so CI
 # can catch an allocation regression in seconds.
@@ -82,7 +94,10 @@ bench-smoke:
 # the build; timing drift beyond ±10% is an advisory warning (CI runners
 # are noisy). Refresh BENCH_BASELINE.json when an improvement lands.
 # MillionFlows runs a fixed iteration count so its 1M-key fill is paid once
-# per sub-benchmark instead of once per benchtime ramp step.
+# per sub-benchmark instead of once per benchtime ramp step. The
+# BridgeThroughput rows time a send side with no drain wake-up left to
+# amortize: the sending goroutine packs its burst and makes the syscall, so
+# burst=32 reads one sendmmsg per burst and burst=1 one per frame.
 bench-guard:
 	{ $(GO) test ./... -run=NONE -bench=FastPath -benchtime=100x ; \
 	  $(GO) test . -run=NONE -bench=MillionFlows -benchtime=100000x ; \

@@ -58,7 +58,7 @@ func (r *Replica) bufferStage(pkt *wire.Packet, msg *Message, w *worker) bool {
 	r.buf.tick++
 	includeView := r.buf.tick%commitEvery == 1 || msg.Propagating()
 	r.buf.mu.Unlock()
-	if !includeView && r.commitStale() {
+	if !includeView && w.last && r.commitStale(w.now) {
 		includeView = true
 	}
 	if includeView {
@@ -85,27 +85,25 @@ func (r *Replica) bufferStage(pkt *wire.Packet, msg *Message, w *worker) bool {
 		}
 	}
 	if len(xferLogs) > 0 || len(commits) > 0 {
-		transfer := &Message{
+		transfer := &w.transfer
+		*transfer = Message{
 			Flags:   FlagBufferTransfer,
 			Gen:     msg.Gen,
 			Logs:    xferLogs,
 			Commits: commits,
 		}
 		// Encode straight onto a pooled copy of the carrier template: no
-		// header build, no packet parse, no intermediate trailer body.
+		// header build, no packet parse, no intermediate trailer body. The
+		// frame leaves with the rest of the burst's transfers at the flush,
+		// which then recycles it.
 		tmpl := r.carrierTemplate()
 		buf := netsim.AcquireFrame(len(tmpl) + transfer.LenEstimate() + 8)[:len(tmpl)]
 		copy(buf, tmpl)
 		if out, err := wire.AppendRawTrailer(buf, transfer); err == nil {
-			if r.sim.Send(r.ringID(0), out) == nil {
-				// Transfer frames are pure replication overhead.
-				r.stats.WireBytesOut.Add(uint64(len(out)))
-				r.stats.PiggybackBytesOut.Add(uint64(len(out)))
-			}
-			netsim.ReleaseFrame(out)
-		} else {
-			netsim.ReleaseFrame(buf)
+			w.xferOut = append(w.xferOut, out)
+			buf = out
 		}
+		w.rel = append(w.rel, buf)
 	}
 
 	if msg.Propagating() {

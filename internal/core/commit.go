@@ -62,12 +62,12 @@ func (r *Replica) commitSnapshot(mb uint16) []uint64 {
 const commitEvery = 16
 
 // commitStale reports (and refreshes) whether the time-based commit
-// dissemination deadline has passed.
-func (r *Replica) commitStale() bool {
-	now := time.Now().UnixNano()
+// dissemination deadline has passed at now, the caller's burst clock.
+func (r *Replica) commitStale(now time.Time) bool {
+	ns := now.UnixNano()
 	last := r.lastCommit.Load()
-	if now-last < int64(commitRefresh) {
+	if ns-last < int64(commitRefresh) {
 		return false
 	}
-	return r.lastCommit.CompareAndSwap(last, now)
+	return r.lastCommit.CompareAndSwap(last, ns)
 }

@@ -201,16 +201,16 @@ func TestForwarderUnit(t *testing.T) {
 	// First take attaches the log; an immediate second take must not
 	// (resend interval unexpired).
 	now := time.Now()
-	logs, _ := fwd.take(now, time.Second, 0)
+	logs, _ := fwd.take(now, time.Second, 0, nil, nil)
 	if len(logs) != 1 {
 		t.Fatalf("take1 = %d logs", len(logs))
 	}
-	logs, _ = fwd.take(now.Add(time.Millisecond), time.Second, 0)
+	logs, _ = fwd.take(now.Add(time.Millisecond), time.Second, 0, nil, nil)
 	if len(logs) != 0 {
 		t.Fatal("unexpired log re-attached")
 	}
 	// After the resend interval it is attached again.
-	logs, _ = fwd.take(now.Add(2*time.Second), time.Second, 0)
+	logs, _ = fwd.take(now.Add(2*time.Second), time.Second, 0, nil, nil)
 	if len(logs) != 1 {
 		t.Fatal("overdue log not resent")
 	}
@@ -220,13 +220,27 @@ func TestForwarderUnit(t *testing.T) {
 		t.Fatalf("pending after commit = %d", fwd.pendingLen())
 	}
 	// The stored commit is handed out exactly once.
-	_, commits := fwd.take(now.Add(3*time.Second), time.Second, 0)
+	_, commits := fwd.take(now.Add(3*time.Second), time.Second, 0, nil, nil)
 	if len(commits) != 1 {
 		t.Fatalf("commits = %d", len(commits))
 	}
-	_, commits = fwd.take(now.Add(4*time.Second), time.Second, 0)
+	_, commits = fwd.take(now.Add(4*time.Second), time.Second, 0, nil, nil)
 	if len(commits) != 0 {
 		t.Fatal("commit re-injected twice")
+	}
+	// Between two takes the stored vector is merged in place, but it is
+	// neither the sender's (decode scratch) nor the one the last take handed
+	// out (a timer may still be encoding that).
+	sent := NewSparseVec(VecEntry{Part: 1, Seq: 7})
+	fwd.addTransfer(&Message{Commits: []Commit{{MB: 2, Vec: sent}}})
+	fwd.addTransfer(&Message{Commits: []Commit{{MB: 2, Vec: NewSparseVec(VecEntry{Part: 3, Seq: 1}, VecEntry{Part: 1, Seq: 8})}}})
+	_, commits = fwd.take(now.Add(5*time.Second), time.Second, 0, nil, nil)
+	if len(commits) != 1 || !reflect.DeepEqual(commits[0].Vec, SparseVec{{1, 8}, {3, 1}}) {
+		t.Fatalf("merged commit = %v", commits)
+	}
+	fwd.addTransfer(&Message{Commits: []Commit{{MB: 2, Vec: NewSparseVec(VecEntry{Part: 1, Seq: 9})}}})
+	if commits[0].Vec.Get(1) != 8 || sent.Get(1) != 7 {
+		t.Fatalf("a later transfer wrote through: handed out %v, sender's %v", commits[0].Vec, sent)
 	}
 }
 
@@ -247,12 +261,24 @@ func TestForwarderDropsAlreadyCommittedLogs(t *testing.T) {
 func TestMergeSparseMax(t *testing.T) {
 	a := NewSparseVec(VecEntry{Part: 0, Seq: 3}, VecEntry{Part: 2, Seq: 1})
 	b := NewSparseVec(VecEntry{Part: 0, Seq: 1}, VecEntry{Part: 1, Seq: 9})
-	m := mergeSparseMax(a, b)
-	if m.Get(0) != 3 || m.Get(1) != 9 || m.Get(2) != 1 {
+	m := mergeMaxInto(a, b)
+	if m.Get(0) != 3 || m.Get(1) != 9 || m.Get(2) != 1 || len(m) != 3 {
 		t.Fatalf("merge = %v", m)
 	}
-	if got := mergeSparseMax(nil, b); got.Get(1) != 9 {
+	if got := mergeMaxInto(nil, b); got.Get(1) != 9 {
 		t.Fatalf("nil merge = %v", got)
+	}
+	// A vector off the wire need not be sorted; the result still is, which
+	// Get's binary search depends on.
+	wire := SparseVec{{Part: 7, Seq: 2}, {Part: 1, Seq: 11}, {Part: 4, Seq: 5}, {Part: 0, Seq: 9}}
+	m = mergeMaxInto(m, wire)
+	want := SparseVec{{0, 9}, {1, 11}, {2, 1}, {4, 5}, {7, 2}}
+	if !reflect.DeepEqual(m, want) {
+		t.Fatalf("unsorted merge = %v, want %v", m, want)
+	}
+	// Raising sequences the vector already has touches no new memory.
+	if n := testing.AllocsPerRun(100, func() { m = mergeMaxInto(m, wire) }); n != 0 {
+		t.Fatalf("in-place merge allocated %v times", n)
 	}
 }
 

@@ -25,7 +25,10 @@ type forwarder struct {
 	// once. A hash collision only drops a resend — the next retransmission
 	// cycle recovers it — never data.
 	pendSet map[uint64]struct{}
-	commits map[uint16]SparseVec // latest commit per middlebox, not yet re-injected
+	// commits is the latest commit per middlebox not yet re-injected. The
+	// forwarder owns each vector from the addTransfer that stored it until
+	// the take that hands it out, and merges into it in place in between.
+	commits map[uint16]SparseVec
 }
 
 type pendingLog struct {
@@ -63,8 +66,14 @@ func (f *forwarder) addTransfer(m *Message) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, c := range m.Commits {
-		prev := f.commits[c.MB]
-		f.commits[c.MB] = mergeSparseMax(prev, c.Vec)
+		prev, ok := f.commits[c.MB]
+		if !ok {
+			// First commit for this middlebox since take handed the last
+			// vector away (a timer may still be encoding that one): copy
+			// once, out of the sender's decode scratch.
+			prev = make(SparseVec, 0, len(c.Vec))
+		}
+		f.commits[c.MB] = mergeMaxInto(prev, c.Vec)
 	}
 	for _, l := range m.Logs {
 		if l.Elided() {
@@ -127,11 +136,11 @@ const takeBatch = 64
 // the chain: pending logs never attached (or overdue for resend, oldest
 // first, at most takeBatch of them, and at most budget estimated bytes when
 // budget > 0 — always at least one log, so a single oversize log still
-// drains) and every commit vector received since the last take.
-func (f *forwarder) take(now time.Time, resendAfter time.Duration, budget int) ([]Log, []Commit) {
+// drains) and every commit vector received since the last take. Both are
+// appended to the caller's logs and commits, which must come in empty.
+func (f *forwarder) take(now time.Time, resendAfter time.Duration, budget int, logs []Log, commits []Commit) ([]Log, []Commit) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var logs []Log
 	bytes := 0
 	for i := range f.pending {
 		if len(logs) >= takeBatch {
@@ -147,7 +156,6 @@ func (f *forwarder) take(now time.Time, resendAfter time.Duration, budget int) (
 			logs = append(logs, p.log)
 		}
 	}
-	var commits []Commit
 	if len(f.commits) > 0 {
 		for mb, v := range f.commits {
 			commits = append(commits, Commit{MB: mb, Vec: v})
@@ -167,26 +175,28 @@ func (f *forwarder) pendingLen() int {
 	return len(f.pending)
 }
 
-// mergeSparseMax folds two sparse commit vectors entry-wise by maximum.
-func mergeSparseMax(a, b SparseVec) SparseVec {
-	if len(a) == 0 {
-		return b.Clone()
-	}
-	out := a.Clone()
-	for _, e := range b {
-		found := false
-		for i := range out {
-			if out[i].Part == e.Part {
-				if e.Seq > out[i].Seq {
-					out[i].Seq = e.Seq
-				}
-				found = true
-				break
+// mergeMaxInto folds src into dst entry-wise by maximum, in place: dst
+// stays sorted by partition, and a partition it lacks is inserted in order
+// (growing dst only then). src comes off the wire, so it need not be sorted;
+// an out-of-order entry just restarts the position scan.
+func mergeMaxInto(dst, src SparseVec) SparseVec {
+	i := 0
+	for _, e := range src {
+		if i > 0 && dst[i-1].Part >= e.Part {
+			i = 0
+		}
+		for i < len(dst) && dst[i].Part < e.Part {
+			i++
+		}
+		if i < len(dst) && dst[i].Part == e.Part {
+			if e.Seq > dst[i].Seq {
+				dst[i].Seq = e.Seq
 			}
+			continue
 		}
-		if !found {
-			out = append(out, e)
-		}
+		dst = append(dst, VecEntry{})
+		copy(dst[i+1:], dst[i:])
+		dst[i] = e
 	}
-	return NewSparseVec(out...)
+	return dst
 }

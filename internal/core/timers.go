@@ -29,7 +29,7 @@ func (r *Replica) propagateLoop() {
 			// traffic burst's worth of wrapped logs replicates promptly.
 			r.beginBurst(w)
 			for {
-				logs, commits := r.fwd.take(time.Now(), r.cfg.resendAfter(), r.cfg.PiggybackBudget)
+				logs, commits := r.fwd.take(w.now, r.cfg.resendAfter(), r.cfg.PiggybackBudget, nil, nil)
 				if len(logs) == 0 && len(commits) == 0 {
 					break
 				}

@@ -67,6 +67,11 @@ type worker struct {
 	out []([]byte) // trailered frames awaiting the flush to the next hop
 	egr []([]byte) // finalized frames awaiting the flush to egress
 	rel []([]byte) // frames to recycle once the flush has copied them out
+	// xferOut holds the egress buffer's transfer frames (encoded on pooled
+	// buffers, which rel recycles) awaiting the flush to ring node 0;
+	// transfer is the header they are encoded from, reused for every one.
+	xferOut  []([]byte)
+	transfer Message
 
 	// batch runs the head's packet transactions and flushes per burst. Only
 	// queue workers on a node hosting a middlebox have one; the timers never
@@ -94,8 +99,9 @@ type worker struct {
 	// minted it, so the storage rewinds at every beginBurst.
 	commitVecs SparseVec
 
-	last      bool // processing the burst's final frame (flush boundary)
-	dissemDue bool // a commitEvery tick fired; disseminate at the boundary
+	now       time.Time // the burst's one clock reading (beginBurst)
+	last      bool      // processing the burst's final frame (flush boundary)
+	dissemDue bool      // a commitEvery tick fired; disseminate at the boundary
 }
 
 // newQueueWorker builds the state of one run loop: the drain landing zone
@@ -139,6 +145,7 @@ func (r *Replica) handleBurst(w *worker, n int) {
 // beginBurst opens the bracket that flushBurst closes; between the two, the
 // pipeline stages queue their sends and buffer appends on w.
 func (r *Replica) beginBurst(w *worker) {
+	w.now = time.Now()
 	w.dec.BeginBurst()
 	w.commitVecs = w.commitVecs[:0]
 	if w.batch != nil {
@@ -161,6 +168,20 @@ func (r *Replica) flushBurst(w *worker) {
 	// transaction stage (parse error, stale gen, buffer transfer) the run is
 	// still open here and rides its own propagating carrier.
 	r.flushRun(w)
+	if len(w.xferOut) > 0 {
+		// The buffer's transfers, one burst on the link back to the chain's
+		// head; tail-drop like any ingress, repair owns the loss.
+		if r.sim.SendBurst(r.ringID(0), w.xferOut) == nil {
+			sent := 0
+			for _, fr := range w.xferOut {
+				sent += len(fr)
+			}
+			// Transfer frames are pure replication overhead.
+			r.stats.WireBytesOut.Add(uint64(sent))
+			r.stats.PiggybackBytesOut.Add(uint64(sent))
+		}
+		reset(&w.xferOut)
+	}
 	if len(w.out) > 0 {
 		// Blocking send: pipeline stages exert flow control on each other,
 		// like the paper's DPDK rings — overload drops happen at the chain
@@ -254,15 +275,13 @@ func (r *Replica) handleFrame(in netsim.Inbound, w *worker) bool {
 			r.stats.ParseErrors.Add(1)
 			return false
 		}
-		logs, commits := r.fwd.take(time.Now(), r.cfg.resendAfter(), r.cfg.PiggybackBudget)
 		msg = &w.ingress
-		// Copy into the reused ingress arrays so the head-log append below
-		// stays within amortized capacity instead of reallocating per packet.
 		msg.Flags = 0
 		msg.FullValues = false
 		msg.Gen = gen
-		msg.Logs = append(msg.Logs[:0], logs...)
-		msg.Commits = append(msg.Commits[:0], commits...)
+		// Straight into the reused ingress arrays, so neither take nor the
+		// head-log append below reallocates per packet.
+		msg.Logs, msg.Commits = r.fwd.take(w.now, r.cfg.resendAfter(), r.cfg.PiggybackBudget, msg.Logs[:0], msg.Commits[:0])
 		if err := pkt.InsertFTCOption(); err != nil {
 			r.stats.ParseErrors.Add(1)
 			return false

@@ -10,6 +10,12 @@
 // enqueue fast path — no per-link mutex, no timer — so throughput benchmarks
 // measure protocol cost rather than simulator overhead. Delivery buffers are
 // pooled (see pool.go); receivers may return them with ReleaseFrame.
+//
+// A node that stands in for something outside the fabric (the socket
+// bridge's peer proxies) takes a delivery hook instead of ingress queues
+// (NodeConfig.Deliver): the fabric hands it the frames on the sender's
+// goroutine, borrowed for the duration of the call, and the hook copies
+// whatever it keeps.
 package netsim
 
 import (
@@ -262,6 +268,10 @@ func (f *Fabric) transmit(l *link, n *Node, src NodeID, frame []byte, block bool
 	f.sent.inc()
 	p := l.profile.Load()
 	if p.fastPath() {
+		if n.hook != nil {
+			f.handoff(n, frame, nil)
+			return
+		}
 		if !block && n.full(frame) {
 			// Fast-path tail drop before paying for the frame copy: an
 			// overloaded blast workload would otherwise spend most of one
@@ -302,7 +312,7 @@ func (f *Fabric) transmit(l *link, n *Node, src NodeID, frame []byte, block bool
 	}
 	l.mu.Unlock()
 
-	if delay <= 0 && !block && n.full(frame) {
+	if delay <= 0 && !block && n.hook == nil && n.full(frame) {
 		f.dropped.inc()
 		return
 	}
@@ -351,6 +361,10 @@ func (f *Fabric) transmitBurst(l *link, n *Node, src NodeID, frames [][]byte, bl
 		return
 	}
 	f.sent.v.Add(uint64(len(frames)))
+	if n.hook != nil {
+		f.handoff(n, frames[0], frames[1:])
+		return
+	}
 	for _, frame := range frames {
 		if !block && n.full(frame) {
 			f.dropped.inc()
@@ -361,7 +375,26 @@ func (f *Fabric) transmitBurst(l *link, n *Node, src NodeID, frames [][]byte, bl
 	}
 }
 
+// handoff gives a hook node the sender's own frames, synchronously: no
+// receiver copy, no queue, no wake-up. A crashed hook node drops, and
+// counts, as a crashed queue node does.
+func (f *Fabric) handoff(n *Node, first []byte, rest [][]byte) {
+	if n.crashed.Load() {
+		f.dropped.v.Add(uint64(1 + len(rest)))
+		return
+	}
+	n.hook(first, rest)
+	f.delivered.v.Add(uint64(1 + len(rest)))
+}
+
 func (f *Fabric) deliver(n *Node, from NodeID, frame []byte, block bool) {
+	if n.hook != nil {
+		// Only shaped or lossy links reach a hook node here, with a pooled
+		// copy the hook borrows like any other frame.
+		f.handoff(n, frame, nil)
+		ReleaseFrame(frame)
+		return
+	}
 	if n.enqueue(from, frame, block) {
 		f.delivered.inc()
 	} else {

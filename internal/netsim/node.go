@@ -24,6 +24,15 @@ type NodeConfig struct {
 	QueueCap int
 	// Selector picks the ingress queue per frame (default: queue 0).
 	Selector QueueSelector
+	// Deliver, if set, replaces the ingress queues: the fabric calls it on
+	// the sender's goroutine with every burst sent to this node — first,
+	// then rest, in order; a single Send passes a nil rest, so no slice is
+	// built per frame. The frames are borrowed: they belong to the sender
+	// again as soon as the call returns, and the hook must copy what it
+	// keeps. Several senders may call it at once. A crashed node's hook is
+	// no longer called. Queues, QueueCap and Selector are ignored and the
+	// node has nothing to Recv.
+	Deliver func(first []byte, rest [][]byte)
 }
 
 // Node is a simulated server attached to the fabric.
@@ -32,6 +41,7 @@ type Node struct {
 	fabric   *Fabric
 	queues   []chan Inbound
 	selector QueueSelector
+	hook     func(first []byte, rest [][]byte) // NodeConfig.Deliver; queues is empty when set
 	crashed  atomic.Bool
 	crashOn  sync.Once
 	crashCh  chan struct{} // closed on Crash; queues are never closed
@@ -60,7 +70,9 @@ type Node struct {
 }
 
 func newNode(id NodeID, f *Fabric, cfg NodeConfig) *Node {
-	if cfg.Queues <= 0 {
+	if cfg.Deliver != nil {
+		cfg.Queues = 0
+	} else if cfg.Queues <= 0 {
 		cfg.Queues = 1
 	}
 	if cfg.QueueCap <= 0 {
@@ -71,6 +83,7 @@ func newNode(id NodeID, f *Fabric, cfg NodeConfig) *Node {
 		fabric:   f,
 		queues:   make([]chan Inbound, cfg.Queues),
 		selector: cfg.Selector,
+		hook:     cfg.Deliver,
 		crashCh:  make(chan struct{}),
 		claims:   make([]atomic.Bool, cfg.Queues),
 		bell:     make(chan struct{}, cfg.Queues),

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -15,7 +16,10 @@ import (
 // releasing. A pool bug that hands a frame to a new sender while a receiver
 // still reads it shows up as a pattern mismatch, and under -race as a data
 // race. Small ingress queues force tail drops so the deliver-side release
-// path runs concurrently too.
+// path runs concurrently too. Every frame also goes to a hook node, over the
+// same two kinds of link: the hook borrows the sender's own buffer on the
+// fast path and a pooled copy on the timer path, and must find either intact
+// for as long as its call lasts.
 func TestFramePoolAliasing(t *testing.T) {
 	const (
 		framesPerSender = 3000
@@ -49,6 +53,25 @@ func TestFramePoolAliasing(t *testing.T) {
 		}
 		return true
 	}
+
+	var hookGot, hookBad atomic.Int64 // timers call the hook concurrently
+	f.AddNode("h", NodeConfig{Deliver: func(first []byte, rest [][]byte) {
+		for _, frame := range append([][]byte{first}, rest...) {
+			if !check(frame) {
+				hookBad.Add(1)
+			}
+			runtime.Gosched()
+			if !check(frame) {
+				hookBad.Add(1)
+			}
+			hookGot.Add(1)
+		}
+	}})
+	f.SetLink("a", "h", LinkProfile{
+		Latency:  200 * time.Microsecond,
+		Jitter:   200 * time.Microsecond,
+		LossRate: 0.2,
+	})
 
 	var stop sync.WaitGroup
 	stop.Add(1)
@@ -91,6 +114,10 @@ func TestFramePoolAliasing(t *testing.T) {
 					t.Errorf("send: %v", err)
 					return
 				}
+				if err := n.Send("h", frame); err != nil {
+					t.Errorf("send to hook: %v", err)
+					return
+				}
 				// Scribble over the sender's buffer immediately: the fabric
 				// must have copied the frame, pooled or not.
 				for j := range frame {
@@ -124,6 +151,12 @@ func TestFramePoolAliasing(t *testing.T) {
 	if got == 0 {
 		t.Fatal("receiver saw no frames")
 	}
+	if n := hookBad.Load(); n != 0 {
+		t.Fatalf("%d of %d frames changed under the hook while it borrowed them", n, hookGot.Load())
+	}
+	if hookGot.Load() <= framesPerSender {
+		t.Fatalf("hook saw %d frames, want the fast-path sender's %d plus timer deliveries", hookGot.Load(), framesPerSender)
+	}
 }
 
 // TestAfterFuncDeliveryToCrashedNode exercises the scheduled-delivery
@@ -143,16 +176,21 @@ func TestAfterFuncDeliveryToCrashedNode(t *testing.T) {
 		}
 	}
 	b.Crash()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	waitResolved(t, f)
+}
+
+// waitResolved waits until every frame sent on f has been counted delivered,
+// dropped or lost (timer deliveries included) and returns the delivered count.
+func waitResolved(t *testing.T, f *Fabric) uint64 {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		sent, delivered, dropped, lost := f.Stats()
 		if sent == delivered+dropped+lost {
-			break
+			return delivered
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("in-flight frames never resolved: sent=%d delivered=%d dropped=%d lost=%d",
 				sent, delivered, dropped, lost)
 		}
-		time.Sleep(time.Millisecond)
 	}
 }

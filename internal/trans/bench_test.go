@@ -141,8 +141,8 @@ func benchBridge(b *testing.B, burst, mtu int, portable bool) {
 	sysEnd := txBridge.Stats().SendSyscalls + rxBridge.Stats().RecvSyscalls
 	b.StopTimer()
 	close(stop)
-	// Closing the sender bridge crashes its proxy, unblocking a sender
-	// parked on a full proxy queue.
+	// Closing the sender bridge closes its sockets, unblocking a sender
+	// parked on a full socket buffer.
 	txBridge.Close()
 	senderDone.Wait()
 	b.ReportMetric(float64(received)/elapsed.Seconds(), "pps")

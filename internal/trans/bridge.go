@@ -10,11 +10,15 @@
 // record per frame, see frame.go) up to Config.MTUBudget bytes, and on
 // Linux whole *vectors of datagrams* move per syscall — sendmmsg on the
 // send side, recvmmsg on the receive side — the userspace analogue of the
-// paper's DPDK rx/tx bursts. Inbound load is spread by the kernel across
-// Config.Sockets SO_REUSEPORT sockets, one receive goroutine each, so the
-// kernel's 4-tuple hash does RSS instead of funneling every peer through
-// one socket. Partial bursts flush immediately, so Burst=1 and light load
-// keep per-packet latency. Non-Linux builds fall back to the portable
+// paper's DPDK rx/tx bursts. The send side has no queue and no goroutine
+// of its own: a proxy is a netsim hook node, so the goroutine that sends a
+// burst to it packs that burst and makes the syscall before its SendBurst
+// returns, as the paper's worker thread transmits the burst it processed.
+// Inbound load is spread by the kernel across Config.Sockets SO_REUSEPORT
+// sockets, one receive goroutine each, so the kernel's 4-tuple hash does
+// RSS instead of funneling every peer through one socket. Every burst is
+// flushed when its sender has packed it, so Burst=1 and light load keep
+// per-packet latency. Non-Linux builds fall back to the portable
 // one-datagram-per-syscall path on a single socket; the wire format is
 // identical, so mixed deployments interoperate.
 //
@@ -37,13 +41,9 @@ import (
 	"github.com/ftsfc/ftc/internal/netsim"
 )
 
-// DefaultBurst is the default number of frames a bridge moves per wakeup,
-// matching core.DefaultBurst (the paper testbed's DPDK burst of 32).
-const DefaultBurst = 32
-
 // sendBatchDatagrams is the datagram-vector capacity of one sendmmsg call:
-// a proxy drain seals packed datagrams into a batch and ships up to this
-// many with one syscall. A full adaptive burst of small frames at a real
+// a sender's burst is sealed into packed datagrams and up to this many ship
+// with one syscall. A full adaptive burst of small frames at a real
 // 1472-byte MTU packs into well under this many datagrams.
 const sendBatchDatagrams = 64
 
@@ -54,13 +54,12 @@ const maxSockets = 16
 
 // Config tunes a bridge's batching behaviour.
 type Config struct {
-	// Burst is the maximum number of frames coalesced per proxy-drain
-	// wakeup on the send side and per injection batch on the receive
-	// side. 1 degenerates to the per-packet transport. Burst 0 — the
-	// default — selects a NAPI-style adaptive coalescing budget: the
-	// drain budget starts at 1 and grows toward netsim.DefaultMaxBurst
-	// while the proxy queue stays backlogged, then decays toward 1 when
-	// drains come up short, matching core.Config.Burst semantics.
+	// Burst sizes the receive side's injection batch (0 — the default —
+	// sizes it for netsim.DefaultMaxBurst, the largest burst an adaptive
+	// core.Config.Burst worker produces). The send side needs no budget:
+	// the burst a sender hands a proxy is what gets packed and flushed.
+	// Burst 1 selects the per-packet transport: every frame of that burst
+	// ships alone — one frame, one datagram, one syscall.
 	Burst int
 	// MTUBudget is the per-datagram packing budget in bytes: a datagram
 	// is flushed before a frame whose record would push the packed size
@@ -93,9 +92,6 @@ type Config struct {
 
 // withDefaults fills zero fields with the package defaults.
 func (c Config) withDefaults() Config {
-	if c.Burst < 0 {
-		c.Burst = 0 // adaptive
-	}
 	if c.MTUBudget <= 0 {
 		c.MTUBudget = DefaultMTUBudget
 	}
@@ -111,9 +107,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// maxBurst is the largest per-wakeup frame budget the bridge can reach —
-// the fixed Burst, or the adaptive controller's cap. Buffers are sized
-// with it.
+// maxBurst is the largest burst the bridge expects — the fixed Burst, or
+// the adaptive workers' cap. Receive buffers are sized with it.
 func (c Config) maxBurst() int {
 	if c.Burst > 0 {
 		return c.Burst
@@ -133,16 +128,24 @@ type Peer struct {
 	TCPAddr string
 }
 
-// peerState is a registered peer plus its pre-resolved data-plane address
-// and its assigned local socket, so the send path pays the DNS/parse cost
-// once per AddPeer instead of once per burst. The socket assignment is
-// sticky: all of a peer's datagrams leave through one local socket, so the
-// (src, dst) 4-tuple — and therefore the remote SO_REUSEPORT hash bucket —
-// is stable and per-peer FIFO order survives multi-socket fan-out.
+// peerState is a registered peer plus its pre-resolved data-plane address,
+// its assigned local socket and its send state, so the send path pays the
+// DNS/parse cost once per AddPeer instead of once per burst. The socket
+// assignment is sticky: all of a peer's datagrams leave through one local
+// socket, so the (src, dst) 4-tuple — and therefore the remote
+// SO_REUSEPORT hash bucket — is stable and per-peer FIFO order survives
+// multi-socket fan-out.
 type peerState struct {
-	peer Peer
+	sock *sock // fixed at first registration
+	peer Peer  // guarded by Bridge.mu
+
+	// mu serializes the goroutines sending to this peer (queue workers,
+	// the replica's timers, a generator). A sender holds it across pack and
+	// flush — parked on a full socket buffer included — which is what
+	// keeps the peer's frames in FIFO order on the wire.
+	mu   sync.Mutex
 	addr *net.UDPAddr
-	sock *sock
+	tx   *txBatch // built by the first send after a (re-)registration
 }
 
 // sock is one data-plane UDP socket plus its raw-syscall handle (nil where
@@ -211,8 +214,7 @@ type Bridge struct {
 	truncatedDatagrams          atomic.Uint64
 
 	stopOnce sync.Once
-	stopped  chan struct{}
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // the receive loops and the control-plane handlers
 }
 
 // NewBridge creates a bridge for the given local node, listening on the
@@ -259,7 +261,6 @@ func NewBridge(fabric *netsim.Fabric, localID netsim.NodeID, listenUDP, listenTC
 		socks:   socks,
 		tcp:     tl,
 		peers:   make(map[netsim.NodeID]*peerState),
-		stopped: make(chan struct{}),
 	}
 	b.effRcvBuf, b.effSndBuf = sockBufSizes(conns[0])
 	for _, p := range peers {
@@ -303,51 +304,45 @@ func (b *Bridge) Stats() Stats {
 }
 
 // AddPeer registers (or updates) a remote peer, creating its local proxy
-// node if needed. The proxy forwards data frames over UDP and control RPCs
-// over TCP. The data-plane address is resolved here, once, so an
-// unresolvable peer fails loudly instead of black-holing frames; the peer
-// is also pinned to one local socket here (round-robin across the
-// SO_REUSEPORT group) so its wire 4-tuple never changes.
+// node if needed. The proxy is a hook node: data frames sent to it are
+// packed and put on the socket by the sending goroutine (deliver), and
+// control RPCs are forwarded over TCP. The data-plane address is resolved
+// here, once, so an unresolvable peer fails loudly instead of black-holing
+// frames; the peer is also pinned to one local socket here (round-robin
+// across the SO_REUSEPORT group) so its wire 4-tuple never changes, also
+// not across re-registration.
 func (b *Bridge) AddPeer(p Peer) error {
 	addr, err := net.ResolveUDPAddr("udp", p.UDPAddr)
 	if err != nil {
 		return fmt.Errorf("trans: resolve peer %s udp %q: %w", p.ID, p.UDPAddr, err)
 	}
 	b.mu.Lock()
-	old, existed := b.peers[p.ID]
-	ps := &peerState{peer: p, addr: addr}
-	if existed {
-		ps.sock = old.sock // keep the 4-tuple stable across re-registration
-	} else {
-		ps.sock = b.socks[b.sockCursor%len(b.socks)]
+	ps, existed := b.peers[p.ID]
+	if !existed {
+		ps = &peerState{sock: b.socks[b.sockCursor%len(b.socks)]}
 		b.sockCursor++
+		b.peers[p.ID] = ps
 	}
-	b.peers[p.ID] = ps
+	ps.peer = p
 	b.mu.Unlock()
+	// Every burst is flushed before its sender unlocks, so the old batch
+	// holds nothing; the next sender builds one for the new address.
+	ps.mu.Lock()
+	ps.addr, ps.tx = addr, nil
+	ps.mu.Unlock()
 	if existed {
 		return nil
 	}
-	proxy := b.fabric.AddNode(p.ID, netsim.NodeConfig{QueueCap: 4096})
+	proxy := b.fabric.AddNode(p.ID, netsim.NodeConfig{
+		Deliver: func(first []byte, rest [][]byte) { b.deliver(ps, first, rest) },
+	})
 	for _, name := range rpcNames {
 		name := name
 		proxy.RegisterRPC(name, func(_ netsim.NodeID, req []byte) ([]byte, error) {
 			return b.forwardRPC(p.ID, name, req)
 		})
 	}
-	b.wg.Add(1)
-	go b.drainProxy(proxy)
 	return nil
-}
-
-// peerSock returns the pre-resolved data-plane address and assigned local
-// socket for a peer, or nils if the peer is unknown.
-func (b *Bridge) peerSock(id netsim.NodeID) (*sock, *net.UDPAddr) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if ps := b.peers[id]; ps != nil {
-		return ps.sock, ps.addr
-	}
-	return nil, nil
 }
 
 // rpcNames lists the control RPCs proxied across processes. Kept in sync
@@ -417,8 +412,8 @@ func (t *txBatch) seal() {
 	t.cur = t.bufs[len(t.dgrams)][:0]
 }
 
-// flush seals the pending datagram and emits whatever the batch holds; the
-// proxy drain calls it at every burst boundary, so partial bursts (even a
+// flush seals the pending datagram and emits whatever the batch holds;
+// deliver calls it at the end of every burst, so partial bursts (even a
 // single frame under light load) ship without delay.
 func (t *txBatch) flush() {
 	t.seal()
@@ -452,59 +447,36 @@ func (t *txBatch) sendPortable() {
 	}
 }
 
-// drainProxy tunnels frames the local replica sends to a proxy node,
-// coalescing each drained burst through the two batching levels. RecvBurst
-// pays one wakeup per burst and returns immediately with whatever is
-// queued, so a partial burst (even a single frame under light load) is
-// flushed without delay — batching never adds a latency floor.
-func (b *Bridge) drainProxy(proxy *netsim.Node) {
-	defer b.wg.Done()
-	ctl := netsim.NewBurstController(b.cfg.Burst, 0)
-	in := make([]netsim.Inbound, ctl.Max())
-	var t *txBatch
-	for {
-		n := proxy.RecvBurst(0, in[:ctl.Size()])
-		if n == 0 {
-			return
-		}
-		ctl.Observe(n, proxy.QueueLen(0))
-		s, addr := b.peerSock(proxy.ID())
-		if addr == nil {
-			t = nil
-		} else if t == nil || t.addr != addr {
-			// First burst, or AddPeer re-registered the peer with a new
-			// address: ship anything deferred to the old address, then
-			// (re)build the batch and its packed sockaddr.
-			if t != nil {
-				t.flush()
-			}
-			t = b.newTxBatch(s, addr)
-		}
-		for i := 0; i < n; i++ {
-			frame := in[i].Frame
-			in[i] = netsim.Inbound{}
-			if t == nil {
-				netsim.ReleaseFrame(frame)
-				continue
-			}
-			if err := t.appendFrame(frame); err != nil {
-				b.oversizeDrops.Add(1)
-			} else {
-				b.framesOut.Add(1)
-				b.frameBytesOut.Add(uint64(len(frame)))
-			}
-			netsim.ReleaseFrame(frame)
-		}
-		// NAPI-style flush discipline: while the proxy queue is still
-		// backlogged the next burst arrives immediately, so let sealed
-		// datagrams accumulate into a fuller sendmmsg vector (emit fires
-		// on its own when the vector fills). The moment the queue runs
-		// dry, ship everything — light load keeps per-frame latency.
-		// Burst=1 asks for the per-packet transport, so it always
-		// flushes: one frame, one datagram, one syscall.
-		if t != nil && (b.cfg.Burst == 1 || proxy.QueueLen(0) == 0) {
-			t.flush()
-		}
+// deliver is a peer proxy's delivery hook (netsim.NodeConfig.Deliver): it
+// runs on the goroutine that sent the burst, packs the sender's frames
+// through the two batching levels and flushes once at the end — the
+// sender's burst is the datagram vector, and a single Send is one frame,
+// one datagram, one syscall. The frames are borrowed; appendFrame copies
+// them into the batch.
+func (b *Bridge) deliver(ps *peerState, first []byte, rest [][]byte) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if ps.tx == nil {
+		ps.tx = b.newTxBatch(ps.sock, ps.addr)
+	}
+	ps.tx.pack(first)
+	for _, frame := range rest {
+		ps.tx.pack(frame)
+	}
+	ps.tx.flush()
+}
+
+// pack adds one frame to the batch and counts it. Burst=1 asks for the
+// per-packet transport, so there every frame is flushed on its own.
+func (t *txBatch) pack(frame []byte) {
+	if err := t.appendFrame(frame); err != nil {
+		t.b.oversizeDrops.Add(1)
+		return
+	}
+	t.b.framesOut.Add(1)
+	t.b.frameBytesOut.Add(uint64(len(frame)))
+	if t.b.cfg.Burst == 1 {
+		t.flush()
 	}
 }
 
@@ -609,15 +581,13 @@ func (b *Bridge) unpack(dst [][]byte, dgram []byte, kernelTrunc bool) [][]byte {
 	return dst
 }
 
-// Close shuts the bridge down, crashing the proxy nodes so their drain
-// goroutines terminate.
+// Close shuts the bridge down. It crashes the proxy nodes first, so later
+// sends drop in the fabric without reaching deliver, and then closes the
+// sockets, which waits out a sendmmsg in progress and makes a sender parked
+// on a full socket buffer return; after Close no frame reaches a socket.
+// It returns once the receive loops and control handlers have ended.
 func (b *Bridge) Close() {
 	b.stopOnce.Do(func() {
-		close(b.stopped)
-		for _, s := range b.socks {
-			s.conn.Close()
-		}
-		b.tcp.Close()
 		b.mu.Lock()
 		ids := make([]netsim.NodeID, 0, len(b.peers))
 		for id := range b.peers {
@@ -629,6 +599,10 @@ func (b *Bridge) Close() {
 				n.Crash()
 			}
 		}
+		for _, s := range b.socks {
+			s.conn.Close()
+		}
+		b.tcp.Close()
 	})
 	b.wg.Wait()
 }

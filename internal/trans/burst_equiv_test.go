@@ -326,7 +326,7 @@ func TestBridgeCrashMidBurstPeer(t *testing.T) {
 	}()
 
 	// Fail-stop the middle process: its fabric crashes (replica workers
-	// and proxy drains die mid-burst) and its sockets close. Peer bridges
+	// die mid-burst, proxies drop) and its sockets close. Peer bridges
 	// keep sending datagrams into the void, as on a real network.
 	time.Sleep(5 * time.Millisecond)
 	procs[1].fabric.Stop()

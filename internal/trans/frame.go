@@ -14,8 +14,8 @@ import (
 //	datagram := frameRecord+
 //	frameRecord := u16 length | frame bytes
 //
-// Senders coalesce up to Config.Burst frames bound for the same peer into
-// one datagram, flushing early when the packed size would exceed the MTU
+// Senders coalesce the frames of one burst bound for the same peer into
+// one datagram, starting another when the packed size would exceed the MTU
 // budget. Receivers split a datagram back into frames and inject the whole
 // batch into the local fabric in one call. A datagram whose bytes end
 // mid-record (a corrupted or foreign sender) yields the complete frames

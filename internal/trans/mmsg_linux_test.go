@@ -30,42 +30,24 @@ func TestSendmmsgPartialResubmit(t *testing.T) {
 	}
 	defer func() { sendmmsgCall = orig }()
 
-	rx, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rx.Close()
-
-	fabric := netsim.New(netsim.Config{})
-	defer fabric.Stop()
-	fabric.AddNode("src", netsim.NodeConfig{})
-	// A tiny MTU budget forces one frame per datagram, so one flush seals
+	// A tiny MTU budget forces one frame per datagram, so one burst seals
 	// a multi-datagram vector and the clamped kernel must be re-entered.
-	b, err := NewBridge(fabric, "src", "", "", []Peer{
-		{ID: "dst", UDPAddr: rx.LocalAddr().String()},
-	}, Config{Sockets: 1, MTUBudget: 64, Burst: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	rig := newProxyRig(t, Config{Sockets: 1, MTUBudget: 64, Burst: 32})
+	rx := rig.rx
 
-	s, addr := b.peerSock("dst")
-	if s == nil || addr == nil {
-		t.Fatal("peer not registered")
-	}
-	tb := b.newTxBatch(s, addr)
-	if tb.mm.fallback {
-		t.Fatal("txBatch fell back to the portable path; mmsg not exercised")
-	}
 	const n = 10
 	want := make([]string, n)
+	burst := make([][]byte, n)
 	for i := 0; i < n; i++ {
 		want[i] = fmt.Sprintf("resubmit-frame-%02d-payload-0123456789", i)
-		if err := tb.appendFrame([]byte(want[i])); err != nil {
-			t.Fatal(err)
-		}
+		burst[i] = []byte(want[i])
 	}
-	tb.flush()
+	if err := rig.src.SendBurst("dst", burst); err != nil {
+		t.Fatal(err)
+	}
+	if rig.bridge.peers["dst"].tx.mm.fallback {
+		t.Fatal("txBatch fell back to the portable path; mmsg not exercised")
+	}
 
 	rx.SetReadDeadline(time.Now().Add(5 * time.Second))
 	buf := make([]byte, MaxDatagram)
