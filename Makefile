@@ -5,7 +5,7 @@ GO ?= go
 BURST ?= 32
 DATE  := $(shell date +%Y-%m-%d)
 
-.PHONY: all build test vet doclint crossbuild race stress chaos control-chaos fuzz-short bench-check bench-pairs bench-smoke bench-guard bench-fig5 bench-bridge bench-json loc ci
+.PHONY: all build test vet fmt doclint crossbuild race stress chaos control-chaos fuzz-short bench-check bench-pairs bench-smoke bench-guard bench-fig5 bench-bridge bench-json loc ci
 
 all: build vet test
 
@@ -17,6 +17,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Format gate: any file gofmt would rewrite fails the build. bench/ is the
+# frozen harness and is not this tree's to reformat; .bench_build/ holds
+# what bench-pairs extracted from other revisions.
+fmt:
+	@out=$$(gofmt -l . | grep -v -e '^bench/' -e '^\.bench_build/' || true); \
+	  test -z "$$out" || { echo "gofmt would rewrite:"; echo "$$out"; exit 1; }
 
 # Doc-comment lint: the deployment-path packages must keep every exported
 # symbol documented (the README walkthrough links to their godoc), and so
@@ -32,10 +39,18 @@ doclint:
 # Cross-compile gate: the transport's Linux fast path (sendmmsg/recvmmsg,
 # SO_REUSEPORT) lives behind build tags with portable fallbacks; compiling
 # and vetting a non-Linux target proves the fallback files stay buildable
-# so a tag or syscall leak cannot silently break other platforms.
+# so a tag or syscall leak cannot silently break other platforms. The fast
+# path itself hand-lays kernel structs whose size_t fields change Go type
+# with the word size (msghdr, cmsghdr, iovec) and carries per-GOARCH syscall
+# numbers (sysnum_linux_*.go), so the transport is also built and vetted for
+# a 32-bit and a second 64-bit linux target.
 crossbuild:
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./...
+	GOOS=linux GOARCH=386 $(GO) build ./internal/trans/...
+	GOOS=linux GOARCH=386 $(GO) vet ./internal/trans/...
+	GOOS=linux GOARCH=arm64 $(GO) build ./internal/trans/...
+	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/trans/...
 
 # Race-check the packages that share frames and scratch buffers across
 # goroutines: the pooled-frame ownership rules live here. internal/trans
@@ -55,13 +70,16 @@ stress:
 	$(GO) test -race -count=3 -run 'TestBurstEquivalence|TestStealEquivalence' ./internal/core/
 	$(GO) test -race -count=3 -run 'TestQueueSchedPerQueueFIFO|TestQueueSchedSteal|TestQueueSchedReleaseRings' ./internal/netsim/
 
-# Piggyback codec fuzz gate: replays the seed corpus (every update kind,
-# coalesced/elided logs, truncations, and a retired-v1 blob that must be
-# rejected), then fuzzes the decoder briefly for fresh inputs. Short and deterministic
+# Decoder fuzz gate: replays the piggyback codec's seed corpus (every update
+# kind, coalesced/elided logs, truncations, and a retired-v1 blob that must
+# be rejected) and the tunnel datagram decoder's (every damaged and padded
+# tail), then fuzzes each briefly for fresh inputs. Short and deterministic
 # enough for every CI run; longer campaigns raise -fuzztime locally.
 fuzz-short:
 	$(GO) test ./internal/core -run='^FuzzMessageCodec$$' -count=1
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzMessageCodec$$' -fuzztime=5s
+	$(GO) test ./internal/trans -run='^FuzzSplitFrames$$' -count=1
+	$(GO) test ./internal/trans -run='^$$' -fuzz='^FuzzSplitFrames$$' -fuzztime=5s
 
 # Frozen-harness gate: bench/ is its own module that imports internal/*
 # through a replace directive, so root `go build ./...` never compiles it.
@@ -97,7 +115,9 @@ bench-smoke:
 # per sub-benchmark instead of once per benchtime ramp step. The
 # BridgeThroughput rows time a send side with no drain wake-up left to
 # amortize: the sending goroutine packs its burst and makes the syscall, so
-# burst=32 reads one sendmmsg per burst and burst=1 one per frame.
+# burst=32 reads one sendmmsg per burst and burst=1 one per frame. At
+# mtu=1472 a burst is one segmented message (UDP_SEGMENT), not ≈ 7 trips
+# through the UDP/IP stack, which is why that mmsg row leads its packed twin.
 bench-guard:
 	{ $(GO) test ./... -run=NONE -bench=FastPath -benchtime=100x ; \
 	  $(GO) test . -run=NONE -bench=MillionFlows -benchtime=100000x ; \
@@ -166,9 +186,9 @@ loc:
 	@echo "_test.go lines:    $$(find . -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
 	@echo "core.Config fields: $$(awk '/^type Config struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z][A-Za-z]* /{n++} END{print n}' internal/core/config.go)"
 
-# The full pre-merge gate: build, vet, doc lint, the non-Linux
+# The full pre-merge gate: build, vet, the gofmt gate, doc lint, the
 # cross-compile gate, the frozen bench/ harness check, the piggyback codec
 # fuzz gate, the benchmark regression guard (allocation smoke benchmarks diffed against baseline),
 # the race-sensitive packages under -race, the scheduler stress gate, the
 # orchestrator-crash campaign matrix, and the whole test suite.
-ci: build vet doclint crossbuild bench-check fuzz-short bench-guard race stress control-chaos test
+ci: build vet fmt doclint crossbuild bench-check fuzz-short bench-guard race stress control-chaos test

@@ -400,12 +400,12 @@ func BenchmarkAblationTransactions(b *testing.B) {
 //     map has no aging, so its baseline carries the classic flat-map scheme
 //     — a deadline sidecar swept by periodic partition scans (seedAger).
 const (
-	mfLive           = 1 << 20            // live flow population
-	mfRing           = mfLive + mfLive/4  // key ring; the margin keeps creates from reviving live keys
-	mfCreateEvery    = 8                  // sweep ops per flow creation (new-flow packet ratio)
-	mfCreatesPerTick = 64                 // creates per clock tick; TTL = mfLive/mfCreatesPerTick ticks
-	mfParts          = 64                 // store partitions
-	mfValSize        = 32                 // flow-entry value size (NAT mapping scale)
+	mfLive           = 1 << 20           // live flow population
+	mfRing           = mfLive + mfLive/4 // key ring; the margin keeps creates from reviving live keys
+	mfCreateEvery    = 8                 // sweep ops per flow creation (new-flow packet ratio)
+	mfCreatesPerTick = 64                // creates per clock tick; TTL = mfLive/mfCreatesPerTick ticks
+	mfParts          = 64                // store partitions
+	mfValSize        = 32                // flow-entry value size (NAT mapping scale)
 	mfTTLTicks       = mfLive / mfCreatesPerTick
 )
 

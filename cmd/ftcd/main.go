@@ -222,8 +222,9 @@ func main() {
 	log.Printf("ftcd: tunnel out=%d frames/%d dgrams in=%d frames/%d dgrams oversize=%d truncated=%d",
 		ts.FramesOut, ts.DatagramsOut, ts.FramesIn, ts.DatagramsIn,
 		ts.OversizeDrops, ts.TruncatedDatagrams)
-	log.Printf("ftcd: tunnel syscalls send=%d recv=%d over %d sockets (rcvbuf %d, sndbuf %d)",
-		ts.SendSyscalls, ts.RecvSyscalls, ts.Sockets, ts.EffRcvBuf, ts.EffSndBuf)
+	log.Printf("ftcd: tunnel syscalls send=%d recv=%d messages send=%d recv=%d send_errors=%d over %d sockets (rcvbuf %d, sndbuf %d)",
+		ts.SendSyscalls, ts.RecvSyscalls, ts.SendMessages, ts.RecvMessages, ts.SendErrors,
+		ts.Sockets, ts.EffRcvBuf, ts.EffSndBuf)
 	sched := replica.Sched()
 	log.Printf("ftcd: sched steals=%d burst=%d clamps=%d queue depths=%v",
 		sched.Steals.Value(), sched.Burst.Value(), local.Clamps(),

@@ -5,22 +5,25 @@
 // nodes standing in for its remote peers; the bridge shuttles frames and
 // RPCs between the proxies and the network.
 //
-// The data plane batches at two levels (DESIGN.md §8): frames bound for
+// The data plane batches at three levels (DESIGN.md §8): frames bound for
 // the same peer are coalesced into packed datagrams (one length-prefixed
-// record per frame, see frame.go) up to Config.MTUBudget bytes, and on
-// Linux whole *vectors of datagrams* move per syscall — sendmmsg on the
-// send side, recvmmsg on the receive side — the userspace analogue of the
-// paper's DPDK rx/tx bursts. The send side has no queue and no goroutine
-// of its own: a proxy is a netsim hook node, so the goroutine that sends a
-// burst to it packs that burst and makes the syscall before its SendBurst
-// returns, as the paper's worker thread transmits the burst it processed.
+// record per frame, see frame.go) up to Config.MTUBudget bytes, on Linux
+// whole *vectors of datagrams* move per syscall — sendmmsg on the send
+// side, recvmmsg on the receive side — the userspace analogue of the
+// paper's DPDK rx/tx bursts, and within a vector a run of datagrams crosses
+// the kernel's UDP/IP stack as one segmented message (UDP_SEGMENT out,
+// UDP_GRO in), cut back into the same datagrams at the far end of the
+// stack. The send side has no queue and no goroutine of its own: a proxy is
+// a netsim hook node, so the goroutine that sends a burst to it packs that
+// burst and makes the syscall before its SendBurst returns, as the paper's
+// worker thread transmits the burst it processed.
 // Inbound load is spread by the kernel across Config.Sockets SO_REUSEPORT
 // sockets, one receive goroutine each, so the kernel's 4-tuple hash does
 // RSS instead of funneling every peer through one socket. Every burst is
 // flushed when its sender has packed it, so Burst=1 and light load keep
 // per-packet latency. Non-Linux builds fall back to the portable
-// one-datagram-per-syscall path on a single socket; the wire format is
-// identical, so mixed deployments interoperate.
+// one-datagram-per-syscall path on a single socket; every path decodes the
+// same datagrams, so mixed deployments interoperate.
 //
 // This is the deployment path cmd/ftcd uses. The protocol logic is byte-
 // identical to the in-process fabric — the bridge only moves frames.
@@ -160,12 +163,17 @@ type Stats struct {
 	// FramesOut and FramesIn count tunneled data-plane frames.
 	FramesOut, FramesIn uint64
 	// DatagramsOut and DatagramsIn count the UDP datagrams carrying
-	// them; FramesOut/DatagramsOut is the achieved send coalescing.
+	// them — wire datagrams, so each segment of a segmented message is
+	// one; FramesOut/DatagramsOut is the achieved send coalescing.
 	DatagramsOut, DatagramsIn uint64
+	// SendMessages and RecvMessages count the socket messages (msghdrs)
+	// the kernel accepted and filled; DatagramsOut/SendMessages is the
+	// achieved segmentation (1 wherever every datagram is its own message).
+	SendMessages, RecvMessages uint64
 	// FrameBytesOut counts the payload bytes of tunneled frames and
 	// WireBytesOut the bytes of the datagrams that carried them;
 	// FrameBytesOut/WireBytesOut is the tunnel's goodput (the complement
-	// is per-record framing overhead).
+	// is per-record framing overhead plus segment padding).
 	FrameBytesOut, WireBytesOut uint64
 	// SendSyscalls and RecvSyscalls count data-plane socket syscall
 	// invocations (sendmmsg/sendto and recvmmsg/recvfrom, including
@@ -174,6 +182,10 @@ type Stats struct {
 	// (SendSyscalls+RecvSyscalls)/FramesOut is the syscalls-per-frame
 	// cost the mmsg path exists to shrink.
 	SendSyscalls, RecvSyscalls uint64
+	// SendErrors counts datagram vectors not sent in full because the
+	// socket refused with a hard error (or was closed under the sender);
+	// like a NIC, the bridge drops the rest and reports nothing upstream.
+	SendErrors uint64
 	// OversizeDrops counts frames rejected on send for exceeding
 	// MaxFrame (see FrameTooLargeError).
 	OversizeDrops uint64
@@ -208,9 +220,10 @@ type Bridge struct {
 
 	framesOut, framesIn         atomic.Uint64
 	datagramsOut, datagramsIn   atomic.Uint64
+	sendMessages, recvMessages  atomic.Uint64
 	frameBytesOut, wireBytesOut atomic.Uint64
 	sendSyscalls, recvSyscalls  atomic.Uint64
-	oversizeDrops               atomic.Uint64
+	sendErrors, oversizeDrops   atomic.Uint64
 	truncatedDatagrams          atomic.Uint64
 
 	stopOnce sync.Once
@@ -246,6 +259,9 @@ func NewBridge(fabric *netsim.Fabric, localID netsim.NodeID, listenUDP, listenTC
 		// raw fast paths; the portable loops still move datagrams.
 		raw, _ := uc.SyscallConn()
 		socks[i] = &sock{conn: uc, raw: raw}
+		if !cfg.portable {
+			socks[i].enableGRO()
+		}
 	}
 	tl, err := net.Listen("tcp", listenTCP)
 	if err != nil {
@@ -291,10 +307,13 @@ func (b *Bridge) Stats() Stats {
 		FramesIn:           b.framesIn.Load(),
 		DatagramsOut:       b.datagramsOut.Load(),
 		DatagramsIn:        b.datagramsIn.Load(),
+		SendMessages:       b.sendMessages.Load(),
+		RecvMessages:       b.recvMessages.Load(),
 		FrameBytesOut:      b.frameBytesOut.Load(),
 		WireBytesOut:       b.wireBytesOut.Load(),
 		SendSyscalls:       b.sendSyscalls.Load(),
 		RecvSyscalls:       b.recvSyscalls.Load(),
+		SendErrors:         b.sendErrors.Load(),
 		OversizeDrops:      b.oversizeDrops.Load(),
 		TruncatedDatagrams: b.truncatedDatagrams.Load(),
 		Sockets:            len(b.socks),
@@ -349,14 +368,15 @@ func (b *Bridge) AddPeer(p Peer) error {
 // with the core package's control plane.
 var rpcNames = []string{"ftc.repair", "ftc.fetch", "ftc.setgen", "ftc.setroute", "ftc.ping"}
 
-// ---- send path: frames → packed datagrams → datagram vectors ----
+// ---- send path: frames → packed datagrams → datagram vectors → segmented messages ----
 
-// txBatch accumulates one peer's outbound traffic through both batching
+// txBatch accumulates one peer's outbound traffic through the batching
 // levels: frames are packed into the current datagram (sealed when the
 // next record would exceed the MTU budget), sealed datagrams collect into
-// a vector, and the vector is shipped with one sendmmsg call (Linux; one
-// sendto per datagram on the portable path). All buffers are preallocated,
-// so the steady-state send loop allocates nothing.
+// a vector, and the vector is shipped with one sendmmsg call in which runs
+// of datagrams are single segmented messages (Linux; one sendto per
+// datagram on the portable path). All buffers are preallocated, so the
+// steady-state send loop allocates nothing.
 type txBatch struct {
 	b      *Bridge
 	s      *sock
@@ -420,18 +440,21 @@ func (t *txBatch) flush() {
 	t.emit()
 }
 
-// emit ships the sealed datagram vector and resets the batch.
+// emit ships the sealed datagram vector and resets the batch. Wire bytes
+// are summed after send, which may have padded datagrams in place.
 func (t *txBatch) emit() {
 	if len(t.dgrams) == 0 {
 		return
 	}
 	t.b.datagramsOut.Add(uint64(len(t.dgrams)))
+	if !t.send() {
+		t.b.sendErrors.Add(1)
+	}
 	wire := uint64(0)
 	for _, d := range t.dgrams {
 		wire += uint64(len(d))
 	}
 	t.b.wireBytesOut.Add(wire)
-	t.send()
 	t.dgrams = t.dgrams[:0]
 	t.cur = t.bufs[0][:0]
 }
@@ -439,17 +462,24 @@ func (t *txBatch) emit() {
 // sendPortable ships the sealed vector one sendto syscall per datagram —
 // the non-Linux transport and the fallback for sockets mmsg cannot drive. Like a
 // real NIC, send failures (e.g. a crashed peer's closed port) are not
-// reported upstream — the chain's repair path owns loss recovery.
-func (t *txBatch) sendPortable() {
+// reported upstream — the chain's repair path owns loss recovery — only
+// counted: it reports whether every datagram went out.
+func (t *txBatch) sendPortable() bool {
+	ok := true
 	for _, d := range t.dgrams {
 		t.b.sendSyscalls.Add(1)
-		_, _ = t.s.conn.WriteToUDP(d, t.addr)
+		if _, err := t.s.conn.WriteToUDP(d, t.addr); err != nil {
+			ok = false
+			continue
+		}
+		t.b.sendMessages.Add(1)
 	}
+	return ok
 }
 
 // deliver is a peer proxy's delivery hook (netsim.NodeConfig.Deliver): it
 // runs on the goroutine that sent the burst, packs the sender's frames
-// through the two batching levels and flushes once at the end — the
+// through the batching levels and flushes once at the end — the
 // sender's burst is the datagram vector, and a single Send is one frame,
 // one datagram, one syscall. The frames are borrowed; appendFrame copies
 // them into the batch.
@@ -484,10 +514,13 @@ func (t *txBatch) pack(frame []byte) {
 
 // rxBatch holds one receive goroutine's preallocated datagram vector: one
 // MaxDatagram buffer per slot (so a read can never truncate a well-formed
-// datagram), per-slot lengths, and per-slot kernel-truncation flags.
+// datagram, nor a run of them the kernel coalesced), per-slot lengths,
+// per-slot segment sizes (non-zero: the slot holds several datagrams, cut
+// at multiples of it) and per-slot kernel-truncation flags.
 type rxBatch struct {
 	bufs   [][]byte
 	lens   []int
+	segs   []int
 	ktrunc []bool
 	mm     mmsgRx // platform syscall state (empty off Linux)
 }
@@ -495,7 +528,7 @@ type rxBatch struct {
 // newRxBatch sizes a receive vector for this bridge's drain mode.
 func (b *Bridge) newRxBatch() *rxBatch {
 	k := b.rxDatagramBudget()
-	r := &rxBatch{bufs: make([][]byte, k), lens: make([]int, k), ktrunc: make([]bool, k)}
+	r := &rxBatch{bufs: make([][]byte, k), lens: make([]int, k), segs: make([]int, k), ktrunc: make([]bool, k)}
 	for i := range r.bufs {
 		r.bufs[i] = make([]byte, MaxDatagram)
 	}
@@ -537,6 +570,7 @@ func (b *Bridge) readBurstPortable(s *sock, r *rxBatch) (int, bool) {
 		r.lens[cnt] = m
 		cnt++
 	}
+	b.recvMessages.Add(uint64(cnt))
 	return cnt, true
 }
 
@@ -557,7 +591,7 @@ func (b *Bridge) udpLoop(s *sock) {
 		}
 		frames = frames[:0]
 		for i := 0; i < n; i++ {
-			frames = b.unpack(frames, r.bufs[i][:r.lens[i]], r.ktrunc[i])
+			frames = b.unpack(frames, r.bufs[i][:r.lens[i]], r.segs[i], r.ktrunc[i])
 		}
 		if len(frames) > 0 {
 			b.framesIn.Add(uint64(len(frames)))
@@ -566,19 +600,31 @@ func (b *Bridge) udpLoop(s *sock) {
 	}
 }
 
-// unpack splits one received datagram into frames, appending them to dst.
-// kernelTrunc marks a datagram the kernel cut short (MSG_TRUNC): its
-// complete leading frames are still delivered, and the damage is counted
-// once alongside in-record truncation (ErrTruncatedDatagram).
-func (b *Bridge) unpack(dst [][]byte, dgram []byte, kernelTrunc bool) [][]byte {
-	b.datagramsIn.Add(1)
-	err := SplitFrames(dgram, func(frame []byte) {
-		dst = append(dst, frame)
-	})
-	if err != nil || kernelTrunc {
-		b.truncatedDatagrams.Add(1)
+// unpack splits one receive slot into frames, appending them to dst. A
+// slot the kernel coalesced (seg > 0, UDP_GRO) is first cut back into its
+// wire datagrams at multiples of seg, the last one possibly shorter.
+// kernelTrunc marks a slot the kernel cut short (MSG_TRUNC), which damages
+// its last datagram only: the complete leading frames are still delivered,
+// and the damage is counted once alongside in-record truncation
+// (ErrTruncatedDatagram).
+func (b *Bridge) unpack(dst [][]byte, slot []byte, seg int, kernelTrunc bool) [][]byte {
+	for {
+		dgram := slot
+		if seg > 0 && len(slot) > seg {
+			dgram = slot[:seg]
+		}
+		slot = slot[len(dgram):]
+		b.datagramsIn.Add(1)
+		err := SplitFrames(dgram, func(frame []byte) {
+			dst = append(dst, frame)
+		})
+		if err != nil || (kernelTrunc && len(slot) == 0) {
+			b.truncatedDatagrams.Add(1)
+		}
+		if len(slot) == 0 {
+			return dst
+		}
 	}
-	return dst
 }
 
 // Close shuts the bridge down. It crashes the proxy nodes first, so later

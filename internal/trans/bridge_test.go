@@ -26,8 +26,8 @@ func ringID(i int) netsim.NodeID { return netsim.NodeID(fmt.Sprintf("ftc-r%d", i
 // chainOpts tunes the multi-process test harness.
 type chainOpts struct {
 	egressAddr string
-	burst      int                         // 0: defaults
-	newMB      func(i int) core.Middlebox  // nil: monitor everywhere
+	burst      int                             // 0: defaults
+	newMB      func(i int) core.Middlebox      // nil: monitor everywhere
 	transCfg   func(i int, base Config) Config // nil: base config everywhere
 }
 

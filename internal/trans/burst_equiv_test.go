@@ -142,13 +142,15 @@ func waitBridgeConverged(t *testing.T, procs []*proc, cfg core.Config, timeout t
 // queues behind them, the delivered set is then deterministic — all n.
 func runBridgeWorkload(t *testing.T, burst, n int) ([]int, string) {
 	t.Helper()
-	return runBridgeWorkloadOpts(t, burst, n, nil)
+	ids, digest, _ := runBridgeWorkloadOpts(t, burst, n, nil)
+	return ids, digest
 }
 
 // runBridgeWorkloadOpts is runBridgeWorkload with a per-process transport
 // config hook, so equivalence suites can pit mmsg, portable, and multi-socket
-// bridges against each other in one chain.
-func runBridgeWorkloadOpts(t *testing.T, burst, n int, transCfg func(i int, base Config) Config) ([]int, string) {
+// bridges against each other in one chain; it also returns every process's
+// final tunnel counters.
+func runBridgeWorkloadOpts(t *testing.T, burst, n int, transCfg func(i int, base Config) Config) ([]int, string, []Stats) {
 	t.Helper()
 	sinkConn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -202,7 +204,11 @@ func runBridgeWorkloadOpts(t *testing.T, burst, n int, transCfg func(i int, base
 
 	waitBridgeConverged(t, procs, cfg, 20*time.Second)
 	sort.Ints(ids)
-	return ids, bridgeDigest(procs, cfg)
+	stats := make([]Stats, len(procs))
+	for i, p := range procs {
+		stats[i] = p.bridge.Stats()
+	}
+	return ids, bridgeDigest(procs, cfg), stats
 }
 
 // TestBridgeBurstEquivalence extends the in-process TestBurstEquivalence
@@ -238,14 +244,18 @@ func TestBridgeBurstEquivalence(t *testing.T) {
 // one on mmsg with an explicit 2-socket SO_REUSEPORT group — and requires
 // the same delivered set and the same converged state digest as a uniform
 // default-transport chain. This is the wire-compatibility guarantee: mmsg
-// batching changes syscalls, never bytes, so mixed deployments (e.g. a
+// batching changes syscalls, never frames, so mixed deployments (e.g. a
 // rolling upgrade, or Linux and non-Linux hosts in one chain) interoperate.
+// The mixed chain packs to a small budget, so bursts span datagrams and the
+// mmsg processes send segmented, padded messages at the portable one, which
+// must read them as ordinary datagrams.
 func TestBridgeMixedMMsgPortableDeployment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process sockets; skipped in -short")
 	}
 	const n = 240
 	mixed := func(i int, base Config) Config {
+		base.MTUBudget = 512
 		switch i % 3 {
 		case 0: // default mmsg, GOMAXPROCS sockets
 		case 1:
@@ -256,8 +266,18 @@ func TestBridgeMixedMMsgPortableDeployment(t *testing.T) {
 		}
 		return base
 	}
-	idsMixed, digMixed := runBridgeWorkloadOpts(t, 32, n, mixed)
-	idsPure, digPure := runBridgeWorkloadOpts(t, 32, n, nil)
+	idsMixed, digMixed, stats := runBridgeWorkloadOpts(t, 32, n, mixed)
+	idsPure, digPure, _ := runBridgeWorkloadOpts(t, 32, n, nil)
+	for i, st := range stats {
+		t.Logf("process %d: %d datagrams out in %d messages, %d in in %d messages",
+			i, st.DatagramsOut, st.SendMessages, st.DatagramsIn, st.RecvMessages)
+		if st.TruncatedDatagrams != 0 || st.SendErrors != 0 {
+			t.Fatalf("process %d: %d truncated datagrams, %d send errors", i, st.TruncatedDatagrams, st.SendErrors)
+		}
+	}
+	if st := stats[1]; st.SendMessages != st.DatagramsOut || st.RecvMessages != st.DatagramsIn {
+		t.Fatalf("portable process moved %d/%d datagrams in %d/%d messages", st.DatagramsOut, st.DatagramsIn, st.SendMessages, st.RecvMessages)
+	}
 	if len(idsMixed) != len(idsPure) {
 		t.Fatalf("delivered %d packets mixed, %d pure", len(idsMixed), len(idsPure))
 	}

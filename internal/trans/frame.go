@@ -11,15 +11,19 @@ import (
 // Each UDP datagram carries one or more tunneled frames, each preceded by a
 // 2-byte big-endian length:
 //
-//	datagram := frameRecord+
-//	frameRecord := u16 length | frame bytes
+//	datagram := frameRecord+ padding?
+//	frameRecord := u16 length (> 0) | frame bytes
+//	padding := zero bytes
 //
 // Senders coalesce the frames of one burst bound for the same peer into
 // one datagram, starting another when the packed size would exceed the MTU
 // budget. Receivers split a datagram back into frames and inject the whole
-// batch into the local fabric in one call. A datagram whose bytes end
-// mid-record (a corrupted or foreign sender) yields the complete frames
-// before the damage; the remainder is dropped and counted.
+// batch into the local fabric in one call. A zero-length record — or a lone
+// trailing zero byte — ends a datagram's records, and only zero bytes may
+// follow it: the Linux send path pads the datagrams of one segmented message
+// to a common size (mmsg_linux.go), so each still decodes on its own. A
+// datagram whose bytes end mid-record (a corrupted or foreign sender) yields
+// the complete frames before the damage; the remainder is dropped and counted.
 
 // MaxFrame is the largest tunneled frame (jumbo frame + trailer headroom).
 // Frames larger than this are rejected on the send side with
@@ -43,10 +47,9 @@ const DefaultMTUBudget = 9000 - 28
 // frameHdrLen is the per-frame length-prefix size.
 const frameHdrLen = 2
 
-// ErrTruncatedDatagram reports a datagram whose trailing bytes do not form
-// a complete length-prefixed frame record (including a zero-length record,
-// which the sender never produces). Frames decoded before the damaged
-// record are still delivered.
+// ErrTruncatedDatagram reports a datagram whose trailing bytes are neither a
+// complete length-prefixed frame record nor zero padding. Frames decoded
+// before the damaged record are still delivered.
 var ErrTruncatedDatagram = errors.New("trans: truncated frame record in datagram")
 
 // FrameTooLargeError reports an attempt to tunnel a frame larger than
@@ -66,7 +69,7 @@ func (e *FrameTooLargeError) Error() string {
 // AppendFrame appends one length-prefixed frame record to a datagram being
 // packed and returns the extended datagram. Frames larger than MaxFrame are
 // rejected with *FrameTooLargeError, leaving dst unchanged; empty frames
-// are skipped (a zero-length record is unrepresentable on the wire).
+// are skipped (a zero-length record is the wire's padding marker).
 func AppendFrame(dst, frame []byte) ([]byte, error) {
 	if len(frame) > MaxFrame {
 		return dst, &FrameTooLargeError{Size: len(frame)}
@@ -80,21 +83,27 @@ func AppendFrame(dst, frame []byte) ([]byte, error) {
 
 // SplitFrames decodes a packed datagram, invoking fn once per frame in
 // packing order. Frames are subslices of dgram: callers that retain one
-// past the call must copy it. If the datagram ends mid-record,
-// ErrTruncatedDatagram is returned after the complete leading frames have
-// been delivered.
+// past the call must copy it. Zero padding after the last record yields no
+// frame. If the datagram ends mid-record, ErrTruncatedDatagram is returned
+// after the complete leading frames have been delivered.
 func SplitFrames(dgram []byte, fn func(frame []byte)) error {
-	for len(dgram) > 0 {
-		if len(dgram) < frameHdrLen {
-			return ErrTruncatedDatagram
-		}
+	for len(dgram) >= frameHdrLen {
 		flen := int(binary.BigEndian.Uint16(dgram))
+		if flen == 0 {
+			break
+		}
 		dgram = dgram[frameHdrLen:]
-		if flen == 0 || flen > len(dgram) {
+		if flen > len(dgram) {
 			return ErrTruncatedDatagram
 		}
 		fn(dgram[:flen])
 		dgram = dgram[flen:]
+	}
+	// What is left is padding (all zero) or damage.
+	for _, c := range dgram {
+		if c != 0 {
+			return ErrTruncatedDatagram
+		}
 	}
 	return nil
 }

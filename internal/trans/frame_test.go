@@ -3,6 +3,7 @@ package trans
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -67,25 +68,129 @@ func TestSplitFramesTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name  string
-		dgram []byte
-	}{
-		{"half header", append(append([]byte(nil), full...), 0x00)},
-		{"record cut short", append(append([]byte(nil), full...), 0x00, 0x10, 'x')},
-		{"zero-length record", append(append([]byte(nil), full...), 0x00, 0x00)},
-	}
-	for _, tc := range cases {
+	for _, tc := range splitCases(full) {
 		t.Run(tc.name, func(t *testing.T) {
 			var got [][]byte
 			err := SplitFrames(tc.dgram, func(f []byte) {
 				got = append(got, append([]byte(nil), f...))
 			})
-			if !errors.Is(err, ErrTruncatedDatagram) {
-				t.Fatalf("err = %v, want ErrTruncatedDatagram", err)
+			if tc.damaged != errors.Is(err, ErrTruncatedDatagram) || (!tc.damaged && err != nil) {
+				t.Fatalf("err = %v, damaged = %v", err, tc.damaged)
 			}
 			if len(got) != 1 || string(got[0]) != "complete" {
-				t.Fatalf("leading frames lost: %q", got)
+				t.Fatalf("leading frames lost or padding read as a frame: %q", got)
+			}
+		})
+	}
+}
+
+// splitCase is a datagram tail after one complete record: damage, or the
+// padding a segmented send adds (mmsg_linux.go).
+type splitCase struct {
+	name    string
+	dgram   []byte
+	damaged bool
+}
+
+func splitCases(full []byte) []splitCase {
+	tail := func(b ...byte) []byte { return append(append([]byte(nil), full...), b...) }
+	return []splitCase{
+		{"half header", tail(0x01), true},
+		{"record cut short", tail(0x00, 0x10, 'x'), true},
+		{"zero-length record", tail(0x00, 0x00, 0x00, 'x'), true},
+		{"lone zero byte", tail(0x00), false},
+		{"zero-length record then zeros", tail(0x00, 0x00, 0x00, 0x00, 0x00), false},
+		{"zero-length record alone", tail(0x00, 0x00), false},
+	}
+}
+
+// FuzzSplitFrames holds the datagram decoder to its contract on arbitrary
+// bytes: it never panics, the frames it delivers are disjoint in-order
+// subslices of the input, and re-packing them with AppendFrame reproduces
+// the input — all of it but zero padding when the datagram is well formed,
+// a prefix of it when it is damaged.
+func FuzzSplitFrames(f *testing.F) {
+	full, _ := AppendFrame(nil, []byte("complete"))
+	for _, tc := range splitCases(full) {
+		f.Add(tc.dgram)
+	}
+	f.Add([]byte{})
+	f.Add(append(append([]byte(nil), full...), full...))
+	f.Fuzz(func(t *testing.T, dgram []byte) {
+		var repacked []byte
+		err := SplitFrames(dgram, func(frame []byte) {
+			// In order and disjoint: each frame sits exactly where
+			// re-packing its predecessors says its record starts.
+			if at := len(repacked) + frameHdrLen; len(frame) == 0 || at+len(frame) > len(dgram) || &frame[0] != &dgram[at] {
+				t.Fatalf("frame of %d bytes is not the subslice at offset %d", len(frame), at)
+			}
+			var perr error
+			if repacked, perr = AppendFrame(repacked, frame); perr != nil {
+				t.Fatal(perr)
+			}
+		})
+		if !bytes.HasPrefix(dgram, repacked) {
+			t.Fatal("re-packed frames are not a prefix of the datagram")
+		}
+		rest := dgram[len(repacked):]
+		if padding := len(bytes.TrimLeft(rest, "\x00")) == 0; padding != (err == nil) {
+			t.Fatalf("err = %v with %d trailing bytes (all zero: %v)", err, len(rest), padding)
+		}
+	})
+}
+
+// TestUnpackCoalescedSlot is the receive-side split: a slot the kernel
+// coalesced (UDP_GRO) is cut at multiples of the segment size into the
+// wire datagrams it was, the last possibly shorter; each counts as a
+// datagram in, padding yields no frame, and a kernel truncation belongs to
+// the last piece only.
+func TestUnpackCoalescedSlot(t *testing.T) {
+	const seg = 32
+	var slot []byte
+	want := 0
+	for d := 0; d < 4; d++ { // three padded datagrams and a short last one
+		dgram, _ := AppendFrame(nil, []byte(fmt.Sprintf("dgram-%d-a", d)))
+		if d != 1 {
+			dgram, _ = AppendFrame(dgram, []byte(fmt.Sprintf("dgram-%d-b", d)))
+			want++
+		}
+		want++
+		if d < 3 {
+			dgram = append(dgram, make([]byte, seg-len(dgram))...)
+		}
+		slot = append(slot, dgram...)
+	}
+	for _, tc := range []struct {
+		name      string
+		slot      []byte
+		seg       int
+		ktrunc    bool
+		frames    int
+		dgrams    uint64
+		truncated uint64
+	}{
+		{"coalesced", slot, seg, false, want, 4, 0},
+		{"kernel-truncated", slot[:3*seg+15], seg, true, want - 1, 4, 1},
+		{"exact multiple", slot[:2*seg], seg, false, 3, 2, 0},
+		{"not coalesced", slot[:seg], 0, false, 2, 1, 0},
+		{"single segment", slot[:seg-4], seg, false, 2, 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := &Bridge{}
+			frames := b.unpack(nil, tc.slot, tc.seg, tc.ktrunc)
+			if len(frames) != tc.frames {
+				t.Fatalf("%d frames, want %d", len(frames), tc.frames)
+			}
+			for _, f := range frames {
+				if !bytes.HasPrefix(f, []byte("dgram-")) {
+					t.Fatalf("frame %q is not one that was packed", f)
+				}
+			}
+			if got := b.datagramsIn.Load(); got != tc.dgrams {
+				t.Fatalf("DatagramsIn = %d, want %d", got, tc.dgrams)
+			}
+			if got := b.truncatedDatagrams.Load(); got != tc.truncated {
+				t.Fatalf("TruncatedDatagrams = %d, want %d", got, tc.truncated)
 			}
 		})
 	}

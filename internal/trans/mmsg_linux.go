@@ -2,10 +2,12 @@
 
 // Linux batched-syscall backend for the bridge data plane: sendmmsg and
 // recvmmsg move whole vectors of packed datagrams per syscall — the
-// userspace analogue of the paper's DPDK rx/tx bursts — and SO_REUSEPORT
-// lets the kernel hash inbound flows across one socket (and one receive
-// goroutine) per worker. All mmsghdr/iovec arrays, sockaddr storage, and
-// the raw-connection callbacks are preallocated, so the steady-state tx/rx
+// userspace analogue of the paper's DPDK rx/tx bursts — a run of datagrams
+// within a vector crosses the UDP/IP stack as one segmented message
+// (UDP_SEGMENT on send, UDP_GRO on receive), and SO_REUSEPORT lets the
+// kernel hash inbound flows across one socket (and one receive goroutine)
+// per worker. All mmsghdr/iovec/control arrays, sockaddr storage, and the
+// raw-connection callbacks are preallocated, so the steady-state tx/rx
 // loops issue raw syscall.Syscall6 calls with zero allocations.
 //
 // The syscall numbers and struct layouts are stable kernel ABI: mmsghdr is
@@ -29,6 +31,46 @@ const reuseportSupported = true
 // GOARCH this repo targets; Go's frozen syscall package predates the
 // constant). MIPS would need 0x0200.
 const soReusePort = 0xf
+
+// UDP segmentation offload (Go's frozen syscall package predates it): the
+// socket level, the UDP_SEGMENT control message a segmented send carries
+// (kernel 4.18), the UDP_GRO option and control message of a coalesced
+// receive (kernel 5.0), and the kernel's limits on one segmented message —
+// UDP_MAX_SEGMENTS segments and one IPv4 datagram's worth of payload.
+const (
+	solUDP         = 17
+	udpSegment     = 103
+	udpGRO         = 104
+	udpMaxSegments = 64
+	maxUDPPayload  = 65507
+)
+
+// segCmsg and groCmsg are whole control buffers of one message each: the
+// UDP_SEGMENT request (u16 segment size) and the UDP_GRO report (int). Go
+// lays them out as CMSG_SPACE does on every linux GOARCH: the data starts
+// at the header's size and the struct is padded to the header's alignment.
+type segCmsg struct {
+	hdr  syscall.Cmsghdr
+	size uint16
+}
+
+type groCmsg struct {
+	hdr  syscall.Cmsghdr
+	size int32
+}
+
+// enableGRO lets the kernel hand a run of equal-sized datagrams from one
+// peer to recvmmsg as one coalesced message (readBurst cuts it back apart).
+// Only a socket the recvmmsg path reads may have it: a portable read gets
+// no control message and could not tell a coalesced payload from a
+// datagram. A kernel without the option just keeps delivering datagrams.
+func (s *sock) enableGRO() {
+	if s.raw != nil {
+		_ = s.raw.Control(func(fd uintptr) {
+			_ = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1)
+		})
+	}
+}
 
 // recvBatchDatagrams is the datagram-vector capacity of one recvmmsg call.
 // Each datagram can carry a full frame burst, so a modest vector already
@@ -133,17 +175,20 @@ func sockBufSizes(c *net.UDPConn) (rcv, snd int) {
 	return rcv, snd
 }
 
-// mmsgTx is a txBatch's preallocated sendmmsg state: one mmsghdr+iovec per
-// datagram slot, all naming the peer's packed sockaddr, plus the saved
-// raw-write callback (allocated once so steady-state sends allocate
-// nothing).
+// mmsgTx is a txBatch's preallocated sendmmsg state: one mmsghdr, iovec
+// and UDP_SEGMENT control buffer per datagram slot, all naming the peer's
+// packed sockaddr, plus the saved raw-write callback (allocated once so
+// steady-state sends allocate nothing).
 type mmsgTx struct {
 	msgs     []mmsghdr
-	iovs     []syscall.Iovec
+	iovs     []syscall.Iovec          // one per datagram; a message owns a run of them
+	ctl      []segCmsg                // one per message
 	sa       syscall.RawSockaddrInet6 // storage; v4 peers use a prefix
 	salen    uint32
-	off, cnt int // vector window being submitted
-	res      int // messages accepted by the last syscall (-1: hard error)
+	off, cnt int           // message window being submitted
+	res      int           // messages accepted by the last syscall (-1: hard error)
+	errno    syscall.Errno // that hard error
+	plain    bool          // the kernel refused a segmented message for this peer
 	writeFn  func(fd uintptr) bool
 	fallback bool // no raw conn or sockaddr unpackable: use sendPortable
 }
@@ -160,11 +205,12 @@ func (t *txBatch) initPlatform() {
 	k := len(t.bufs)
 	t.mm.msgs = make([]mmsghdr, k)
 	t.mm.iovs = make([]syscall.Iovec, k)
+	t.mm.ctl = make([]segCmsg, k)
 	for i := range t.mm.msgs {
 		t.mm.msgs[i].hdr.Name = (*byte)(unsafe.Pointer(&t.mm.sa))
 		t.mm.msgs[i].hdr.Namelen = t.mm.salen
-		t.mm.msgs[i].hdr.Iov = &t.mm.iovs[i]
-		t.mm.msgs[i].hdr.Iovlen = 1
+		t.mm.ctl[i].hdr.Level, t.mm.ctl[i].hdr.Type = solUDP, udpSegment
+		t.mm.ctl[i].hdr.SetLen(syscall.CmsgLen(2))
 	}
 	t.mm.writeFn = func(fd uintptr) bool {
 		n, e := sendmmsgCall(fd, &t.mm.msgs[t.mm.off], t.mm.cnt-t.mm.off, syscall.MSG_DONTWAIT)
@@ -173,7 +219,7 @@ func (t *txBatch) initPlatform() {
 			return false // socket buffer full: park until writable
 		}
 		if e != 0 {
-			t.mm.res = -1
+			t.mm.res, t.mm.errno = -1, e
 			return true
 		}
 		t.mm.res = n
@@ -214,38 +260,101 @@ func (t *txBatch) packSockaddr() bool {
 	return true
 }
 
-// send ships the sealed datagram vector with as few sendmmsg calls as the
-// kernel allows: a partial acceptance (k < n messages) resubmits the
-// remainder, preserving datagram order. Hard errors drop the rest of the
-// vector, matching the portable path's NIC-like no-report semantics.
-func (t *txBatch) send() {
-	if t.mm.fallback {
-		t.sendPortable()
-		return
-	}
-	n := len(t.dgrams)
-	for i, d := range t.dgrams {
-		t.mm.iovs[i].Base = &d[0]
-		t.mm.iovs[i].SetLen(len(d))
-	}
-	t.mm.off, t.mm.cnt = 0, n
-	for t.mm.off < n {
-		t.mm.res = 0
-		if err := t.s.raw.Write(t.mm.writeFn); err != nil {
-			return // socket closed mid-shutdown
+// layout builds the sendmmsg messages for dgrams[from:]. A run of
+// consecutive datagrams becomes one message with an iovec per datagram and
+// a UDP_SEGMENT control message: the kernel builds one packet, takes it
+// down the stack once and cuts it every segment-size bytes. The segment
+// size is the run's largest datagram and every datagram but the run's last
+// is zero-padded up to it in its slot, so the cuts fall on datagram
+// boundaries and each wire datagram still decodes on its own (frame.go); a
+// datagram was sealed because the next record did not fit, so its padding
+// is smaller than that record. A run ends at the kernel's limits and at a
+// datagram above the MTU budget (a lone oversize frame, left to IP
+// fragmentation: a segment above the path MTU is EINVAL); that one, a run
+// of one, and everything once the peer is marked plain travel as ordinary
+// one-datagram messages.
+func (t *txBatch) layout(from int) {
+	mm := &t.mm
+	mm.off, mm.cnt = 0, 0
+	for i := from; i < len(t.dgrams); mm.cnt++ {
+		h := &mm.msgs[mm.cnt].hdr
+		h.Iov, h.Iovlen, h.Control = &mm.iovs[i], 1, nil
+		h.SetControllen(0)
+		// Iovlen is a size_t whose Go type differs by GOARCH (and has no
+		// setter), so the run counts it up instead of assigning an int.
+		n, seg := 1, len(t.dgrams[i])
+		for ; !mm.plain && seg <= t.budget && i+n < len(t.dgrams) && n < udpMaxSegments; n++ {
+			next := len(t.dgrams[i+n])
+			if next > t.budget || max(seg, next)*n+next > maxUDPPayload {
+				break
+			}
+			seg = max(seg, next)
+			h.Iovlen++
 		}
-		if t.mm.res <= 0 {
-			return
+		if n > 1 {
+			for j := i; j < i+n-1; j++ {
+				d := t.dgrams[j]
+				clear(d[len(d):seg])
+				t.dgrams[j] = d[:seg]
+			}
+			mm.ctl[mm.cnt].size = uint16(seg)
+			h.Control = (*byte)(unsafe.Pointer(&mm.ctl[mm.cnt]))
+			h.SetControllen(int(unsafe.Sizeof(mm.ctl[0])))
 		}
-		t.mm.off += t.mm.res
+		for end := i + n; i < end; i++ {
+			d := t.dgrams[i]
+			mm.iovs[i].Base = &d[0]
+			mm.iovs[i].SetLen(len(d))
+		}
 	}
 }
 
+// send ships the sealed datagram vector with as few sendmmsg calls as the
+// kernel allows: a partial acceptance (k < n messages) resubmits the
+// remainder, preserving datagram order. A kernel that refuses a segmented
+// message (EINVAL: kernel < 4.18; EINVAL or, on newer kernels, EMSGSIZE:
+// the segment exceeds the path MTU; EIO: no tx-checksum offload) marks the
+// peer plain until AddPeer re-registers it, and the unsent remainder is
+// laid out again as plain messages and resubmitted. Other hard errors drop
+// the rest of the vector, matching the portable path's NIC-like no-report
+// semantics; it reports whether everything went out.
+func (t *txBatch) send() bool {
+	if t.mm.fallback {
+		return t.sendPortable()
+	}
+	sent := 0 // datagrams accepted so far
+	t.layout(0)
+	for t.mm.off < t.mm.cnt {
+		t.mm.res = 0
+		if err := t.s.raw.Write(t.mm.writeFn); err != nil {
+			return false // socket closed mid-shutdown
+		}
+		if t.mm.res < 0 && t.mm.msgs[t.mm.off].hdr.Controllen != 0 {
+			switch t.mm.errno {
+			case syscall.EINVAL, syscall.EMSGSIZE, syscall.EIO:
+				t.mm.plain = true
+				t.layout(sent)
+				continue
+			}
+		}
+		if t.mm.res <= 0 {
+			return false
+		}
+		t.b.sendMessages.Add(uint64(t.mm.res))
+		for end := t.mm.off + t.mm.res; t.mm.off < end; t.mm.off++ {
+			sent += int(t.mm.msgs[t.mm.off].hdr.Iovlen)
+		}
+	}
+	return true
+}
+
 // mmsgRx is a receive goroutine's preallocated recvmmsg state: one
-// mmsghdr+iovec per datagram slot plus the saved raw-read callback.
+// mmsghdr, iovec and UDP_GRO control buffer per datagram slot plus the
+// saved raw-read callback.
 type mmsgRx struct {
 	msgs   []mmsghdr
 	iovs   []syscall.Iovec
+	ctl    []groCmsg
 	res    int // messages filled by the last syscall (-1: hard error)
 	readFn func(fd uintptr) bool
 }
@@ -255,11 +364,14 @@ func (r *rxBatch) initMMsg(b *Bridge, s *sock) {
 	k := len(r.bufs)
 	r.mm.msgs = make([]mmsghdr, k)
 	r.mm.iovs = make([]syscall.Iovec, k)
+	r.mm.ctl = make([]groCmsg, k)
 	for i := range r.mm.msgs {
 		r.mm.iovs[i].Base = &r.bufs[i][0]
 		r.mm.iovs[i].SetLen(len(r.bufs[i]))
 		r.mm.msgs[i].hdr.Iov = &r.mm.iovs[i]
 		r.mm.msgs[i].hdr.Iovlen = 1
+		r.mm.msgs[i].hdr.Control = (*byte)(unsafe.Pointer(&r.mm.ctl[i]))
+		r.mm.msgs[i].hdr.SetControllen(int(unsafe.Sizeof(r.mm.ctl[i])))
 	}
 	r.mm.readFn = func(fd uintptr) bool {
 		n, e := recvmmsgCall(fd, &r.mm.msgs[0], len(r.mm.msgs), syscall.MSG_DONTWAIT)
@@ -278,7 +390,8 @@ func (r *rxBatch) initMMsg(b *Bridge, s *sock) {
 
 // readBurst fills the receive vector with one blocking-equivalent recvmmsg
 // (the raw read parks on the netpoller until the socket holds datagrams,
-// then scoops up to the whole vector in one syscall). Raw-connection
+// then scoops up to the whole vector in one syscall); a slot may hold a
+// whole coalesced run of datagrams, which unpack cuts apart. Raw-connection
 // failures degrade to the portable one-datagram reads.
 func (b *Bridge) readBurst(s *sock, r *rxBatch) (int, bool) {
 	if b.cfg.portable || s.raw == nil {
@@ -295,9 +408,18 @@ func (b *Bridge) readBurst(s *sock, r *rxBatch) (int, bool) {
 		return 0, false
 	}
 	n := r.mm.res
+	b.recvMessages.Add(uint64(n))
 	for i := 0; i < n; i++ {
+		h, c := &r.mm.msgs[i].hdr, &r.mm.ctl[i]
 		r.lens[i] = int(r.mm.msgs[i].cnt)
-		r.ktrunc[i] = r.mm.msgs[i].hdr.Flags&syscall.MSG_TRUNC != 0
+		r.ktrunc[i] = h.Flags&syscall.MSG_TRUNC != 0
+		// A coalesced slot says so in a UDP_GRO control message. The kernel
+		// overwrote Controllen with what it wrote: re-arm it for the next call.
+		r.segs[i] = 0
+		if int(h.Controllen) >= syscall.CmsgLen(4) && c.hdr.Level == solUDP && c.hdr.Type == udpGRO {
+			r.segs[i] = int(c.size)
+		}
+		h.SetControllen(int(unsafe.Sizeof(*c)))
 	}
 	return n, true
 }

@@ -4,10 +4,10 @@
 // one socket, one sendto per datagram, one blocking read per wakeup — the
 // pre-mmsg transport. The packed-datagram wire format is identical, so a
 // non-Linux process interoperates with mmsg peers; only the syscall
-// amortization and the SO_REUSEPORT receive fan-out are Linux
-// specializations. This file deliberately uses no raw syscalls so every
-// GOOS the stdlib's net package supports keeps building (the cross-compile
-// CI gate holds it to that).
+// amortization, the segmented messages and the SO_REUSEPORT receive fan-out
+// are Linux specializations. This file deliberately uses no raw syscalls so
+// every GOOS the stdlib's net package supports keeps building (the
+// cross-compile CI gate holds it to that).
 
 package trans
 
@@ -28,7 +28,11 @@ type mmsgRx struct{}
 func (t *txBatch) initPlatform() {}
 
 // send ships the sealed vector through the portable per-datagram path.
-func (t *txBatch) send() { t.sendPortable() }
+func (t *txBatch) send() bool { return t.sendPortable() }
+
+// enableGRO is a no-op: only the Linux recvmmsg path can split a coalesced
+// read.
+func (s *sock) enableGRO() {}
 
 // readBurst reads datagrams the portable way: one blocking read, then the
 // (stubbed, see drain_other.go) non-blocking drain.

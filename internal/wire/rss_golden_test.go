@@ -49,9 +49,9 @@ func TestRSSGoldenVectors(t *testing.T) {
 		// Independent recomputation: FNV-1a over src addr, dst addr,
 		// protocol byte, then src and dst ports, as RSSHash documents.
 		h := fnv.New64a()
-		h.Write([]byte{10, 0, 0, g.srcLast})  // src
-		h.Write([]byte{192, 0, 2, 1})         // dst
-		h.Write([]byte{ProtoUDP})             // protocol
+		h.Write([]byte{10, 0, 0, g.srcLast})               // src
+		h.Write([]byte{192, 0, 2, 1})                      // dst
+		h.Write([]byte{ProtoUDP})                          // protocol
 		h.Write([]byte{byte(g.sport >> 8), byte(g.sport)}) // src port
 		h.Write([]byte{9000 >> 8, 9000 & 0xff})            // dst port
 		if want := h.Sum64(); want != g.hash {
