@@ -66,9 +66,14 @@ race:
 # adaptive, with one worker and with two stealing workers, under
 # deterministic loss) and the per-queue FIFO hammer, three times each under
 # -race, to shake out claim-migration races that a single run can miss.
+# Beside them, the path that has no queue to claim: concurrent ingests into
+# one replica (per-flow order, convergence) and its start/stop rules, in the
+# fabric and over real sockets.
 stress:
 	$(GO) test -race -count=3 -run 'TestBurstEquivalence|TestStealEquivalence' ./internal/core/
 	$(GO) test -race -count=3 -run 'TestQueueSchedPerQueueFIFO|TestQueueSchedSteal|TestQueueSchedReleaseRings' ./internal/netsim/
+	$(GO) test -race -count=3 -run 'TestIngestConcurrentFlowsFIFO|TestIngestLifecycle' ./internal/core/
+	$(GO) test -race -count=3 -run 'TestMultiSocketPerFlowFIFO|TestStopAndCloseUnderIngestLoad' ./internal/trans/
 
 # Decoder fuzz gate: replays the piggyback codec's seed corpus (every update
 # kind, coalesced/elided logs, truncations, and a retired-v1 blob that must
@@ -102,8 +107,8 @@ bench-pairs:
 	bash scripts/bench_pairs.sh $(W) $(PARENT) $(N)
 
 # Fast allocation gate: runs the per-role fast-path benchmarks (pass-through
-# hop, head hop, buffer hop; DESIGN.md §6) a fixed number of iterations so CI
-# can catch an allocation regression in seconds.
+# hop, head hop, buffer hop, head hop behind ingest; DESIGN.md §6) a fixed
+# number of iterations so CI can catch an allocation regression in seconds.
 bench-smoke:
 	$(GO) test ./... -run=NONE -bench=FastPath -benchtime=100x
 

@@ -20,7 +20,10 @@
 // transport. On Linux the socket path moves whole vectors of those packed
 // datagrams per syscall (sendmmsg/recvmmsg) across -sockets SO_REUSEPORT
 // sockets; off Linux it sends one datagram per syscall in the same wire
-// format, so mixed deployments interoperate. Traffic enters
+// format, so mixed deployments interoperate. The goroutine that reads a
+// socket runs the replica pipeline on what it read and sends the result on
+// (DESIGN.md §8): -sockets is the replica's parallelism and -sockbuf its
+// only ingress queue. Traffic enters
 // by sending packed frames (as ftcgen sends them) to replica 0's UDP
 // address; released packets leave from the last replica to -egress in the
 // same packed format.
@@ -93,14 +96,13 @@ func main() {
 		chainSpec = flag.String("chain", "monitor", "comma-separated middlebox list defining the chain")
 		mbName    = flag.String("mb", "", "middlebox this replica hosts (defaults to chain[index])")
 		f         = flag.Int("f", 1, "failures to tolerate")
-		workers   = flag.Int("workers", 2, "packet worker threads")
 		listenUDP = flag.String("listen-udp", "127.0.0.1:0", "data-plane listen address")
 		listenTCP = flag.String("listen-tcp", "127.0.0.1:0", "control-plane listen address")
 		egress    = flag.String("egress", "", "UDP address released packets are sent to (last replica only)")
 		burst     = flag.Int("burst", 0, "frames per batch, in-process and on the tunnel (0 = adaptive NAPI-style sizing, 1 = per-packet)")
 		mtuBudget = flag.Int("mtu-budget", trans.DefaultMTUBudget, "tunnel datagram packing budget in bytes")
-		sockets   = flag.Int("sockets", 0, "SO_REUSEPORT data-plane sockets sharing the UDP port (0 = GOMAXPROCS; non-Linux always 1)")
-		sockBuf   = flag.Int("sockbuf", 0, "requested SO_RCVBUF/SO_SNDBUF per data-plane socket in bytes (0 = OS default)")
+		sockets   = flag.Int("sockets", 0, "SO_REUSEPORT data-plane sockets sharing the UDP port, each read by one goroutine that runs the replica pipeline (0 = GOMAXPROCS; non-Linux always 1)")
+		sockBuf   = flag.Int("sockbuf", 0, "requested SO_RCVBUF/SO_SNDBUF per data-plane socket in bytes, the replica's ingress queue (0 = OS default)")
 		orchEns   = flag.String("orch-ensemble", "", "comma-separated orchestrator ensemble member addresses this replica accepts control commands from (logged for operators; discovery is the ensemble's job)")
 		minTerm   = flag.Uint64("min-controller-term", 0, "preset the controller fence floor: control commands below this term are rejected, so a leader deposed while this replica was down cannot adopt it (DESIGN.md \u00a714)")
 	)
@@ -114,12 +116,18 @@ func main() {
 	if name == "" && *index < numMB {
 		name = chainMBs[*index]
 	}
-	mb, err := buildMB(name, *workers)
+	// The receive goroutines are the workers: the resolved socket count is
+	// the parallelism Monitor's counter groups are sized for.
+	tcfg := trans.Config{Burst: *burst, MTUBudget: *mtuBudget, Sockets: *sockets, SocketBuf: *sockBuf}.WithDefaults()
+	mb, err := buildMB(name, tcfg.Sockets)
 	if err != nil {
 		log.Fatalf("ftcd: %v", err)
 	}
 
-	cfg := core.Config{F: *f, NumMB: numMB, Workers: *workers, Burst: *burst}.WithDefaults()
+	// One queue, one queue worker, both idle: nothing in this process sends
+	// to the local node from inside the fabric, and socket traffic never
+	// queues.
+	cfg := core.Config{F: *f, NumMB: numMB, Workers: 1, Burst: *burst}.WithDefaults()
 	ring := cfg.Ring()
 	if *index < 0 || *index >= ring.M() {
 		log.Fatalf("ftcd: index %d out of ring range 0..%d", *index, ring.M()-1)
@@ -128,11 +136,7 @@ func main() {
 	fabric := netsim.New(netsim.Config{})
 	defer fabric.Stop()
 
-	local := fabric.AddNode(ringID(*index), netsim.NodeConfig{
-		Queues:   cfg.NumIngressQueues(),
-		QueueCap: 4096,
-		Selector: wire.RSSSelector,
-	})
+	local := fabric.AddNode(ringID(*index), netsim.NodeConfig{Queues: 1, QueueCap: 4096})
 
 	// Egress proxy: the bridge tunnels frames for this node to -egress.
 	egressID := netsim.NodeID("")
@@ -170,16 +174,16 @@ func main() {
 		// freshly restarted replica with stale recovery commands.
 		replica.FenceTerm(*minTerm)
 	}
-	replica.Start()
-	defer replica.Stop()
-
-	bridge, err := trans.NewBridge(fabric, local.ID(), *listenUDP, *listenTCP, peerList,
-		trans.Config{Burst: *burst, MTUBudget: *mtuBudget,
-			Sockets: *sockets, SocketBuf: *sockBuf})
+	bridge, err := trans.NewBridge(fabric, local.ID(), *listenUDP, *listenTCP, peerList, tcfg)
 	if err != nil {
 		log.Fatalf("ftcd: %v", err)
 	}
 	defer bridge.Close()
+	// Started after the bridge so that it stops before the bridge closes:
+	// Close waits on receive goroutines that are inside the pipeline. Bursts
+	// that arrive before Start are dropped, and counted, in the fabric.
+	replica.Start()
+	defer replica.Stop()
 	udpAddr, tcpAddr := bridge.Addrs()
 	mbDesc := "extension replica (no middlebox)"
 	if mb != nil {
@@ -198,8 +202,8 @@ func main() {
 	bs := bridge.Stats()
 	// Socket-buffer truth logging: the kernel clamps (and on Linux
 	// doubles) setsockopt requests, so report what it actually granted.
-	log.Printf("ftcd: data plane %s, control plane %s (burst %s, %d ingress queues, mtu budget %d, %d sockets, rcvbuf %d, sndbuf %d)",
-		udpAddr, tcpAddr, burstDesc, local.NumQueues(), *mtuBudget,
+	log.Printf("ftcd: data plane %s, control plane %s (burst %s, mtu budget %d, %d sockets each read by one pipeline goroutine, rcvbuf %d, sndbuf %d)",
+		udpAddr, tcpAddr, burstDesc, *mtuBudget,
 		bs.Sockets, bs.EffRcvBuf, bs.EffSndBuf)
 
 	sig := make(chan os.Signal, 1)
@@ -225,8 +229,11 @@ func main() {
 	log.Printf("ftcd: tunnel syscalls send=%d recv=%d messages send=%d recv=%d send_errors=%d over %d sockets (rcvbuf %d, sndbuf %d)",
 		ts.SendSyscalls, ts.RecvSyscalls, ts.SendMessages, ts.RecvMessages, ts.SendErrors,
 		ts.Sockets, ts.EffRcvBuf, ts.EffSndBuf)
-	sched := replica.Sched()
-	log.Printf("ftcd: sched steals=%d burst=%d clamps=%d queue depths=%v",
-		sched.Steals.Value(), sched.Burst.Value(), local.Clamps(),
-		local.QueueDepths(nil))
+	bursts := replica.Sched().Bursts.Value()
+	meanBurst := 0.0
+	if bursts > 0 {
+		meanBurst = float64(s.RxFrames.Load()) / float64(bursts)
+	}
+	_, _, dropped, _ := fabric.Stats()
+	log.Printf("ftcd: sched bursts=%d mean_burst=%.1f dropped=%d", bursts, meanBurst, dropped)
 }

@@ -43,9 +43,10 @@ func (b *egressBuffer) len() int {
 // bufferStage runs the chain-egress pipeline on the last ring node: it
 // transfers the packet's remaining piggyback message to the forwarder,
 // then holds or releases the packet per the §5.1 release rule. The return
-// value reports whether the buffer took ownership of pkt.Buf (held it);
-// held frames are recycled by tryRelease once they egress. Egress sends and
-// the held-packet release scan are deferred to w's flush.
+// value reports whether the packet was held: the buffer then owns pkt.Buf
+// (a pooled copy of it on an ingest worker, whose frames die at the flush),
+// and tryRelease recycles it once it egresses. Egress sends and the
+// held-packet release scan are deferred to w's flush.
 func (r *Replica) bufferStage(pkt *wire.Packet, msg *Message, w *worker) bool {
 	// Transfer wrapped logs and in-flight commit vectors to the forwarder
 	// so they continue around the ring (the paper ships these on a
@@ -133,8 +134,14 @@ func (r *Replica) bufferStage(pkt *wire.Packet, msg *Message, w *worker) bool {
 		l := &msg.Logs[i]
 		heldLogs[i] = Log{MB: l.MB, Flags: l.Flags, Vec: w.heldVecs.Clone(l.Vec)}
 	}
+	frame := pkt.Buf
+	if w.arena != nil {
+		// An ingest worker's frames die at the flush; the hold outlives it.
+		frame = netsim.AcquireFrame(len(pkt.Buf))
+		copy(frame, pkt.Buf)
+	}
 	r.buf.mu.Lock()
-	r.buf.held = append(r.buf.held, heldPacket{frame: pkt.Buf, logs: heldLogs, gen: msg.Gen})
+	r.buf.held = append(r.buf.held, heldPacket{frame: frame, logs: heldLogs, gen: msg.Gen})
 	r.buf.mu.Unlock()
 	return true
 }

@@ -18,10 +18,16 @@ type Config struct {
 	// Partitions is the state-partition count per middlebox store. It must
 	// exceed the maximum worker count to keep lock contention low (§4.2).
 	Partitions int
-	// Workers is the number of packet-processing threads per replica.
+	// Workers is the number of queue workers per replica: the goroutines
+	// that drain the node's ingress queues, which senders inside the fabric
+	// fill. Bursts injected from outside it (a socket bridge's receive
+	// goroutines) run the pipeline on the goroutine that injected them and
+	// are not bounded by Workers; a bridged replica's parallelism is its
+	// bridge's socket count.
 	Workers int
 	// Burst is the vector-processing batch size: each worker drains up to
-	// this many frames per ingress wakeup and amortizes route resolution,
+	// this many frames per ingress wakeup (an injected burst is run in
+	// chunks of it) and amortizes route resolution,
 	// state-lock acquisition, retransmission-buffer appends, and commit
 	// dissemination across them (DPDK-style burst processing). Partial
 	// bursts flush immediately, so bursting adds no latency floor; Burst=1

@@ -214,10 +214,39 @@ func udpFrame(tb testing.TB, size, i int) []byte {
 // the one middlebox, node 1 its follower, tail and the egress buffer. Frames
 // cross the real fabric, so every hop sees a pooled receiver-owned copy.
 type roleRig struct {
+	fab               *netsim.Fabric
 	gen, n0, n1, sink *netsim.Node
 	head, last        *Replica
 	hw, lw            *worker
 	ingress           [][]byte // hopBurst raw frames, one flow each
+	// viaIngest makes the hops inject their burst from outside the fabric,
+	// so the replica's ingest runs it (arena copy, ingest worker) instead of
+	// the rig draining the queue into hw/lw.
+	viaIngest bool
+}
+
+// newIngestRoleRig is newRoleRig with both replicas open to injected bursts.
+func newIngestRoleRig(tb testing.TB, frameSize int) *roleRig {
+	rig := newRoleRig(tb, frameSize)
+	rig.viaIngest = true
+	openIngest(rig.head)
+	openIngest(rig.last)
+	return rig
+}
+
+// run puts one burst through r: injected when the rig drives ingest (Inject
+// only borrows the frames), else sent by from and drained into w.
+func (rig *roleRig) run(tb testing.TB, r *Replica, w *worker, from *netsim.Node, frames [][]byte) {
+	if rig.viaIngest {
+		if err := rig.fab.Inject("wan", r.SimID(), frames); err != nil {
+			tb.Fatal(err)
+		}
+		return
+	}
+	if err := from.SendBurst(r.SimID(), frames); err != nil {
+		tb.Fatal(err)
+	}
+	r.handleBurst(w, r.sim.RecvBurst(0, w.in[:hopBurst]))
 }
 
 func newRoleRig(tb testing.TB, frameSize int) *roleRig {
@@ -228,7 +257,7 @@ func newRoleRig(tb testing.TB, frameSize int) *roleRig {
 	node := func(id netsim.NodeID) *netsim.Node {
 		return fab.AddNode(id, netsim.NodeConfig{QueueCap: 64 * hopBurst})
 	}
-	rig := &roleRig{gen: node("gen"), n0: node("r0"), n1: node("r1"), sink: node("sink")}
+	rig := &roleRig{fab: fab, gen: node("gen"), n0: node("r0"), n1: node("r1"), sink: node("sink")}
 	ring := []netsim.NodeID{"r0", "r1"}
 	rig.head = NewReplica(cfg, ReplicaSpec{Index: 0, Sim: rig.n0, Fabric: fab, RingIDs: ring, MB: newGenMB(16)})
 	rig.last = NewReplica(cfg, ReplicaSpec{Index: 1, Sim: rig.n1, Fabric: fab, RingIDs: ring, Egress: "sink"})
@@ -258,11 +287,7 @@ const headHopBudget = 1.5 // allocations per packet; genMB's value is 1.0
 // through the head hop: forwarder take, option insert, packet transaction,
 // coalescing, trailer encode, flush to node 1, whose queue it then drains.
 func (rig *roleRig) headHop(tb testing.TB) {
-	if err := rig.gen.SendBurst("r0", rig.ingress); err != nil {
-		tb.Fatal(err)
-	}
-	n := rig.n0.RecvBurst(0, rig.hw.in[:hopBurst])
-	rig.head.handleBurst(rig.hw, n)
+	rig.run(tb, rig.head, rig.hw, rig.gen, rig.ingress)
 	// Nothing downstream commits in this rig; prune by the head's own vector
 	// so the retransmission buffer stays at its steady one-burst size.
 	rig.head.Head().Buffer().Prune(rig.head.Head().Vector())
@@ -333,12 +358,8 @@ const bufferHopBudget = 0.25 // allocations per packet
 // the final one is held; the final one's commit releases them all at the
 // flush. All hopBurst packets must have left through the sink.
 func (rig *roleRig) bufferHop(tb testing.TB, frames [][]byte) {
-	if err := rig.n0.SendBurst("r1", frames); err != nil {
-		tb.Fatal(err)
-	}
-	n := rig.n1.RecvBurst(0, rig.lw.in[:hopBurst])
 	held := rig.last.Stats().Held.Load()
-	rig.last.handleBurst(rig.lw, n)
+	rig.run(tb, rig.last, rig.lw, rig.n0, frames)
 	if got := rig.last.Stats().Held.Load() - held; got != hopBurst-1 {
 		tb.Fatalf("buffer held %d packets of a %d burst, want all but the last", got, hopBurst)
 	}
@@ -392,6 +413,75 @@ func BenchmarkFastPathBuffer(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i += hopBurst {
 		hop()
+	}
+}
+
+// TestFastPathIngestAllocs gates the three roles behind ingest (DESIGN.md
+// §6): the arena is grown once and the ingest worker is reused, so the head
+// role keeps the queue path's budget, a pass-through hop allocates nothing,
+// and the buffer role pays its quarter allocation per packet with the hold's
+// copy coming from the frame pool.
+func TestFastPathIngestAllocs(t *testing.T) {
+	t.Run("head", func(t *testing.T) {
+		rig := newIngestRoleRig(t, rigFrame)
+		for i := 0; i < 50; i++ {
+			rig.headHop(t)
+		}
+		per := testing.AllocsPerRun(100, func() { rig.headHop(t) }) / hopBurst
+		t.Logf("ingest head hop: %.2f allocations per packet", per)
+		if per > headHopBudget {
+			t.Fatalf("ingest head hop allocates %.2f times per packet, budget is %.2f", per, headHopBudget)
+		}
+	})
+	t.Run("pass-through", func(t *testing.T) {
+		rig := newFastPathRig(t)
+		openIngest(rig.r)
+		burst := make([][]byte, hopBurst)
+		for i := range burst {
+			burst[i] = rig.tmpl
+		}
+		hop := func() {
+			if err := rig.fab.Inject("wan", "r2", burst); err != nil {
+				t.Fatal(err)
+			}
+			if got := drain(rig.next); got != hopBurst {
+				t.Fatalf("hop forwarded %d frames of a %d burst", got, hopBurst)
+			}
+		}
+		for i := 0; i < 50; i++ {
+			hop()
+		}
+		if n := testing.AllocsPerRun(100, hop); n != 0 {
+			t.Fatalf("ingest pass-through hop allocates %.2f times per burst, budget is 0", n)
+		}
+	})
+	t.Run("buffer", func(t *testing.T) {
+		rig := newIngestRoleRig(t, rigFrame)
+		const warm, runs = 50, 100
+		hop := rig.bufferRuns(t, warm+runs+1) // AllocsPerRun adds a warm-up call
+		for i := 0; i < warm; i++ {
+			hop()
+		}
+		per := testing.AllocsPerRun(runs, hop) / hopBurst
+		t.Logf("ingest buffer hop: %.2f allocations per packet", per)
+		if per > bufferHopBudget {
+			t.Fatalf("ingest buffer hop allocates %.2f times per packet, budget is %.2f", per, bufferHopBudget)
+		}
+	})
+}
+
+// BenchmarkFastPathIngest is the head hop behind ingest, per packet (one op
+// = one packet): what ring node 0 of a bridged chain does with each burst a
+// receive goroutine injects.
+func BenchmarkFastPathIngest(b *testing.B) {
+	rig := newIngestRoleRig(b, rigFrame)
+	for i := 0; i < 50; i++ {
+		rig.headHop(b)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += hopBurst {
+		rig.headHop(b)
 	}
 }
 

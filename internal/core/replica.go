@@ -40,12 +40,16 @@ type Stats struct {
 }
 
 // SchedStats exposes the scheduling layer's observability (DESIGN.md §9):
-// how often workers stole a sibling's flow partition and the burst budget
-// the adaptive controller last settled on. Per-queue depths and selector
-// clamps live on the netsim node (QueueDepths, Clamps).
+// how often workers stole a sibling's flow partition, how many bursts the
+// pipeline ran — every per-burst cost is amortized over Stats.RxFrames /
+// Bursts frames — and the most recent burst size. Per-queue depths and
+// selector clamps live on the netsim node (QueueDepths, Clamps).
 type SchedStats struct {
 	Steals metrics.Counter // bursts drained from a non-home flow partition
-	Burst  metrics.Gauge   // most recent per-worker burst budget
+	Bursts metrics.Counter // bursts handled, queue workers and ingest alike
+	// Burst is the burst budget the adaptive controller last settled on (a
+	// queue worker) or the size of the burst last injected (ingest).
+	Burst metrics.Gauge
 }
 
 // Replica is one FTC chain node: it hosts a middlebox and the head of that
@@ -98,6 +102,14 @@ type Replica struct {
 	expMu      sync.Mutex   // serializes expiry scans; guards expKeys and expW
 	expKeys    []string     // reusable CollectExpired buffer
 	expW       *worker      // carries each scan's deletion log out of the node
+
+	// Ingest (worker.go): the pipeline attached to the node for bursts
+	// injected from outside the fabric. ingMu orders an ingest's admission
+	// (started, not crashed, wg.Add) against Stop's crash-then-Wait, and
+	// guards the free list of ingest workers.
+	ingMu   sync.Mutex
+	started bool
+	ingFree []*worker
 
 	stats    Stats
 	sched    SchedStats
@@ -200,6 +212,11 @@ func NewReplica(cfg Config, spec ReplicaSpec) *Replica {
 	if spec.Index == ring.M()-1 {
 		r.buf = newEgressBuffer()
 	}
+	// Attached before the node can see traffic, so external ingress never has
+	// two paths live: until Start an injected burst is dropped and counted
+	// (a NIC whose port is not up yet), never parked in a queue the run
+	// loops would drain beside later ingests.
+	spec.Sim.AttachIngest(r.ingest)
 	return r
 }
 
@@ -241,11 +258,15 @@ func (r *Replica) SetGen(g uint32) {
 }
 
 // Start launches the worker threads and, on the first node, the propagating
-// timer, and registers the control-plane handlers. Workers goroutines
-// schedule claim-based over whatever ingress queues the node has
-// (Config.NumIngressQueues when the chain built it).
+// timer, registers the control-plane handlers and opens the node to
+// injected bursts (ingest). Workers goroutines schedule claim-based over
+// whatever ingress queues the node has (Config.NumIngressQueues when the
+// chain built it).
 func (r *Replica) Start() {
 	r.registerControl()
+	r.ingMu.Lock()
+	r.started = true
+	r.ingMu.Unlock()
 	for i := 0; i < r.cfg.Workers; i++ {
 		r.wg.Add(1)
 		go func(i int) {
@@ -263,12 +284,17 @@ func (r *Replica) Start() {
 	}
 }
 
-// Stop terminates the replica's goroutines. The underlying fabric node is
-// left intact (use Crash on the netsim node to fail-stop it).
+// Stop terminates the replica's goroutines and waits out the ingests in
+// flight; once it returns nothing more is processed. The fabric node is
+// left crashed.
 func (r *Replica) Stop() {
 	r.stopOnce.Do(func() {
 		close(r.stopped)
+		// Under ingMu: an ingest either counted itself into wg before the
+		// crash or sees it and is refused, so no wg.Add races the Wait.
+		r.ingMu.Lock()
 		r.sim.Crash()
+		r.ingMu.Unlock()
 	})
 	r.wg.Wait()
 }

@@ -55,14 +55,19 @@ func (r *Replica) run(idx int) {
 // frames) plus the deferred-work queues that let a burst pay once for what
 // a per-packet pipeline pays per frame — next-hop route resolution and
 // sends, state-lock begin/commit, retransmission-buffer appends, and commit
-// dissemination. The queue workers (run) and the timers (propagateLoop,
-// resendLoop, expiry) each own one: everything the pipeline emits leaves the
-// node through a worker's beginBurst/flushBurst bracket.
+// dissemination. The queue workers (run), the ingest workers (ingest) and
+// the timers (propagateLoop, resendLoop, expiry) each own one: everything
+// the pipeline emits leaves the node through a worker's
+// beginBurst/flushBurst bracket.
 type worker struct {
 	pkt     wire.Packet
 	dec     MsgScratch
 	ingress Message          // reused header for raw-ingress packets
-	in      []netsim.Inbound // drain landing zone (queue workers), len == cfg.maxBurst()
+	in      []netsim.Inbound // burst landing zone (queue and ingest workers), len == cfg.maxBurst()
+	// arena backs an ingest worker's frames: each burst is copied into it
+	// once and carved into w.in, and the bytes are dead at the flush. Nil on
+	// every other worker, whose inbound frames are pooled and recycle (rel).
+	arena []byte
 
 	out []([]byte) // trailered frames awaiting the flush to the next hop
 	egr []([]byte) // finalized frames awaiting the flush to egress
@@ -104,8 +109,9 @@ type worker struct {
 	dissemDue bool      // a commitEvery tick fired; disseminate at the boundary
 }
 
-// newQueueWorker builds the state of one run loop: the drain landing zone
-// and, on a node hosting a middlebox, the transaction batch and body.
+// newQueueWorker builds the state of one run loop or one ingest worker: the
+// burst landing zone and, on a node hosting a middlebox, the transaction
+// batch and body.
 func (r *Replica) newQueueWorker() *worker {
 	w := &worker{in: make([]netsim.Inbound, r.cfg.maxBurst())}
 	if r.head != nil {
@@ -124,10 +130,11 @@ func (r *Replica) newQueueWorker() *worker {
 // flushes immediately after its only frame, so bursting never adds a
 // latency floor.
 func (r *Replica) handleBurst(w *worker, n int) {
+	r.sched.Bursts.Inc()
 	r.beginBurst(w)
 	for i := 0; i < n; i++ {
 		w.last = i == n-1
-		if !r.handleFrame(w.in[i], w) {
+		if !r.handleFrame(w.in[i], w) && w.arena == nil {
 			w.rel = append(w.rel, w.in[i].Frame)
 		}
 	}
@@ -140,6 +147,63 @@ func (r *Replica) handleBurst(w *worker, n int) {
 		// inside the bracket if a fetch writer is queued behind this burst.
 		r.maybeExpire()
 	}
+}
+
+// ingest is the pipeline the replica attaches to its node
+// (netsim.Node.AttachIngest): a burst injected from outside the fabric — a
+// socket bridge's receive goroutine — runs to completion on the injecting
+// goroutine, with no queue, wake-up or per-frame pool operation in between.
+// The frames are borrowed, so each burst is copied once into the worker's
+// arena, carved cap-limited with the headroom a fabric delivery has (option
+// insert and trailer append stay in place, and can never run into the next
+// frame), and handed to handleBurst in chunks of len(w.in). Arena frames are
+// never recycled; the one stage that keeps a frame past the flush, the
+// egress buffer's hold, copies it out (bufferStage). Frames of one flow come
+// from one predecessor over one socket, hence one goroutine, so per-flow
+// order needs no queue claim; concurrent ingests are the multi-worker case
+// the pipeline's locks already cover. It reports false — the fabric drops
+// and counts the burst — before Start and once the node has crashed.
+func (r *Replica) ingest(frames [][]byte) bool {
+	r.ingMu.Lock()
+	if !r.started || r.sim.Crashed() {
+		r.ingMu.Unlock()
+		return false
+	}
+	r.wg.Add(1)
+	var w *worker
+	if k := len(r.ingFree); k > 0 {
+		w, r.ingFree = r.ingFree[k-1], r.ingFree[:k-1]
+	}
+	r.ingMu.Unlock()
+	if w == nil {
+		// At most one per concurrently injecting goroutine is ever built.
+		w = r.newQueueWorker()
+	}
+	r.sched.Burst.Set(int64(len(frames)))
+	for len(frames) > 0 {
+		n := min(len(frames), len(w.in))
+		need := 0
+		for _, fr := range frames[:n] {
+			need += len(fr) + netsim.FrameHeadroom
+		}
+		if cap(w.arena) < need {
+			w.arena = make([]byte, need)
+		}
+		off := 0
+		for i, fr := range frames[:n] {
+			end := off + len(fr)
+			w.in[i].Frame = w.arena[off : end : end+netsim.FrameHeadroom]
+			copy(w.in[i].Frame, fr)
+			off = end + netsim.FrameHeadroom
+		}
+		r.handleBurst(w, n)
+		frames = frames[n:]
+	}
+	r.ingMu.Lock()
+	r.ingFree = append(r.ingFree, w)
+	r.ingMu.Unlock()
+	r.wg.Done()
+	return true
 }
 
 // beginBurst opens the bracket that flushBurst closes; between the two, the

@@ -15,7 +15,11 @@
 // bridge's peer proxies) takes a delivery hook instead of ingress queues
 // (NodeConfig.Deliver): the fabric hands it the frames on the sender's
 // goroutine, borrowed for the duration of the call, and the hook copies
-// whatever it keeps.
+// whatever it keeps. The other direction has the same shape: traffic that
+// enters from outside the fabric (Fabric.Inject) runs the pipeline a node
+// has attached (Node.AttachIngest) on the injecting goroutine, frames
+// borrowed, and only nodes with nothing attached, shaped or lossy links and
+// senders inside the fabric use the queues.
 package netsim
 
 import (
@@ -213,22 +217,24 @@ func (f *Fabric) getLink(src, dst NodeID) *link {
 	return l
 }
 
-// Send transmits frame from src to dst, applying the link profile. The frame
-// is copied; the caller keeps ownership of its buffer. Like a real network,
-// Send does not report downstream loss: it returns an error only if the
-// destination is unknown or the fabric is stopped. Frames to crashed nodes
-// vanish (fail-stop).
+// Send injects one frame (see Inject). Like a real network, it does not
+// report downstream loss: it returns an error only if the destination is
+// unknown or the fabric is stopped. Frames to crashed nodes vanish
+// (fail-stop).
 func (f *Fabric) Send(src, dst NodeID, frame []byte) error {
-	return f.send(src, dst, frame, false)
+	return f.Inject(src, dst, [][]byte{frame})
 }
 
-// SendBurst transmits a burst of frames from src to dst, resolving the
-// destination and link profile once for the whole burst. Per-frame
-// semantics are identical to calling Send in a loop (each frame is copied
-// and tail-drops independently); like Send, it is usable from sources that
-// are not fabric nodes — the trans bridge injects each received tunnel
-// batch this way.
-func (f *Fabric) SendBurst(src, dst NodeID, frames [][]byte) error {
+// Inject transmits a burst of frames into the fabric from a source that is
+// not a fabric node — the trans bridge injects each received datagram vector
+// this way — resolving the destination and link profile once for the whole
+// burst. A destination with a pipeline attached (Node.AttachIngest) runs it
+// on the calling goroutine when the link is on the zero-profile fast path:
+// the frames are borrowed for the call, nothing is copied or queued here,
+// and a crashed or refusing node drops and counts the burst. Any other
+// destination, and any shaped or lossy link, gets what a node-to-node
+// SendBurst gives: each frame is copied and tail-drops independently.
+func (f *Fabric) Inject(src, dst NodeID, frames [][]byte) error {
 	if len(frames) == 0 {
 		return nil
 	}
@@ -241,23 +247,17 @@ func (f *Fabric) SendBurst(src, dst NodeID, frames [][]byte) error {
 	if n == nil {
 		return ErrUnknownNode
 	}
-	f.transmitBurst(f.getLink(src, dst), n, src, frames, false)
-	return nil
-}
-
-// send resolves the destination and link without a route cache; node-level
-// sends go through Node.sendCached instead.
-func (f *Fabric) send(src, dst NodeID, frame []byte, block bool) error {
-	if f.stopped.Load() {
-		return ErrFabricDown
+	l := f.getLink(src, dst)
+	if ingest := n.ingest.Load(); ingest != nil && l.profile.Load().fastPath() {
+		f.sent.v.Add(uint64(len(frames)))
+		if !n.crashed.Load() && (*ingest)(frames) {
+			f.delivered.v.Add(uint64(len(frames)))
+		} else {
+			f.dropped.v.Add(uint64(len(frames)))
+		}
+		return nil
 	}
-	f.mu.RLock()
-	n := f.nodes[dst]
-	f.mu.RUnlock()
-	if n == nil {
-		return ErrUnknownNode
-	}
-	f.transmit(f.getLink(src, dst), n, src, frame, block)
+	f.transmitBurst(l, n, src, frames, false)
 	return nil
 }
 
@@ -327,19 +327,20 @@ func (f *Fabric) transmit(l *link, n *Node, src NodeID, frame []byte, block bool
 	time.AfterFunc(delay, func() { f.deliver(n, src, buf, false) })
 }
 
-// frameHeadroom is the spare capacity behind every delivered frame, so the
+// FrameHeadroom is the spare capacity behind every delivered frame (and every
+// frame an attached pipeline carves for itself, see AttachIngest), so the
 // receiver can insert the 4-byte FTC option and append a piggyback trailer
 // in place instead of reallocating the frame and losing the pooled buffer.
 // Sized from what the frozen benchmark measures a packet to gain on a chain
 // link (core.piggyback_bytes_per_pkt: 25–106 B across its four workloads)
 // plus the option and the trailer footer; a bigger trailer (a coalesced run
 // of large values) still works, it just reallocates as before.
-const frameHeadroom = 128
+const FrameHeadroom = 128
 
 // receiverCopy makes the receiver-owned copy of frame on a pooled buffer
-// with frameHeadroom behind it.
+// with FrameHeadroom behind it.
 func receiverCopy(frame []byte) []byte {
-	buf := AcquireFrame(len(frame) + frameHeadroom)[:len(frame)]
+	buf := AcquireFrame(len(frame) + FrameHeadroom)[:len(frame)]
 	copy(buf, frame)
 	return buf
 }

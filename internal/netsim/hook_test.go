@@ -33,7 +33,7 @@ func TestHookNodeBorrowsSenderFrames(t *testing.T) {
 	if err := a.SendBurstBlocking("h", burst); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.SendBurst("outside", "h", burst[:1]); err != nil {
+	if err := f.Inject("outside", "h", burst[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if len(calls) != 3 {
@@ -85,10 +85,10 @@ func TestHookNodeBorrowsSenderFrames(t *testing.T) {
 func TestHookNodeShapedLinkReleasesCopy(t *testing.T) {
 	const (
 		frames   = 300
-		frameLen = 5000 // + frameHeadroom lands in the 16 KiB class
+		frameLen = 5000 // + FrameHeadroom lands in the 16 KiB class
 	)
 	class := &framePools[3]
-	if frameLen+frameHeadroom <= framePools[2].size || frameLen+frameHeadroom > class.size {
+	if frameLen+FrameHeadroom <= framePools[2].size || frameLen+FrameHeadroom > class.size {
 		t.Fatal("test frame no longer maps to the pool class it inspects")
 	}
 	drainClass := func() [][]byte {

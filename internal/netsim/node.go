@@ -42,9 +42,12 @@ type Node struct {
 	queues   []chan Inbound
 	selector QueueSelector
 	hook     func(first []byte, rest [][]byte) // NodeConfig.Deliver; queues is empty when set
-	crashed  atomic.Bool
-	crashOn  sync.Once
-	crashCh  chan struct{} // closed on Crash; queues are never closed
+	// ingest is the pipeline attached with AttachIngest, nil without one;
+	// Fabric.Inject runs it on the injecting goroutine instead of queueing.
+	ingest  atomic.Pointer[func(frames [][]byte) bool]
+	crashed atomic.Bool
+	crashOn sync.Once
+	crashCh chan struct{} // closed on Crash; queues are never closed
 
 	// claims are the per-queue worker-claim flags of the stealing scheduler
 	// (sched.go): a set flag means one worker holds exclusive drain rights.
@@ -94,6 +97,18 @@ func newNode(id NodeID, f *Fabric, cfg NodeConfig) *Node {
 	}
 	return n
 }
+
+// AttachIngest makes the node run-to-completion for traffic from outside
+// the fabric: Fabric.Inject hands fn each burst on the injecting goroutine
+// instead of copying it frame by frame into the ingress queues. The frames
+// are borrowed — they belong to the injector again as soon as fn returns,
+// and fn copies what it keeps — and several injectors may call fn at once.
+// fn reports whether it took the burst; false drops and counts it, as a
+// crashed node does (fn is no longer called once the node has crashed).
+// Sends from fabric nodes and injections over a shaped or lossy link still
+// arrive through the queues: between simulated servers the queue is the NIC
+// ring.
+func (n *Node) AttachIngest(fn func(frames [][]byte) bool) { n.ingest.Store(&fn) }
 
 // ID returns the node's identifier.
 func (n *Node) ID() NodeID { return n.id }

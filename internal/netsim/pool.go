@@ -10,7 +10,10 @@ package netsim
 // Ownership discipline:
 //
 //   - The fabric acquires a buffer in transmit() and hands it to exactly one
-//     receiver via the node's ingress queue (Inbound.Frame).
+//     receiver via the node's ingress queue (Inbound.Frame). Frames that
+//     never enter a queue are never pooled: a hook node (NodeConfig.Deliver)
+//     and an attached pipeline (Node.AttachIngest) borrow the sender's own
+//     buffers for the call and must not release them.
 //   - The receiver may call ReleaseFrame once it is done with the frame. A
 //     receiver that retains the frame (or simply never releases) is safe: the
 //     buffer is garbage collected like any other slice; the pool just loses

@@ -19,7 +19,10 @@ import (
 // path runs concurrently too. Every frame also goes to a hook node, over the
 // same two kinds of link: the hook borrows the sender's own buffer on the
 // fast path and a pooled copy on the timer path, and must find either intact
-// for as long as its call lasts.
+// for as long as its call lasts. And every frame is injected, as from
+// outside the fabric, into a node with a pipeline attached: over the zero
+// profile the pipeline borrows the injector's buffer, over the shaped link
+// the frame takes the queue path and a receiver owns a pooled copy.
 func TestFramePoolAliasing(t *testing.T) {
 	const (
 		framesPerSender = 3000
@@ -73,29 +76,52 @@ func TestFramePoolAliasing(t *testing.T) {
 		LossRate: 0.2,
 	})
 
+	var ingestGot, ingestBad atomic.Int64
+	g := f.AddNode("g", NodeConfig{QueueCap: 64})
+	g.AttachIngest(func(frames [][]byte) bool {
+		for _, frame := range frames {
+			if !check(frame) {
+				ingestBad.Add(1)
+			}
+			runtime.Gosched()
+			if !check(frame) {
+				ingestBad.Add(1)
+			}
+			ingestGot.Add(1)
+		}
+		return true
+	})
+	f.SetLink("a", "g", LinkProfile{
+		Latency:  200 * time.Microsecond,
+		Jitter:   200 * time.Microsecond,
+		LossRate: 0.2,
+	})
+
 	var stop sync.WaitGroup
-	stop.Add(1)
-	var got, bad int
-	go func() {
+	var got, bad, gotG, badG int
+	receive := func(n *Node, got, bad *int) {
 		defer stop.Done()
 		for {
-			in, ok := b.Recv(0)
+			in, ok := n.Recv(0)
 			if !ok {
 				return
 			}
 			if !check(in.Frame) {
-				bad++
+				*bad++
 			}
 			// Hold the frame across a scheduling point and read it again: if
 			// the fabric recycled it prematurely, the second read differs.
 			runtime.Gosched()
 			if !check(in.Frame) {
-				bad++
+				*bad++
 			}
-			got++
+			*got++
 			ReleaseFrame(in.Frame)
 		}
-	}()
+	}
+	stop.Add(2)
+	go receive(b, &got, &bad)
+	go receive(g, &gotG, &badG)
 
 	var senders sync.WaitGroup
 	for _, src := range []*Node{a, c} {
@@ -118,6 +144,10 @@ func TestFramePoolAliasing(t *testing.T) {
 					t.Errorf("send to hook: %v", err)
 					return
 				}
+				if err := f.Inject(n.ID(), "g", [][]byte{frame}); err != nil {
+					t.Errorf("inject: %v", err)
+					return
+				}
 				// Scribble over the sender's buffer immediately: the fabric
 				// must have copied the frame, pooled or not.
 				for j := range frame {
@@ -132,7 +162,7 @@ func TestFramePoolAliasing(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		sent, delivered, dropped, lost := f.Stats()
-		if sent == delivered+dropped+lost && b.QueueLen(0) == 0 {
+		if sent == delivered+dropped+lost && b.QueueLen(0) == 0 && g.QueueLen(0) == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -141,15 +171,25 @@ func TestFramePoolAliasing(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	time.Sleep(5 * time.Millisecond) // let the receiver finish its last frame
-	b.Crash()                        // unblock the receiver
+	time.Sleep(5 * time.Millisecond) // let the receivers finish their last frame
+	b.Crash()                        // unblock the receivers
+	g.Crash()
 	stop.Wait()
 
-	if bad != 0 {
-		t.Fatalf("%d of %d received frames had corrupted contents (pool aliasing)", bad, got)
+	if bad+badG != 0 {
+		t.Fatalf("%d of %d received frames had corrupted contents (pool aliasing)", bad+badG, got+gotG)
 	}
 	if got == 0 {
 		t.Fatal("receiver saw no frames")
+	}
+	if n := ingestBad.Load(); n != 0 {
+		t.Fatalf("%d of %d frames changed under the attached pipeline while it borrowed them", n, ingestGot.Load())
+	}
+	// The zero-profile injector's frames all ran the pipeline and none of the
+	// shaped link's did: those reached the queue instead.
+	if ingestGot.Load() != framesPerSender || gotG == 0 || gotG >= framesPerSender {
+		t.Fatalf("attached node: pipeline ran %d frames (want %d), queue delivered %d (want the shaped link's survivors)",
+			ingestGot.Load(), framesPerSender, gotG)
 	}
 	if n := hookBad.Load(); n != 0 {
 		t.Fatalf("%d of %d frames changed under the hook while it borrowed them", n, hookGot.Load())

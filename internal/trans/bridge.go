@@ -19,7 +19,13 @@
 // worker thread transmits the burst it processed.
 // Inbound load is spread by the kernel across Config.Sockets SO_REUSEPORT
 // sockets, one receive goroutine each, so the kernel's 4-tuple hash does
-// RSS instead of funneling every peer through one socket. Every burst is
+// RSS instead of funneling every peer through one socket. The receive side
+// has no queue either where the local node is a replica: the goroutine that
+// read a datagram vector runs the replica's pipeline on it (netsim's
+// Fabric.Inject into a node with a pipeline attached) and, through the next
+// hop's proxy, sends the result before it reads again — recvmmsg, pipeline,
+// sendmmsg on one goroutine, as the paper's poll-mode thread. The socket
+// buffer is then the only ingress queue. Every burst is
 // flushed when its sender has packed it, so Burst=1 and light load keep
 // per-packet latency. Non-Linux builds fall back to the portable
 // one-datagram-per-syscall path on a single socket; every path decodes the
@@ -57,10 +63,12 @@ const maxSockets = 16
 
 // Config tunes a bridge's batching behaviour.
 type Config struct {
-	// Burst sizes the receive side's injection batch (0 — the default —
+	// Burst sizes the receive side's datagram vector (0 — the default —
 	// sizes it for netsim.DefaultMaxBurst, the largest burst an adaptive
-	// core.Config.Burst worker produces). The send side needs no budget:
-	// the burst a sender hands a proxy is what gets packed and flushed.
+	// core.Config.Burst worker produces); the frames one read unpacks to are
+	// injected as one burst, which may be larger (a datagram packs many).
+	// The send side needs no budget: the burst a sender hands a proxy is
+	// what gets packed and flushed.
 	// Burst 1 selects the per-packet transport: every frame of that burst
 	// ships alone — one frame, one datagram, one syscall.
 	Burst int
@@ -71,17 +79,22 @@ type Config struct {
 	MTUBudget int
 	// SocketBuf, if non-zero, requests this many bytes of kernel
 	// send and receive buffering on each tunnel UDP socket
-	// (SO_SNDBUF/SO_RCVBUF). Bursty chains on small default buffers
-	// drop tail-of-burst datagrams under load; sizing for a few
-	// bandwidth-delay products of traffic smooths them out. Zero keeps
+	// (SO_SNDBUF/SO_RCVBUF). The receive buffer is a replica's only
+	// ingress queue: overload drops happen there, in the kernel's count.
+	// Bursty chains on small default buffers drop tail-of-burst datagrams
+	// under load; sizing for a few bandwidth-delay products of traffic
+	// smooths them out. Zero keeps
 	// the OS default. The kernel silently clamps requests to its
 	// rmem/wmem caps — Stats.EffRcvBuf and Stats.EffSndBuf report what
 	// it actually granted.
 	SocketBuf int
 	// Sockets is the number of SO_REUSEPORT UDP sockets the data plane
 	// binds to the same address, one receive goroutine each, so the
-	// kernel hashes inbound flows across them (RSS). 0 — the default —
-	// selects GOMAXPROCS. Clamped to 1 on platforms without the Linux
+	// kernel hashes inbound flows across them (RSS). Where the local node
+	// is a replica those goroutines are its workers, so this is its
+	// parallelism: as many replica pipelines run at once as sending
+	// 4-tuples land on distinct sockets. 0 — the default — selects
+	// GOMAXPROCS. Clamped to 1 on platforms without the Linux
 	// fast path, where the bridge runs the portable single-socket
 	// transport.
 	Sockets int
@@ -93,8 +106,9 @@ type Config struct {
 	portable bool
 }
 
-// withDefaults fills zero fields with the package defaults.
-func (c Config) withDefaults() Config {
+// WithDefaults fills zero fields with the package defaults, as NewBridge
+// does: Sockets comes back as the socket count a bridge will open here.
+func (c Config) WithDefaults() Config {
 	if c.MTUBudget <= 0 {
 		c.MTUBudget = DefaultMTUBudget
 	}
@@ -236,7 +250,7 @@ type Bridge struct {
 // the default burst, MTU budget, and one SO_REUSEPORT socket per
 // GOMAXPROCS (Linux).
 func NewBridge(fabric *netsim.Fabric, localID netsim.NodeID, listenUDP, listenTCP string, peers []Peer, cfg Config) (*Bridge, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if listenUDP == "" {
 		listenUDP = "127.0.0.1:0"
 	}
@@ -510,7 +524,7 @@ func (t *txBatch) pack(frame []byte) {
 	}
 }
 
-// ---- receive path: datagram vectors → frames → one SendBurst ----
+// ---- receive path: datagram vectors → frames → one Inject ----
 
 // rxBatch holds one receive goroutine's preallocated datagram vector: one
 // MaxDatagram buffer per slot (so a read can never truncate a well-formed
@@ -577,9 +591,11 @@ func (b *Bridge) readBurstPortable(s *sock, r *rxBatch) (int, bool) {
 // udpLoop is one socket's tunnel ingress: it blocks until the socket holds
 // datagrams, reads a whole vector of them (one recvmmsg on Linux), unpacks
 // every frame, and injects the batch into the local node with one
-// Fabric.SendBurst — the mirror of netsim.RecvBurst's one-wakeup-per-burst
-// discipline. Each SO_REUSEPORT socket runs its own udpLoop, so the
-// kernel's flow hash fans inbound peers across goroutines.
+// Fabric.Inject. The frames alias the read buffers, which the next read
+// overwrites: Inject borrows them for the call, and where the local node is
+// a replica that call is its pipeline (package comment). Any other node gets
+// per-frame copies in its queues. Each SO_REUSEPORT socket runs its own
+// udpLoop, so the kernel's flow hash fans inbound peers across goroutines.
 func (b *Bridge) udpLoop(s *sock) {
 	defer b.wg.Done()
 	r := b.newRxBatch()
@@ -595,7 +611,7 @@ func (b *Bridge) udpLoop(s *sock) {
 		}
 		if len(frames) > 0 {
 			b.framesIn.Add(uint64(len(frames)))
-			_ = b.fabric.SendBurst("trans-wan", b.localID, frames)
+			_ = b.fabric.Inject("trans-wan", b.localID, frames)
 		}
 	}
 }

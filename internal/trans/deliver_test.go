@@ -240,6 +240,91 @@ func TestBridgeCloseUnderSendLoad(t *testing.T) {
 	wg.Wait()
 }
 
+// TestStopAndCloseUnderIngestLoad shuts replicas and bridges down while
+// traffic pours in over the sockets. The receive goroutines are the
+// replica's workers, so Close waits on goroutines that are inside the
+// pipeline, and Stop on ingests it never started: both must return within
+// RepairDeadline (an ingest can be parked on a log that was lost with the
+// peer) in either order, and once Stop has returned the replica processes
+// nothing more although its bridge keeps reading — those bursts are dropped
+// in the fabric, and counted.
+func TestStopAndCloseUnderIngestLoad(t *testing.T) {
+	sinkConn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sinkConn.Close()
+	sinkFrames(t, sinkConn)
+	procs, _ := startChainProcs(t, 2, chainOpts{egressAddr: sinkConn.LocalAddr().String(), newMB: flowChainMBs,
+		repairDeadline: 300 * time.Millisecond})
+	ingressAddr, _ := procs[0].bridge.Addrs()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			conn, err := net.Dial("udp", ingressAddr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close()
+			for i := g; ; i += 2 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Write errors are expected once the far socket is closed.
+				_, _ = conn.Write(packFrame(t, buildIngressFrame(t, i)))
+				if i%64 < 2 {
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+		}(g)
+	}
+	within := func(what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { fn(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(time.Second):
+			t.Fatalf("%s did not return within 1s under ingest load", what)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); procs[1].replica.Stats().RxFrames.Load() < 500; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("traffic never reached the second replica")
+		}
+	}
+
+	// Second process: the bridge first, with its receive loops mid-pipeline.
+	within("Bridge.Close before Replica.Stop", procs[1].bridge.Close)
+	within("Replica.Stop after Bridge.Close", procs[1].replica.Stop)
+
+	// First process: the replica first; its bridge keeps injecting.
+	within("Replica.Stop", procs[0].replica.Stop)
+	rx := procs[0].replica.Stats().RxFrames.Load()
+	_, _, dropped, _ := procs[0].fabric.Stats()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, _, d, _ := procs[0].fabric.Stats(); d >= dropped+100 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("bursts injected into the stopped replica were not counted as dropped")
+		}
+	}
+	if got := procs[0].replica.Stats().RxFrames.Load(); got != rx {
+		t.Fatalf("%d frames processed after Stop returned", got-rx)
+	}
+	within("Bridge.Close after Replica.Stop", procs[0].bridge.Close)
+	close(stop)
+	wg.Wait()
+}
+
 // TestProxyBehindShapedLink puts latency and loss on the fabric link to a
 // proxy: those frames take the per-frame timer path and reach the hook as
 // pooled copies, and every frame the fabric counts delivered must still come

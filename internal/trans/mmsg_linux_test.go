@@ -369,7 +369,7 @@ func TestRecvmmsgKernelTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &sock{conn: rxConn, raw: raw}
-	b := &Bridge{cfg: Config{}.withDefaults()}
+	b := &Bridge{cfg: Config{}.WithDefaults()}
 
 	// Undersized receive slots: production uses MaxDatagram (truncation
 	// impossible for well-formed traffic), so the kernel path is provoked

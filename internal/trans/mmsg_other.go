@@ -14,7 +14,7 @@ package trans
 import "net"
 
 // reuseportSupported gates Config.Sockets: without the Linux fast path the
-// bridge runs one socket, so withDefaults clamps Sockets to 1.
+// bridge runs one socket, so WithDefaults clamps Sockets to 1.
 const reuseportSupported = false
 
 // mmsgTx is the empty placeholder for the Linux sendmmsg state.
@@ -44,7 +44,7 @@ func (b *Bridge) readBurst(s *sock, r *rxBatch) (int, bool) {
 func (b *Bridge) rxDatagramBudget() int { return b.portableRxBudget() }
 
 // listenUDPSockets binds the single portable data-plane socket; n is
-// already clamped to 1 by Config.withDefaults on !linux.
+// already clamped to 1 by Config.WithDefaults on !linux.
 func listenUDPSockets(addr string, n int) ([]*net.UDPConn, error) {
 	uaddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {

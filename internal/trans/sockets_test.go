@@ -17,20 +17,62 @@ import (
 // sender's bridge pins its peer to one local socket, the kernel's
 // REUSEPORT hash then maps that 4-tuple to one receive socket, and a
 // single udpLoop per socket injects in order. UDP may drop, but it must
-// never reorder within a flow here (loopback, one queue per 4-tuple).
+// never reorder within a flow here (loopback, one queue per 4-tuple). It
+// holds on both ways into the node: through the queue, where one goroutine
+// drains what the four receive loops enqueue, and with a pipeline attached,
+// where the four receive loops run it themselves, concurrently, on frames
+// that alias their read buffers.
 func TestMultiSocketPerFlowFIFO(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process sockets; skipped in -short")
 	}
+	t.Run("queue", func(t *testing.T) { multiSocketPerFlowFIFO(t, false) })
+	t.Run("attached", func(t *testing.T) { multiSocketPerFlowFIFO(t, true) })
+}
+
+func multiSocketPerFlowFIFO(t *testing.T, attached bool) {
 	const (
 		senders   = 3
 		perSender = 1500
 		burst     = 25
 	)
 
+	// Receiver: assert per-sender monotonic sequence. Violations are
+	// collected, not fataled, because this runs off the test goroutine —
+	// the drain goroutine, or all four receive loops at once.
+	var received atomic.Int64
+	var mu sync.Mutex
+	var violations []string
+	last := make(map[uint32]uint32, senders)
+	observe := func(f []byte) {
+		if len(f) != 8 {
+			return
+		}
+		sender := binary.BigEndian.Uint32(f[0:4])
+		seq := binary.BigEndian.Uint32(f[4:8])
+		mu.Lock()
+		if prev, ok := last[sender]; ok && seq <= prev && len(violations) < 10 {
+			violations = append(violations,
+				time.Now().Format(time.RFC3339Nano)+
+					": sender "+string(rune('A'+sender))+
+					" reordered")
+		}
+		last[sender] = seq
+		mu.Unlock()
+		received.Add(1)
+	}
+
 	rxFab := netsim.New(netsim.Config{})
 	defer rxFab.Stop()
 	rxNode := rxFab.AddNode("dst", netsim.NodeConfig{QueueCap: 8192})
+	if attached {
+		rxNode.AttachIngest(func(frames [][]byte) bool {
+			for _, f := range frames {
+				observe(f)
+			}
+			return true
+		})
+	}
 	rxBridge, err := NewBridge(rxFab, "dst", "", "", nil,
 		Config{Sockets: 4, SocketBuf: 4 << 20, Burst: 32})
 	if err != nil {
@@ -39,42 +81,23 @@ func TestMultiSocketPerFlowFIFO(t *testing.T) {
 	defer rxBridge.Close()
 	rxUDP, rxTCP := rxBridge.Addrs()
 
-	// Receiver: drain continuously, asserting per-sender monotonic
-	// sequence. Violations are collected, not fataled, because this runs
-	// off the test goroutine.
-	var received atomic.Int64
-	var mu sync.Mutex
-	var violations []string
 	var recvDone sync.WaitGroup
 	recvDone.Add(1)
 	go func() {
 		defer recvDone.Done()
-		last := make(map[uint32]uint32, senders)
 		bufs := make([]netsim.Inbound, 64)
 		for {
 			n := rxNode.RecvBurst(0, bufs)
 			if n == 0 {
 				return // fabric stopped
 			}
+			if attached {
+				t.Error("a frame reached the queue of a node with a pipeline attached")
+			}
 			for i := 0; i < n; i++ {
 				f := bufs[i].Frame
 				bufs[i] = netsim.Inbound{}
-				if len(f) == 8 {
-					sender := binary.BigEndian.Uint32(f[0:4])
-					seq := binary.BigEndian.Uint32(f[4:8])
-					if prev, ok := last[sender]; ok && seq <= prev {
-						mu.Lock()
-						if len(violations) < 10 {
-							violations = append(violations,
-								time.Now().Format(time.RFC3339Nano)+
-									": sender "+string(rune('A'+sender))+
-									" reordered")
-						}
-						mu.Unlock()
-					}
-					last[sender] = seq
-					received.Add(1)
-				}
+				observe(f)
 				netsim.ReleaseFrame(f)
 			}
 		}
