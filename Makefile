@@ -77,14 +77,17 @@ stress:
 
 # Decoder fuzz gate: replays the piggyback codec's seed corpus (every update
 # kind, coalesced/elided logs, truncations, and a retired-v1 blob that must
-# be rejected) and the tunnel datagram decoder's (every damaged and padded
-# tail), then fuzzes each briefly for fresh inputs. Short and deterministic
+# be rejected), the tunnel datagram decoder's (every damaged and padded
+# tail) and the orchestrator member RPCs' (a negative log prefix, stale
+# terms, garbage), then fuzzes each briefly for fresh inputs. Short and deterministic
 # enough for every CI run; longer campaigns raise -fuzztime locally.
 fuzz-short:
 	$(GO) test ./internal/core -run='^FuzzMessageCodec$$' -count=1
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzMessageCodec$$' -fuzztime=5s
 	$(GO) test ./internal/trans -run='^FuzzSplitFrames$$' -count=1
 	$(GO) test ./internal/trans -run='^$$' -fuzz='^FuzzSplitFrames$$' -fuzztime=5s
+	$(GO) test ./internal/orch -run='^FuzzMemberRPC$$' -count=1
+	$(GO) test ./internal/orch -run='^$$' -fuzz='^FuzzMemberRPC$$' -fuzztime=5s
 
 # Frozen-harness gate: bench/ is its own module that imports internal/*
 # through a replace directive, so root `go build ./...` never compiles it.

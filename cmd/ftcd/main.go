@@ -103,7 +103,6 @@ func main() {
 		mtuBudget = flag.Int("mtu-budget", trans.DefaultMTUBudget, "tunnel datagram packing budget in bytes")
 		sockets   = flag.Int("sockets", 0, "SO_REUSEPORT data-plane sockets sharing the UDP port, each read by one goroutine that runs the replica pipeline (0 = GOMAXPROCS; non-Linux always 1)")
 		sockBuf   = flag.Int("sockbuf", 0, "requested SO_RCVBUF/SO_SNDBUF per data-plane socket in bytes, the replica's ingress queue (0 = OS default)")
-		orchEns   = flag.String("orch-ensemble", "", "comma-separated orchestrator ensemble member addresses this replica accepts control commands from (logged for operators; discovery is the ensemble's job)")
 		minTerm   = flag.Uint64("min-controller-term", 0, "preset the controller fence floor: control commands below this term are rejected, so a leader deposed while this replica was down cannot adopt it (DESIGN.md \u00a714)")
 	)
 	peers := peerFlags{}
@@ -190,11 +189,6 @@ func main() {
 		mbDesc = mb.Name()
 	}
 	log.Printf("ftcd: ring %d/%d hosting %s", *index, ring.M(), mbDesc)
-	if *orchEns != "" {
-		members := strings.Split(*orchEns, ",")
-		log.Printf("ftcd: orchestrator ensemble: %d members (%s), fence floor term %d",
-			len(members), *orchEns, replica.ControllerTerm())
-	}
 	burstDesc := fmt.Sprintf("%d", cfg.Burst)
 	if cfg.Burst == 0 {
 		burstDesc = fmt.Sprintf("adaptive(max %d)", netsim.DefaultMaxBurst)

@@ -25,7 +25,12 @@ func main() {
 		ftc.NewFirewall(nil, true),
 		ftc.NewMonitor(1, 2),
 		ftc.NewSimpleNAT(ftc.Addr4(203, 0, 113, 9), 20000, 40000),
-	}, ftc.Options{F: 1, Workers: 2, ChainName: "rec"})
+	}, ftc.Options{
+		F: 1, Workers: 2, ChainName: "rec",
+		// The failure detector runs from Deploy on: its ping timeout must
+		// clear the farthest region's RTT, or it recovers healthy replicas.
+		Heartbeat: ftc.OrchestratorConfig{HeartbeatTimeout: 100 * time.Millisecond},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,6 +66,7 @@ func main() {
 	dep.Generator.Offer(2000, 400*time.Millisecond)
 	time.Sleep(200 * time.Millisecond)
 
+	fmt.Printf("recoveries before any crash: %d\n", len(dep.Orchestrator.Reports()))
 	names := []string{"Firewall", "Monitor", "SimpleNAT"}
 	fmt.Printf("%-10s  %-12s  %-14s  %-10s\n", "middlebox", "init", "state fetch", "total")
 	for i, name := range names {

@@ -23,6 +23,10 @@
 //	dep.Chain.Crash(1)                     // fail-stop a middlebox
 //	report := dep.Orchestrator.Recover(1)  // detect + repair
 //
+// The orchestrator is one logical controller replicated over
+// Options.Heartbeat.Members fabric nodes (default 1); with 3 or more it
+// survives its own leader crashing mid-recovery (DESIGN.md §14).
+//
 // Custom middleboxes implement the Middlebox interface; all state accesses
 // go through the transactional store (Txn), which is what makes them
 // recoverable. See the examples directory for complete programs.
@@ -108,7 +112,9 @@ func NewChain(cfg ChainConfig, fabric *Fabric, name string, mbs []Middlebox, egr
 	return core.NewChain(cfg, fabric, name, mbs, egress)
 }
 
-// NewOrchestrator creates an orchestrator for a chain.
+// NewOrchestrator creates an orchestrator for a chain on cfg.Members fabric
+// nodes named id-m0, id-m1, ...; address them through its NodeID method.
+// Call Start before Recover.
 func NewOrchestrator(cfg OrchestratorConfig, fabric *Fabric, id NodeID, chain *Chain) *Orchestrator {
 	return orch.New(cfg, fabric, id, chain)
 }
@@ -158,7 +164,8 @@ type Options struct {
 	Traffic TrafficSpec
 	// Fabric tunes the network substrate (latency, loss, ...).
 	Fabric FabricConfig
-	// Heartbeat tunes failure detection.
+	// Heartbeat tunes failure detection and the orchestrator's member
+	// count.
 	Heartbeat OrchestratorConfig
 	// ChainName prefixes fabric node names (default "ftc").
 	ChainName string

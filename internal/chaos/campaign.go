@@ -172,7 +172,7 @@ func Run(c Campaign, opt Options) *Result {
 	// stands after ~250ms of leader silence, staggered by rank) so a
 	// takeover only ever happens because the OrchKill rider killed the
 	// leader, not because -race starved the lease loop.
-	o := orch.NewEnsemble(orch.Config{
+	o := orch.New(orch.Config{
 		HeartbeatEvery:   15 * time.Millisecond,
 		HeartbeatTimeout: 200 * time.Millisecond,
 		Misses:           4,

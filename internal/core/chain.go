@@ -36,7 +36,7 @@ type Chain struct {
 	ringIDs  []netsim.NodeID
 
 	// Controller fencing (DESIGN.md §14): the highest orchestrator term that
-	// has claimed this chain. Fenced recovery commands carrying a lower term
+	// has claimed this chain. Recovery commands carrying a lower term
 	// are rejected and counted, so a deposed leader cannot mutate the ring.
 	ctrlTerm atomic.Uint64
 	fencedCt metrics.Counter
@@ -218,30 +218,32 @@ func (c *Chain) Crash(i int) {
 
 // Replace spawns a replacement replica at ring position i, recovers its
 // state from the alive group members, reroutes the chain through it, and
-// starts it (§5.2's three recovery steps). The crashed node must already be
-// fail-stopped. Used directly by tests; the orchestrator drives the same
-// phases individually so it can time them.
+// starts it (§5.2's three recovery steps), under the chain's current
+// controller term. The crashed node must already be fail-stopped. Used
+// directly by tests; the orchestrator drives the same phases individually
+// so it can time, replicate and fence them.
 func (c *Chain) Replace(ctx context.Context, i int) (*Replica, error) {
-	nr := c.Spawn(i)
-	if err := c.RecoverState(ctx, nr); err != nil {
+	term := c.ControllerTerm()
+	nr, err := c.Spawn(i, term)
+	if err != nil {
+		return nil, err
+	}
+	if err = c.RecoverState(ctx, nr, term); err == nil {
+		err = c.Adopt(nr, term)
+	}
+	if err != nil {
 		c.Abort(nr)
 		return nil, err
 	}
-	c.Adopt(nr)
 	return nr, nil
 }
 
 // Spawn creates (but does not start or initialize) a replacement replica
 // for ring position i on a fresh fabric node — recovery step 1 (§5.2,
-// "spawning a new replica and a new middlebox").
-func (c *Chain) Spawn(i int) *Replica {
-	nr, _ := c.SpawnFenced(i, c.ctrlTerm.Load())
-	return nr
-}
-
-// SpawnFenced is Spawn under a controller fencing term: a stale term is
-// rejected with ErrFenced before any fabric node is created.
-func (c *Chain) SpawnFenced(i int, term uint64) (*Replica, error) {
+// "spawning a new replica and a new middlebox"). A term below the chain's
+// controller fence is rejected with ErrFenced before any fabric node is
+// created.
+func (c *Chain) Spawn(i int, term uint64) (*Replica, error) {
 	if err := c.checkFence(term); err != nil {
 		return nil, err
 	}
@@ -279,35 +281,25 @@ func (c *Chain) dropSpawned(id netsim.NodeID) {
 	c.spawnMu.Unlock()
 }
 
-// RecoverState runs recovery step 2 on a spawned replica: fetch each
-// replication group's state from the appropriate alive member. The replica
-// must not be started yet.
-func (c *Chain) RecoverState(ctx context.Context, nr *Replica) error {
+// RecoverState runs recovery step 2 on a spawned replica under controller
+// term term: fetch each replication group's state from the appropriate
+// alive member. The replica must not be started yet.
+func (c *Chain) RecoverState(ctx context.Context, nr *Replica, term uint64) error {
+	if err := c.checkFence(term); err != nil {
+		return err
+	}
 	_, err := nr.Recover(ctx, c.RingID)
 	return err
 }
 
-// RecoverStateFenced is RecoverState under a controller fencing term.
-func (c *Chain) RecoverStateFenced(ctx context.Context, nr *Replica, term uint64) error {
-	if err := c.checkFence(term); err != nil {
-		return err
-	}
-	return c.RecoverState(ctx, nr)
-}
-
-// Adopt runs recovery step 3: start the replacement, reroute the chain
-// through it, and bump the chain generation to fence stale in-flight
-// packets.
-func (c *Chain) Adopt(nr *Replica) {
-	_ = c.AdoptFenced(nr, c.ctrlTerm.Load())
-}
-
-// AdoptFenced is Adopt under a controller fencing term. The term is
-// re-checked under the chain lock, atomically with the route swap, so a
-// deposed leader that passed an earlier check cannot interleave its adopt
-// with a successor's fence: either the adopt lands before the fence rises,
-// or it is rejected whole with ErrFenced.
-func (c *Chain) AdoptFenced(nr *Replica, term uint64) error {
+// Adopt runs recovery step 3 under controller term term: start the
+// replacement, reroute the chain through it, and bump the chain generation
+// to fence stale in-flight packets. The term is checked under the chain
+// lock, atomically with the route swap, so a deposed leader that passed an
+// earlier check cannot interleave its adopt with a successor's fence:
+// either the adopt lands before the fence rises, or it is rejected whole
+// with ErrFenced.
+func (c *Chain) Adopt(nr *Replica, term uint64) error {
 	i := nr.Index()
 	c.mu.Lock()
 	if term < c.ctrlTerm.Load() {
@@ -340,7 +332,7 @@ func (c *Chain) Abort(nr *Replica) {
 // means a newer leader already fenced the chain and the caller is deposed.
 // Raising the fence is what makes a takeover exclusive — every subsequent
 // fenced command from older terms fails with ErrFenced. Taken under the
-// chain lock so a fence cannot interleave with an in-flight AdoptFenced.
+// chain lock so a fence cannot interleave with an in-flight Adopt.
 func (c *Chain) FenceController(term uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -176,10 +176,12 @@ func TestVerticalScalingReplacement(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := h.chain.RecoverState(ctx, nr); err != nil {
+	if err := h.chain.RecoverState(ctx, nr, h.chain.ControllerTerm()); err != nil {
 		t.Fatal(err)
 	}
-	h.chain.Adopt(nr)
+	if err := h.chain.Adopt(nr, h.chain.ControllerTerm()); err != nil {
+		t.Fatal(err)
+	}
 
 	const n2 = 80
 	h.sendPackets(t, n2)

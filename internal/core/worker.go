@@ -217,7 +217,9 @@ func (r *Replica) beginBurst(w *worker) {
 		// between transactions, so a per-transaction read lock could deadlock
 		// against a pending fetch writer. flushBurst releases it once the
 		// burst's logs are in the retransmission buffer and the batch has
-		// flushed — the earliest point a fetch sees a consistent cut.
+		// flushed — the earliest point a fetch sees a consistent cut — or,
+		// for a worker parked on a follower log, openFetchGate releases it
+		// for the length of the wait.
 		r.head.fetchMu.RLock()
 	}
 }

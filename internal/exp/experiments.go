@@ -411,20 +411,24 @@ func Fig13(p Params) (*Table, error) {
 	chain.Start()
 	defer chain.Stop()
 
-	o := orch.New(orch.Config{}, fabric, "orch", chain)
+	// The heartbeat timeout clears the remote region's 40 ms RTT, so the
+	// running detector never declares a healthy replica failed.
+	o := orch.New(orch.Config{HeartbeatTimeout: 100 * time.Millisecond}, fabric, "orch", chain)
 	// Orchestrator-to-region latencies; replacements spawn in the failed
 	// node's region, so the same profile applies to them.
 	for i := 0; i < chain.Len(); i++ {
-		fabric.SetLinkBoth("orch", chain.RingID(i), netsim.LinkProfile{Latency: regionRTT[i] / 2})
+		fabric.SetLinkBoth(o.NodeID(), chain.RingID(i), netsim.LinkProfile{Latency: regionRTT[i] / 2})
 	}
 	chain.OnSpawn = func(idx int, id netsim.NodeID) {
-		fabric.SetLinkBoth("orch", id, netsim.LinkProfile{Latency: regionRTT[idx] / 2})
+		fabric.SetLinkBoth(o.NodeID(), id, netsim.LinkProfile{Latency: regionRTT[idx] / 2})
 		for j := 0; j < chain.Len(); j++ {
 			if j != idx {
 				fabric.SetLinkBoth(id, chain.RingID(j), netsim.LinkProfile{Latency: interRegion / 2})
 			}
 		}
 	}
+	o.Start()
+	defer o.Stop()
 
 	// Seed some state so recovery actually transfers data.
 	gen, err := tgen.NewGenerator(fabric, "gen", chain.IngressID(), tgen.Spec{Flows: 64, PacketSize: p.PacketSize})

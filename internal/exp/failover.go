@@ -49,7 +49,7 @@ func failoverRun(p Params, phase orch.Phase) ([]string, error) {
 	chain.Start()
 	defer chain.Stop()
 
-	e := orch.NewEnsemble(orch.Config{
+	e := orch.New(orch.Config{
 		HeartbeatEvery:   2 * time.Millisecond,
 		HeartbeatTimeout: 5 * time.Millisecond,
 		Misses:           3,

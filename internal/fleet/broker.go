@@ -24,11 +24,11 @@ type Options struct {
 	// Trace, if set, receives a timestamped line per broker event.
 	Trace TraceFunc
 	// OrchHook, if set, is called once per launched chain with its
-	// orchestrator ensemble, before monitoring starts. Fault-injection
+	// orchestrator, before monitoring starts. Fault-injection
 	// tests hook it to attack the control plane mid-run (e.g. kill the
 	// leader at a recovery phase) and prove the broker rides out the
 	// failover.
-	OrchHook func(chain string, e *orch.Ensemble)
+	OrchHook func(chain string, o *orch.Orchestrator)
 }
 
 // expiryBase anchors every chain's manual expiry clock: positive (the
@@ -54,7 +54,7 @@ type chainRec struct {
 	servers Placement
 
 	chain *core.Chain
-	o     *orch.Ensemble
+	o     *orch.Orchestrator
 	gen   *tgen.Generator
 	sink  *tgen.Sink
 
@@ -84,7 +84,7 @@ func (r *chainRec) setState(s State) { r.state.Store(int32(s)) }
 type Fleet struct {
 	scn      Scenario
 	trace    TraceFunc
-	orchHook func(string, *orch.Ensemble)
+	orchHook func(string, *orch.Orchestrator)
 	start    time.Time
 
 	fab   *netsim.Fabric
@@ -281,7 +281,7 @@ func (f *Fleet) launch(rec *chainRec) error {
 	// orchestrator is a per-chain ensemble (scenario orch_members); with
 	// replication on, the chain's control plane survives leader crashes
 	// mid-recovery without the broker noticing anything but latency.
-	rec.o = orch.NewEnsemble(orch.Config{
+	rec.o = orch.New(orch.Config{
 		HeartbeatEvery:   15 * time.Millisecond,
 		HeartbeatTimeout: 200 * time.Millisecond,
 		Misses:           4,

@@ -335,9 +335,9 @@ crashes:
 		t.Fatalf("parse: %v", err)
 	}
 	var mu sync.Mutex
-	ensembles := map[string]*orch.Ensemble{}
+	ensembles := map[string]*orch.Orchestrator{}
 	opt := traceTo(t)
-	opt.OrchHook = func(chain string, e *orch.Ensemble) {
+	opt.OrchHook = func(chain string, e *orch.Orchestrator) {
 		mu.Lock()
 		ensembles[chain] = e
 		mu.Unlock()

@@ -1,6 +1,7 @@
 package orch
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync/atomic"
@@ -25,7 +26,7 @@ func ensembleConfig(members int) Config {
 	}
 }
 
-func waitSuccess(t *testing.T, e *Ensemble, idx int, within time.Duration) RecoveryReport {
+func waitSuccess(t *testing.T, e *Orchestrator, idx int, within time.Duration) RecoveryReport {
 	t.Helper()
 	deadline := time.Now().Add(within)
 	for {
@@ -50,7 +51,7 @@ func TestEnsembleFailoverResumes(t *testing.T) {
 		kill := kill
 		t.Run(kill.String(), func(t *testing.T) {
 			f, ch, gen, sink := buildChain(t, netsim.Config{Seed: 7})
-			e := NewEnsemble(ensembleConfig(3), f, "orch", ch)
+			e := New(ensembleConfig(3), f, "orch", ch)
 			var killed atomic.Bool
 			var replacement atomic.Value // netsim.NodeID
 			e.OnPhase = func(ev PhaseEvent) {
@@ -109,7 +110,7 @@ func TestEnsembleFailoverResumes(t *testing.T) {
 // keep a quorum alive through two crashes.
 func TestEnsembleKillDuringTakeover(t *testing.T) {
 	f, ch, gen, sink := buildChain(t, netsim.Config{Seed: 11})
-	e := NewEnsemble(ensembleConfig(5), f, "orch", ch)
+	e := New(ensembleConfig(5), f, "orch", ch)
 	var killed atomic.Bool
 	var successorKilled atomic.Bool
 	var replacement atomic.Value
@@ -152,7 +153,7 @@ func TestEnsembleKillDuringTakeover(t *testing.T) {
 // term against the already-recovered group must be rejected and counted.
 func TestEnsembleFenceRejectsDeposedLeader(t *testing.T) {
 	f, ch, gen, sink := buildChain(t, netsim.Config{Seed: 13})
-	e := NewEnsemble(ensembleConfig(3), f, "orch", ch)
+	e := New(ensembleConfig(3), f, "orch", ch)
 	var killed atomic.Bool
 	e.OnPhase = func(ev PhaseEvent) {
 		if ev.Phase == PhaseFetched && killed.CompareAndSwap(false, true) {
@@ -171,18 +172,21 @@ func TestEnsembleFenceRejectsDeposedLeader(t *testing.T) {
 	}
 	before := ch.FencedCommands()
 	// The deposed leader led term 1; replay its recovery commands.
-	if _, err := ch.SpawnFenced(1, 1); !errors.Is(err, core.ErrFenced) {
+	if _, err := ch.Spawn(1, 1); !errors.Is(err, core.ErrFenced) {
 		t.Fatalf("stale spawn: got %v, want ErrFenced", err)
 	}
-	nr, err := ch.SpawnFenced(1, ch.ControllerTerm())
+	nr, err := ch.Spawn(1, ch.ControllerTerm())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ch.AdoptFenced(nr, 1); !errors.Is(err, core.ErrFenced) {
+	if err := ch.RecoverState(context.Background(), nr, 1); !errors.Is(err, core.ErrFenced) {
+		t.Fatalf("stale state recovery: got %v, want ErrFenced", err)
+	}
+	if err := ch.Adopt(nr, 1); !errors.Is(err, core.ErrFenced) {
 		t.Fatalf("stale adopt: got %v, want ErrFenced", err)
 	}
 	ch.Abort(nr)
-	if got := ch.FencedCommands(); got < before+2 {
+	if got := ch.FencedCommands(); got < before+3 {
 		t.Fatalf("fenced-command counter did not move: before=%d after=%d", before, got)
 	}
 	pump(t, ch, gen, sink, 50)
@@ -197,7 +201,7 @@ func TestEnsembleCrashLeaksNoGoroutines(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	before := runtime.NumGoroutine()
 
-	e := NewEnsemble(ensembleConfig(5), f, "orch", ch)
+	e := New(ensembleConfig(5), f, "orch", ch)
 	var kills atomic.Int32
 	e.OnPhase = func(ev PhaseEvent) {
 		if ev.Phase == PhaseSpawned && kills.Add(1) <= 2 {
@@ -221,18 +225,16 @@ func TestEnsembleCrashLeaksNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestEnsembleOfOne checks that a single-member ensemble behaves like the
-// plain orchestrator: detect, recover, report.
+// TestEnsembleOfOne checks that a one-member orchestrator detects, recovers
+// and reports without marking the recovery as resumed.
 func TestEnsembleOfOne(t *testing.T) {
 	f, ch, gen, sink := buildChain(t, netsim.Config{})
-	e := NewEnsemble(ensembleConfig(1), f, "orch", ch)
+	e := New(ensembleConfig(1), f, "orch", ch)
 	e.Start()
 	defer e.Stop()
-
 	pump(t, ch, gen, sink, 50)
 	ch.Crash(1)
-	rep := waitSuccess(t, e, 1, 10*time.Second)
-	if rep.Resumed {
+	if rep := waitSuccess(t, e, 1, 10*time.Second); rep.Resumed {
 		t.Fatalf("no failover happened; recovery must not be marked resumed: %+v", rep)
 	}
 	if e.Detected() == 0 {

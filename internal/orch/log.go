@@ -1,7 +1,6 @@
 package orch
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"github.com/ftsfc/ftc/internal/netsim"
@@ -162,26 +161,4 @@ func Replay(entries []Entry) LogView {
 		}
 	}
 	return v
-}
-
-// encodeEntries and decodeEntries are the wire form for append and
-// log-read RPCs between ensemble members.
-func encodeEntries(es []Entry) []byte {
-	b, err := json.Marshal(es)
-	if err != nil {
-		// Commands contain only plain data; Marshal cannot fail.
-		panic("orch: encode log entries: " + err.Error())
-	}
-	return b
-}
-
-func decodeEntries(b []byte) ([]Entry, error) {
-	var es []Entry
-	if len(b) == 0 {
-		return nil, nil
-	}
-	if err := json.Unmarshal(b, &es); err != nil {
-		return nil, fmt.Errorf("orch: decode log entries: %w", err)
-	}
-	return es, nil
 }

@@ -13,7 +13,7 @@ import (
 	"github.com/ftsfc/ftc/internal/netsim"
 )
 
-// Ensemble-member RPC names, registered on every member's fabric node.
+// Member RPC names, registered on every member's fabric node.
 const (
 	// RPCVote requests a leadership vote (voteReq -> voteResp).
 	RPCVote = "orch.vote"
@@ -82,11 +82,11 @@ type logReadResp struct {
 	LogLen  int     `json:"logLen"`
 }
 
-// Member is one node of the orchestrator ensemble. Exactly one member
+// Member is one node of the orchestrator. Exactly one member
 // leads at a time (enforced by term votes plus the chain fence); the rest
 // follow, replicating the command log and watching the leader's lease.
 type Member struct {
-	ens  *Ensemble
+	o    *Orchestrator
 	rank int
 	node *netsim.Node
 
@@ -142,7 +142,7 @@ func (m *Member) currentStint() *leaderStint {
 // it fail), any leader stint is deposed, and every loop is told to exit.
 // Crash only signals — it never joins goroutines, because the chaos rider
 // calls it from inside the victim's own recovery path (via OnPhase).
-// Ensemble.Stop does the joining.
+// Orchestrator.Stop does the joining.
 func (m *Member) Crash() {
 	m.crashed.Store(true)
 	m.node.Crash()
@@ -200,7 +200,9 @@ func (m *Member) handleAppend(_ netsim.NodeID, req []byte) ([]byte, error) {
 	}
 	m.mu.Lock()
 	resp := appendResp{Term: m.term, LogLen: len(m.log)}
-	if q.Term < m.term {
+	if q.Term < m.term || q.PrevLen < 0 {
+		// A stale leader, or a malformed prefix length: refuse before
+		// touching term, lease or log.
 		m.mu.Unlock()
 		return json.Marshal(resp)
 	}
@@ -290,7 +292,7 @@ func (m *Member) observeTerm(t uint64) {
 // crashes — a crashed orchestrator must not keep goroutines alive.
 func (m *Member) run() {
 	defer m.wg.Done()
-	period := m.ens.cfg.LeaseEvery
+	period := m.o.cfg.LeaseEvery
 	t := time.NewTicker(period)
 	defer t.Stop()
 	for {
@@ -315,11 +317,11 @@ func (m *Member) run() {
 // instead of splitting votes; the stagger step dwarfs scheduler jitter
 // even under the race detector.
 func (m *Member) electionAfter() time.Duration {
-	return m.ens.cfg.ElectionAfter + time.Duration(m.rank)*m.ens.cfg.ElectionAfter/2
+	return m.o.cfg.ElectionAfter + time.Duration(m.rank)*m.o.cfg.ElectionAfter/2
 }
 
 func (m *Member) callTimeout() time.Duration {
-	to := 4 * m.ens.cfg.LeaseEvery
+	to := 4 * m.o.cfg.LeaseEvery
 	if to < 40*time.Millisecond {
 		to = 40 * time.Millisecond
 	}
@@ -337,7 +339,7 @@ func (m *Member) call(dst *Member, name string, req, resp any) error {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), m.callTimeout())
 	defer cancel()
-	out, err := m.ens.fabric.Call(ctx, m.node.ID(), dst.node.ID(), name, b)
+	out, err := m.o.fabric.Call(ctx, m.node.ID(), dst.node.ID(), name, b)
 	if err != nil {
 		return err
 	}
@@ -359,7 +361,7 @@ func (m *Member) runElection() {
 
 	votes := 1
 	bestLen, bestPeer := myLen, -1
-	for _, p := range m.ens.members {
+	for _, p := range m.o.members {
 		if p == m {
 			continue
 		}
@@ -379,11 +381,11 @@ func (m *Member) runElection() {
 			bestLen, bestPeer = resp.LogLen, p.rank
 		}
 	}
-	if votes*2 <= len(m.ens.members) {
+	if votes*2 <= len(m.o.members) {
 		return
 	}
 	if bestPeer >= 0 {
-		m.pullLog(m.ens.members[bestPeer])
+		m.pullLog(m.o.members[bestPeer])
 	}
 	m.becomeLeader(term)
 }
@@ -424,7 +426,7 @@ func (m *Member) becomeLeader(term uint64) {
 	m.leaderMu.Lock()
 	select {
 	case <-m.stopped:
-		// The ensemble is shutting down; a new stint must not start
+		// The orchestrator is shutting down; a new stint must not start
 		// monitors (or mutate the chain) under the post-campaign audit.
 		m.leaderMu.Unlock()
 		return
@@ -451,18 +453,18 @@ func (m *Member) becomeLeader(term uint64) {
 	}
 	// Fence the data plane: every recovery command from now on carries
 	// this term, and the chain rejects anything older.
-	if !m.ens.chain.FenceController(term) {
+	if !m.o.chain.FenceController(term) {
 		ls.depose()
 		return
 	}
-	m.ens.noteLeader(term, m.rank) // chaos rider may crash us right here
+	m.o.noteLeader(term, m.rank) // chaos rider may crash us right here
 	if ls.gone() {
 		return
 	}
 
 	ls.begin(1)
 	go ls.leaseLoop()
-	for i := 0; i < m.ens.chain.Len(); i++ {
+	for i := 0; i < m.o.chain.Len(); i++ {
 		ls.begin(1)
 		go ls.monitor(i)
 	}
@@ -510,7 +512,7 @@ func (ls *leaderStint) depose() {
 }
 
 // begin tracks a stint goroutine on both the stint and the member, so
-// Ensemble.Stop can join everything.
+// Orchestrator.Stop can join everything.
 func (ls *leaderStint) begin(n int) {
 	ls.wg.Add(n)
 	ls.m.wg.Add(n)
@@ -525,7 +527,7 @@ func (ls *leaderStint) done() {
 // term deposes the stint.
 func (ls *leaderStint) leaseLoop() {
 	defer ls.done()
-	t := time.NewTicker(ls.m.ens.cfg.LeaseEvery)
+	t := time.NewTicker(ls.m.o.cfg.LeaseEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -538,7 +540,7 @@ func (ls *leaderStint) leaseLoop() {
 		if ls.gone() {
 			return
 		}
-		for _, p := range ls.m.ens.members {
+		for _, p := range ls.m.o.members {
 			if p == ls.m {
 				continue
 			}
@@ -555,16 +557,16 @@ func (ls *leaderStint) leaseLoop() {
 	}
 }
 
-// monitor is the per-ring-position failure detector, identical in policy
-// to the single Orchestrator's but owned by the stint: a deposed or
-// crashed leader's detectors exit instead of double-driving recoveries.
+// monitor is the per-ring-position failure detector, owned by the stint: a
+// deposed or crashed leader's detectors exit instead of double-driving
+// recoveries.
 func (ls *leaderStint) monitor(idx int) {
 	defer ls.done()
 	m := ls.m
-	cfg := m.ens.cfg
+	cfg := m.o.cfg
 	t := time.NewTicker(cfg.HeartbeatEvery)
 	defer t.Stop()
-	misses := 0
+	misses, missed := 0, netsim.NodeID("")
 	for {
 		select {
 		case <-ls.stop:
@@ -576,8 +578,14 @@ func (ls *leaderStint) monitor(idx int) {
 		if ls.gone() {
 			return
 		}
-		target := m.ens.chain.RingID(idx)
-		if pingAlive(m.ens, m.node.ID(), target, cfg.HeartbeatTimeout) {
+		// A miss counts only against the node it pinged: once a recovery
+		// (this detector's or a manual Recover) reroutes the position, the
+		// count starts afresh.
+		target := m.o.chain.RingID(idx)
+		if target != missed {
+			misses, missed = 0, target
+		}
+		if core.Ping(context.Background(), m.o.fabric, m.node.ID(), target, cfg.HeartbeatTimeout) {
 			misses = 0
 			continue
 		}
@@ -586,8 +594,8 @@ func (ls *leaderStint) monitor(idx int) {
 			continue
 		}
 		misses = 0
-		m.ens.detected.Inc()
-		ls.recoverPosition(idx)
+		m.o.detected.Inc()
+		ls.recoverPosition(idx, target)
 	}
 }
 
@@ -600,17 +608,20 @@ func (ls *leaderStint) resumeOrphans() {
 		if ls.gone() {
 			return
 		}
-		ls.recoverPosition(ring)
+		ls.recoverPosition(ring, "")
 	}
 }
 
 // errBusy reports a recovery already in flight for the position on this
-// stint.
+// stint, or one that already replaced the node a detector declared failed.
 var errBusy = errors.New("orch: recovery already in flight")
 
 // recoverPosition runs (or resumes) one recovery under the stint,
-// deduplicating concurrent triggers for the same position.
-func (ls *leaderStint) recoverPosition(idx int) (RecoveryReport, error) {
+// deduplicating concurrent triggers for the same position. A detector
+// passes the node it declared failed (failed != ""): if a concurrent
+// recovery rerouted the position away from that node before this one got
+// the position, the failure is already repaired.
+func (ls *leaderStint) recoverPosition(idx int, failed netsim.NodeID) (RecoveryReport, error) {
 	ls.hmu.Lock()
 	if ls.handling[idx] {
 		ls.hmu.Unlock()
@@ -623,6 +634,9 @@ func (ls *leaderStint) recoverPosition(idx int) (RecoveryReport, error) {
 		delete(ls.handling, idx)
 		ls.hmu.Unlock()
 	}()
+	if failed != "" && ls.m.o.chain.RingID(idx) != failed {
+		return RecoveryReport{}, errBusy
+	}
 	return ls.runRecovery(idx)
 }
 
@@ -634,9 +648,9 @@ func (ls *leaderStint) recoverPosition(idx int) (RecoveryReport, error) {
 // the recovery is left for the successor.
 func (ls *leaderStint) runRecovery(idx int) (RecoveryReport, error) {
 	m := ls.m
-	ens := m.ens
-	chain := ens.chain
-	cfg := ens.cfg
+	o := m.o
+	chain := o.chain
+	cfg := o.cfg
 
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.RecoveryTimeout)
 	defer cancel()
@@ -659,7 +673,7 @@ func (ls *leaderStint) runRecovery(idx int) (RecoveryReport, error) {
 				// The reroute completed; only the close was lost.
 				needSpawn, needFetch, needAdopt = false, false, false
 			default:
-				if r := chain.FindSpawned(inf.Replacement); r != nil && nodeAlive(ens.fabric, inf.Replacement) {
+				if r := chain.FindSpawned(inf.Replacement); r != nil && nodeAlive(o.fabric, inf.Replacement) {
 					nr = r
 					needSpawn = false
 					needFetch = inf.Phase == PhaseSpawned
@@ -687,7 +701,7 @@ func (ls *leaderStint) runRecovery(idx int) (RecoveryReport, error) {
 			ls.depose()
 			return rep, rerr
 		}
-		ens.record(rep)
+		o.record(rep)
 		return rep, nil
 	}
 
@@ -695,20 +709,20 @@ func (ls *leaderStint) runRecovery(idx int) (RecoveryReport, error) {
 		// Step 1 — initialization: spawn the replacement and inform it of
 		// its groups; the round trip models the control latency to the
 		// failed replica's region (§7.5).
-		r, err := chain.SpawnFenced(idx, ls.term)
+		r, err := chain.Spawn(idx, ls.term)
 		if err != nil {
 			rep.Err = err
 			ls.depose()
 			return rep, err
 		}
 		nr = r
-		_ = core.Ping(ctx, ens.fabric, m.node.ID(), nr.SimID(), cfg.RecoveryTimeout)
+		_ = core.Ping(ctx, o.fabric, m.node.ID(), nr.SimID(), cfg.RecoveryTimeout)
 		rep.Init = time.Since(t0)
 		if err := ls.replicate(Command{Kind: CmdRecoveryPhase, Term: ls.term, Ring: idx, Epoch: epoch, Phase: PhaseSpawned, Replacement: nr.SimID()}); err != nil {
 			ls.depose()
 			return rep, err
 		}
-		ens.phase(PhaseEvent{RingIndex: idx, Phase: PhaseSpawned, Replacement: nr.SimID()})
+		o.phase(PhaseEvent{RingIndex: idx, Phase: PhaseSpawned, Replacement: nr.SimID()})
 		if ls.gone() {
 			return rep, errDeposed
 		}
@@ -717,7 +731,7 @@ func (ls *leaderStint) runRecovery(idx int) (RecoveryReport, error) {
 	if needFetch {
 		// Step 2 — state recovery from alive group members.
 		t1 := time.Now()
-		if err := chain.RecoverStateFenced(ctx, nr, ls.term); err != nil {
+		if err := chain.RecoverState(ctx, nr, ls.term); err != nil {
 			if errors.Is(err, core.ErrFenced) {
 				ls.depose()
 				return rep, err
@@ -729,7 +743,7 @@ func (ls *leaderStint) runRecovery(idx int) (RecoveryReport, error) {
 			ls.depose()
 			return rep, err
 		}
-		ens.phase(PhaseEvent{RingIndex: idx, Phase: PhaseFetched, Replacement: nr.SimID()})
+		o.phase(PhaseEvent{RingIndex: idx, Phase: PhaseFetched, Replacement: nr.SimID()})
 		if ls.gone() {
 			return rep, errDeposed
 		}
@@ -739,7 +753,7 @@ func (ls *leaderStint) runRecovery(idx int) (RecoveryReport, error) {
 		// Step 3 — reroute traffic through the replacement, atomically
 		// fenced: a deposed stint's adopt is rejected whole.
 		t2 := time.Now()
-		if err := chain.AdoptFenced(nr, ls.term); err != nil {
+		if err := chain.Adopt(nr, ls.term); err != nil {
 			ls.depose()
 			return rep, err
 		}
@@ -748,7 +762,7 @@ func (ls *leaderStint) runRecovery(idx int) (RecoveryReport, error) {
 			ls.depose()
 			return rep, err
 		}
-		ens.phase(PhaseEvent{RingIndex: idx, Phase: PhaseAdopted, Replacement: nr.SimID()})
+		o.phase(PhaseEvent{RingIndex: idx, Phase: PhaseAdopted, Replacement: nr.SimID()})
 		if ls.gone() {
 			return rep, errDeposed
 		}
@@ -764,7 +778,7 @@ func (ls *leaderStint) runRecovery(idx int) (RecoveryReport, error) {
 			rep.Middlebox = fmt.Sprintf("mb%d", h.MB())
 		}
 	}
-	ens.record(rep)
+	o.record(rep)
 	return rep, nil
 }
 
@@ -797,7 +811,7 @@ func (ls *leaderStint) replicate(cmds ...Command) error {
 	m.mu.Unlock()
 
 	acks := 1
-	for _, p := range m.ens.members {
+	for _, p := range m.o.members {
 		if p == m {
 			continue
 		}
@@ -805,7 +819,7 @@ func (ls *leaderStint) replicate(cmds ...Command) error {
 			acks++
 		}
 	}
-	if acks*2 <= len(m.ens.members) {
+	if acks*2 <= len(m.o.members) {
 		return errNoQuorum
 	}
 	return nil
@@ -827,8 +841,9 @@ func (ls *leaderStint) appendTo(p *Member, prev int, entries []Entry) bool {
 		ls.depose()
 		return false
 	}
-	if resp.LogLen < prev {
-		// Follower is missing earlier entries: resend from its length.
+	if resp.LogLen >= 0 && resp.LogLen < prev {
+		// Follower is missing earlier entries: resend from its length (a
+		// negative length is a malformed reply and counts as a failure).
 		m.mu.Lock()
 		end := prev + len(entries)
 		if end > len(m.log) || resp.LogLen >= end {
@@ -844,11 +859,6 @@ func (ls *leaderStint) appendTo(p *Member, prev int, entries []Entry) bool {
 		return resp2.OK
 	}
 	return false
-}
-
-// pingAlive wraps core.Ping for the detector.
-func pingAlive(e *Ensemble, src, dst netsim.NodeID, timeout time.Duration) bool {
-	return core.Ping(context.Background(), e.fabric, src, dst, timeout)
 }
 
 // nodeAlive reports whether a fabric node exists and has not crashed.

@@ -3,12 +3,12 @@
 // heartbeats, detects fail-stop failures, and drives the three-step
 // recovery — spawn a replacement, recover state from alive group members,
 // and reroute traffic. In the paper the orchestrator is an ONOS SDN
-// controller; here it is a fabric node issuing the same control-plane
-// actions, and like the paper's it stays entirely off the data path.
+// controller; here it is one logical controller replicated over
+// Config.Members fabric nodes (DESIGN.md §14), and like the paper's it
+// stays entirely off the data path.
 package orch
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -62,28 +62,28 @@ type PhaseEvent struct {
 	Replacement netsim.NodeID
 }
 
-// Config tunes failure detection.
+// Config tunes failure detection and the orchestrator's replication.
 type Config struct {
 	// HeartbeatEvery is the ping period per replica.
 	HeartbeatEvery time.Duration
-	// HeartbeatTimeout is the per-ping timeout.
+	// HeartbeatTimeout is the per-ping timeout. Keep it above the RTT to
+	// the farthest replica, or every ping to it counts as a miss.
 	HeartbeatTimeout time.Duration
 	// Misses is how many consecutive missed heartbeats declare a failure.
 	Misses int
 	// RecoveryTimeout bounds one full recovery.
 	RecoveryTimeout time.Duration
 
-	// Members is the ensemble size (leader + followers) for NewEnsemble;
-	// the single-node Orchestrator ignores it. 1 runs an unreplicated
-	// leader (no failover); 3 survives one orchestrator crash; 5 survives
-	// two, including killing the new leader during its takeover.
+	// Members is the number of orchestrator nodes (leader + followers).
+	// 1 runs an unreplicated leader (no failover); 3 survives one
+	// orchestrator crash; 5 survives two, including killing the new leader
+	// during its takeover.
 	Members int
-	// LeaseEvery is the leader's lease-renewal period to followers
-	// (ensemble only).
+	// LeaseEvery is the leader's lease-renewal period to followers.
 	LeaseEvery time.Duration
 	// ElectionAfter is how long a follower waits without leader contact
 	// before standing for election; candidacy is additionally staggered
-	// by rank so members stand one at a time (ensemble only).
+	// by rank so members stand one at a time.
 	ElectionAfter time.Duration
 }
 
@@ -126,8 +126,7 @@ type RecoveryReport struct {
 	Reroute    time.Duration
 	Total      time.Duration
 	Err        error
-	// Term is the leader term that completed the recovery (ensemble
-	// only; 0 for the single Orchestrator).
+	// Term is the leader term that completed the recovery.
 	Term uint64
 	// Resumed marks a recovery continued across a leader failover: its
 	// phase timings span the takeover gap, so latency-bound checks
@@ -135,77 +134,180 @@ type RecoveryReport struct {
 	Resumed bool
 }
 
-// Orchestrator monitors one FTC chain and repairs it on failure.
+// Orchestrator monitors one FTC chain and repairs it on failure. It runs
+// on Config.Members fabric nodes that elect a leader over a shared command
+// log. The leader owns heartbeats, failure detection, and recovery
+// execution; every recovery step is replicated before it acts, so when the
+// leader dies a follower takes over and resumes — not restarts — whatever
+// was mid-flight. Fencing terms (Chain.FenceController plus the chain's
+// term-checked recovery steps) make a deposed leader's stale commands
+// harmless.
 type Orchestrator struct {
 	cfg    Config
 	fabric *netsim.Fabric
-	node   *netsim.Node
 	chain  *core.Chain
 
-	mu       sync.Mutex
-	reports  []RecoveryReport
-	handling map[int]bool
+	members []*Member
+
+	mu      sync.Mutex
+	reports []RecoveryReport
 
 	stopOnce sync.Once
-	stopped  chan struct{}
-	wg       sync.WaitGroup
 
 	detected  metrics.Counter
+	takeovers metrics.Counter
 	recHist   *metrics.Histogram
 	fetchHist *metrics.Histogram
 
 	// OnRecovery, if set, is called after each recovery attempt.
 	OnRecovery func(RecoveryReport)
 	// OnPhase, if set, is called synchronously at each recovery sub-step
-	// (see Phase). Fault-injection harnesses hook it to crash replicas in
-	// the middle of a recovery; it must not block for long, since it runs
-	// on the recovery path and extends the measured phase timings.
+	// (see Phase). Fault-injection harnesses hook it to crash replicas —
+	// or the leader itself — in the middle of a recovery; it must not
+	// block for long, since it runs on the recovery path and extends the
+	// measured phase timings.
 	OnPhase func(PhaseEvent)
+	// OnLeader, if set, is called synchronously when a member completes a
+	// takeover (after the election record replicated and the chain was
+	// fenced, before orphaned recoveries resume). The chaos harness hooks
+	// it to kill the new leader during takeover.
+	OnLeader func(term uint64, member int)
 }
 
-// New creates an orchestrator on its own fabric node.
-func New(cfg Config, fabric *netsim.Fabric, id netsim.NodeID, chain *core.Chain) *Orchestrator {
-	return &Orchestrator{
-		cfg:       cfg.WithDefaults(),
+// New creates cfg.Members orchestrator nodes named base-m0, base-m1, ... on
+// the fabric. Member 0 leads at term 1 once Start is called; later terms
+// are won by election.
+func New(cfg Config, fabric *netsim.Fabric, base netsim.NodeID, chain *core.Chain) *Orchestrator {
+	cfg = cfg.WithDefaults()
+	o := &Orchestrator{
+		cfg:       cfg,
 		fabric:    fabric,
-		node:      fabric.AddNode(id, netsim.NodeConfig{}),
 		chain:     chain,
-		handling:  make(map[int]bool),
-		stopped:   make(chan struct{}),
 		recHist:   metrics.NewHistogram(),
 		fetchHist: metrics.NewHistogram(),
 	}
+	for i := 0; i < cfg.Members; i++ {
+		m := &Member{
+			o:       o,
+			rank:    i,
+			node:    fabric.AddNode(netsim.NodeID(fmt.Sprintf("%s-m%d", base, i)), netsim.NodeConfig{}),
+			stopped: make(chan struct{}),
+		}
+		m.register()
+		o.members = append(o.members, m)
+	}
+	return o
 }
 
-// Detected reports how many failures the heartbeat detector has declared
-// (manual Recover calls are not counted).
+// Members returns the orchestrator's members (stable ranks).
+func (o *Orchestrator) Members() []*Member { return append([]*Member(nil), o.members...) }
+
+// Start launches the orchestrator: member 0 takes term 1 deterministically
+// (no cold-start election) and starts the failure detector, the rest
+// follow.
+func (o *Orchestrator) Start() {
+	now := time.Now()
+	for _, m := range o.members {
+		m.mu.Lock()
+		m.leaseAt = now
+		m.mu.Unlock()
+	}
+	for _, m := range o.members {
+		m.wg.Add(1)
+		go m.run()
+	}
+	o.members[0].becomeLeader(1)
+}
+
+// Stop terminates every member and joins all their goroutines, including
+// any leader stint's monitors — the regression target for the
+// crashed-orchestrator goroutine-leak audit.
+func (o *Orchestrator) Stop() {
+	o.stopOnce.Do(func() {
+		for _, m := range o.members {
+			if ls := m.currentStint(); ls != nil {
+				ls.depose()
+			}
+			m.stopOnce.Do(func() { close(m.stopped) })
+		}
+		for _, m := range o.members {
+			m.wg.Wait()
+		}
+	})
+}
+
+// Leader returns the rank and term of the current leader, or (-1, 0) if
+// no member is leading right now (e.g. mid-election).
+func (o *Orchestrator) Leader() (int, uint64) {
+	for _, m := range o.members {
+		if ls := m.currentStint(); ls != nil {
+			return m.rank, ls.term
+		}
+	}
+	return -1, 0
+}
+
+// leaderMember returns the leading member, if any.
+func (o *Orchestrator) leaderMember() *Member {
+	for _, m := range o.members {
+		if m.currentStint() != nil {
+			return m
+		}
+	}
+	return nil
+}
+
+// CrashLeader fail-stops the current leader, returning its rank or -1 if
+// no leader was up. The chaos harness's mid-recovery rider calls this from
+// inside OnPhase, on the leader's own recovery goroutine — Crash only
+// signals, so that is safe.
+func (o *Orchestrator) CrashLeader() int {
+	m := o.leaderMember()
+	if m == nil {
+		return -1
+	}
+	m.Crash()
+	return m.rank
+}
+
+// CrashMember fail-stops member rank.
+func (o *Orchestrator) CrashMember(rank int) {
+	if rank >= 0 && rank < len(o.members) {
+		o.members[rank].Crash()
+	}
+}
+
+// NodeID returns a usable control-plane source node: the current leader's
+// if one is up, else the first alive member's, else member 0's. Callers
+// that shape the orchestrator's links or send their own liveness probes
+// from it (fleet, Fig 13) address it through here.
+func (o *Orchestrator) NodeID() netsim.NodeID {
+	if m := o.leaderMember(); m != nil {
+		return m.node.ID()
+	}
+	for _, m := range o.members {
+		if !m.crashed.Load() {
+			return m.node.ID()
+		}
+	}
+	return o.members[0].node.ID()
+}
+
+// Detected reports how many failures the (current and past) leaders'
+// heartbeat detectors declared (manual Recover calls are not counted).
 func (o *Orchestrator) Detected() uint64 { return o.detected.Value() }
+
+// Takeovers counts completed leadership changes, including the initial
+// term-1 installation.
+func (o *Orchestrator) Takeovers() uint64 { return o.takeovers.Value() }
 
 // RecoveryHist is the histogram of total recovery times across successful
 // recoveries (Figure 13's Total column as a distribution).
 func (o *Orchestrator) RecoveryHist() *metrics.Histogram { return o.recHist }
 
-// FetchHist is the histogram of state-recovery (fetch) times across
-// successful recoveries.
+// FetchHist is the histogram of state-fetch times across successful
+// recoveries.
 func (o *Orchestrator) FetchHist() *metrics.Histogram { return o.fetchHist }
-
-// NodeID returns the orchestrator's fabric node id.
-func (o *Orchestrator) NodeID() netsim.NodeID { return o.node.ID() }
-
-// Start launches the failure detector: one heartbeat loop per ring
-// position.
-func (o *Orchestrator) Start() {
-	for i := 0; i < o.chain.Len(); i++ {
-		o.wg.Add(1)
-		go o.monitor(i)
-	}
-}
-
-// Stop terminates monitoring.
-func (o *Orchestrator) Stop() {
-	o.stopOnce.Do(func() { close(o.stopped) })
-	o.wg.Wait()
-}
 
 // Reports returns the recovery reports so far.
 func (o *Orchestrator) Reports() []RecoveryReport {
@@ -214,132 +316,94 @@ func (o *Orchestrator) Reports() []RecoveryReport {
 	return append([]RecoveryReport(nil), o.reports...)
 }
 
-func (o *Orchestrator) monitor(idx int) {
-	defer o.wg.Done()
-	t := time.NewTicker(o.cfg.HeartbeatEvery)
-	defer t.Stop()
-	misses := 0
-	for {
-		select {
-		case <-o.stopped:
-			return
-		case <-t.C:
-		}
-		if o.node.Crashed() {
-			// A fail-stopped orchestrator must not keep heartbeating (or
-			// leak its monitor goroutines) from beyond the grave.
-			return
-		}
-		target := o.chain.RingID(idx)
-		if core.Ping(context.Background(), o.fabric, o.node.ID(), target, o.cfg.HeartbeatTimeout) {
-			misses = 0
-			continue
-		}
-		misses++
-		if misses < o.cfg.Misses {
-			continue
-		}
-		misses = 0
-		o.detected.Inc()
-		o.recover(idx)
+// Log returns the authoritative committed command log: the current
+// leader's if one is up, else the longest log among alive members, else
+// the longest overall. Post-quiescence audits replay it.
+func (o *Orchestrator) Log() []Entry {
+	if m := o.leaderMember(); m != nil {
+		return m.Log()
 	}
+	var best []Entry
+	for _, m := range o.members {
+		if m.crashed.Load() {
+			continue
+		}
+		if l := m.Log(); len(l) > len(best) {
+			best = l
+		}
+	}
+	if best == nil {
+		for _, m := range o.members {
+			if l := m.Log(); len(l) > len(best) {
+				best = l
+			}
+		}
+	}
+	return best
 }
 
-// Recover runs the three-step §5.2 recovery for ring position idx and
-// records a timing report. If the failure detector already started a
-// recovery for idx (they race when a failure is injected manually), Recover
-// waits for it and returns its report.
+// View replays the authoritative log.
+func (o *Orchestrator) View() LogView { return Replay(o.Log()) }
+
+// Recover runs (or joins) a recovery for ring position idx and returns its
+// report. The orchestrator must have been started: recoveries run on the
+// leader, and before Start there is none. If the failure detector already
+// started a recovery for idx (they race when a failure is injected
+// manually), Recover waits for its report. The driving leader may die
+// mid-way; Recover then waits for the successor to resume and finish the
+// job, up to one RecoveryTimeout per member.
 func (o *Orchestrator) Recover(idx int) RecoveryReport {
+	deadline := time.Now().Add(o.cfg.RecoveryTimeout * time.Duration(len(o.members)))
+	o.mu.Lock()
+	from := len(o.reports)
+	o.mu.Unlock()
 	for {
-		rep, raced := o.recover(idx)
-		if !raced {
+		// Reports first: a successor resuming the recovery may already have
+		// finished it, and a direct call below would then start a fresh,
+		// redundant epoch against an already-healthy ring.
+		if rep, ok := o.reportAfter(idx, from); ok {
 			return rep
 		}
-		// A detector-initiated recovery is running; wait for its report.
-		deadline := time.Now().Add(o.cfg.RecoveryTimeout)
-		for {
-			o.mu.Lock()
-			busy := o.handling[idx]
-			var last *RecoveryReport
-			for i := len(o.reports) - 1; i >= 0; i-- {
-				if o.reports[i].RingIndex == idx {
-					r := o.reports[i]
-					last = &r
-					break
+		if m := o.leaderMember(); m != nil {
+			if ls := m.currentStint(); ls != nil {
+				rep, err := ls.recoverPosition(idx, "")
+				if err == nil {
+					return rep
 				}
+				// errBusy or a mid-flight depose: fall through and wait
+				// for whoever finishes it to record a report.
 			}
-			o.mu.Unlock()
-			if !busy && last != nil {
-				return *last
-			}
-			if time.Now().After(deadline) {
-				return RecoveryReport{RingIndex: idx, Err: fmt.Errorf("orch: timed out waiting for concurrent recovery of %d", idx)}
-			}
-			time.Sleep(time.Millisecond)
+		}
+		if rep, ok := o.reportAfter(idx, from); ok {
+			return rep
+		}
+		if time.Now().After(deadline) {
+			return RecoveryReport{RingIndex: idx, Err: fmt.Errorf("orch: timed out recovering position %d", idx)}
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// reportAfter scans for a report for idx recorded at or after position
+// from.
+func (o *Orchestrator) reportAfter(idx, from int) (RecoveryReport, bool) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for i := from; i < len(o.reports); i++ {
+		if o.reports[i].RingIndex == idx {
+			return o.reports[i], true
 		}
 	}
+	return RecoveryReport{}, false
 }
 
-// recover runs one recovery; raced reports that another recovery of idx is
-// already in flight (nothing was done).
-func (o *Orchestrator) recover(idx int) (rep0 RecoveryReport, raced bool) {
-	o.mu.Lock()
-	if o.handling[idx] {
-		o.mu.Unlock()
-		return RecoveryReport{}, true
+func (o *Orchestrator) noteLeader(term uint64, member int) {
+	o.takeovers.Inc()
+	if o.OnLeader != nil {
+		o.OnLeader(term, member)
 	}
-	o.handling[idx] = true
-	o.mu.Unlock()
-	defer func() {
-		o.mu.Lock()
-		o.handling[idx] = false
-		o.mu.Unlock()
-	}()
-
-	ctx, cancel := context.WithTimeout(context.Background(), o.cfg.RecoveryTimeout)
-	defer cancel()
-
-	rep := RecoveryReport{RingIndex: idx, DetectedAt: time.Now()}
-	t0 := time.Now()
-
-	// Step 1 — initialization: spawn the replacement in the failed
-	// replica's region and inform it of the replication groups it joins.
-	// The round trip to the new node models the orchestrator-to-region
-	// control latency that dominates this phase in the paper (§7.5).
-	nr := o.chain.Spawn(idx)
-	// The spawn handshake: one control round trip to the new replica's
-	// region. Its control daemon registers at Start, so before that the
-	// ping fails fast after paying the link latency — which is the
-	// region-distance cost this phase measures.
-	_ = core.Ping(ctx, o.fabric, o.node.ID(), nr.SimID(), o.cfg.RecoveryTimeout)
-	rep.Init = time.Since(t0)
-	o.phase(PhaseEvent{RingIndex: idx, Phase: PhaseSpawned, Replacement: nr.SimID()})
-
-	// Step 2 — state recovery from alive group members.
-	t1 := time.Now()
-	if err := o.chain.RecoverState(ctx, nr); err != nil {
-		rep.Err = err
-		o.chain.Abort(nr)
-		o.record(rep)
-		return rep, false
-	}
-	rep.StateFetch = time.Since(t1)
-	o.phase(PhaseEvent{RingIndex: idx, Phase: PhaseFetched, Replacement: nr.SimID()})
-
-	// Step 3 — reroute traffic through the new replica.
-	t2 := time.Now()
-	o.chain.Adopt(nr)
-	rep.Reroute = time.Since(t2)
-	o.phase(PhaseEvent{RingIndex: idx, Phase: PhaseAdopted, Replacement: nr.SimID()})
-	rep.Total = time.Since(t0)
-	if h := nr.Head(); h != nil {
-		rep.Middlebox = fmt.Sprintf("mb%d", h.MB())
-	}
-	o.record(rep)
-	return rep, false
 }
 
-// phase invokes the OnPhase hook, if installed.
 func (o *Orchestrator) phase(ev PhaseEvent) {
 	if o.OnPhase != nil {
 		o.OnPhase(ev)

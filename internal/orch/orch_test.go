@@ -3,6 +3,7 @@ package orch
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -107,6 +108,8 @@ func TestOrchestratorDetectsAndRecovers(t *testing.T) {
 func TestManualRecoverReportsPhases(t *testing.T) {
 	f, ch, gen, sink := buildChain(t, netsim.Config{})
 	o := New(Config{}, f, "orch", ch)
+	o.Start()
+	defer o.Stop()
 	pump(t, ch, gen, sink, 30)
 	ch.Crash(2)
 	rep := o.Recover(2)
@@ -126,7 +129,9 @@ func TestRecoveryWithWANLatency(t *testing.T) {
 	// by the round-trip latency to the state source.
 	fcfg := netsim.Config{DefaultLink: netsim.LinkProfile{Latency: 10 * time.Millisecond}}
 	f, ch, gen, sink := buildChain(t, fcfg)
-	o := New(Config{}, f, "orch", ch)
+	o := New(Config{HeartbeatTimeout: 100 * time.Millisecond}, f, "orch", ch)
+	o.Start()
+	defer o.Stop()
 	pump(t, ch, gen, sink, 20)
 	ch.Crash(1)
 	rep := o.Recover(1)
@@ -141,14 +146,57 @@ func TestRecoveryWithWANLatency(t *testing.T) {
 }
 
 func TestOrchestratorIgnoresHealthyChain(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fcfg netsim.Config
+		cfg  Config
+	}{
+		{"lan", netsim.Config{}, Config{HeartbeatEvery: 3 * time.Millisecond}},
+		// 20 ms RTT: the timeout must clear it, or every ping is a miss.
+		{"wan", netsim.Config{DefaultLink: netsim.LinkProfile{Latency: 10 * time.Millisecond}},
+			Config{HeartbeatEvery: 3 * time.Millisecond, HeartbeatTimeout: 60 * time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, ch, gen, sink := buildChain(t, tc.fcfg)
+			o := New(tc.cfg, f, "orch", ch)
+			o.Start()
+			defer o.Stop()
+			pump(t, ch, gen, sink, 30)
+			time.Sleep(100 * time.Millisecond)
+			if len(o.Reports()) != 0 || o.Detected() != 0 {
+				t.Fatalf("spurious recoveries (%d detected): %+v", o.Detected(), o.Reports())
+			}
+		})
+	}
+}
+
+// TestManualRecoverRacingDetectorRecoversOnce runs a fast detector beside
+// manual Recover calls: each crash must be repaired exactly once, however
+// the two interleave. A 10 ms orchestrator link keeps detector pings to
+// the crashed node in flight while the manual recovery reroutes past it;
+// those misses must not count against the healthy replacement.
+func TestManualRecoverRacingDetectorRecoversOnce(t *testing.T) {
 	f, ch, gen, sink := buildChain(t, netsim.Config{})
-	o := New(Config{HeartbeatEvery: 3 * time.Millisecond}, f, "orch", ch)
+	o := New(Config{HeartbeatEvery: 2 * time.Millisecond, HeartbeatTimeout: 100 * time.Millisecond, Misses: 2}, f, "orch", ch)
+	far := netsim.LinkProfile{Latency: 10 * time.Millisecond}
+	for i := 0; i < ch.Len(); i++ {
+		f.SetLinkBoth(o.NodeID(), ch.RingID(i), far)
+	}
+	ch.OnSpawn = func(_ int, id netsim.NodeID) { f.SetLinkBoth(o.NodeID(), id, far) }
 	o.Start()
 	defer o.Stop()
-	pump(t, ch, gen, sink, 30)
-	time.Sleep(50 * time.Millisecond)
-	if len(o.Reports()) != 0 {
-		t.Fatalf("spurious recoveries: %+v", o.Reports())
+	crashes := []int{1, 2, 0, 1}
+	for _, idx := range crashes {
+		pump(t, ch, gen, sink, 10)
+		ch.Crash(idx)
+		if rep := o.Recover(idx); rep.Err != nil {
+			t.Fatalf("recovery of %d: %v", idx, rep.Err)
+		}
+	}
+	time.Sleep(50 * time.Millisecond) // many detector periods
+	reps := o.Reports()
+	if len(reps) != len(crashes) {
+		t.Fatalf("%d reports for %d crashes: %+v", len(reps), len(crashes), reps)
 	}
 }
 
@@ -165,6 +213,8 @@ func TestOnPhaseHookOrderAndHistograms(t *testing.T) {
 		}
 		phases = append(phases, ev.Phase)
 	}
+	o.Start()
+	defer o.Stop()
 	pump(t, ch, gen, sink, 20)
 	ch.Crash(1)
 	rep := o.Recover(1)
@@ -208,20 +258,20 @@ func TestCrashDuringRecoveryFallsBackToAliveSource(t *testing.T) {
 		fab.Stop()
 	})
 	o := New(Config{}, fab, "orch", ch)
-	pump(t, ch, gen, sink, 30)
-
-	crashed := false
+	var crashed atomic.Bool
 	o.OnPhase = func(ev PhaseEvent) {
-		if ev.Phase == PhaseSpawned && ev.RingIndex == 1 && !crashed {
-			crashed = true
+		if ev.Phase == PhaseSpawned && ev.RingIndex == 1 && crashed.CompareAndSwap(false, true) {
 			ch.Crash(2)
 		}
 	}
+	o.Start()
+	defer o.Stop()
+	pump(t, ch, gen, sink, 30)
 	ch.Crash(1)
 	if rep := o.Recover(1); rep.Err != nil {
 		t.Fatalf("recovery of 1 with a mid-recovery correlated failure: %v", rep.Err)
 	}
-	if !crashed {
+	if !crashed.Load() {
 		t.Fatal("mid-recovery crash hook never fired")
 	}
 	if rep := o.Recover(2); rep.Err != nil {
@@ -240,7 +290,14 @@ func TestOnRecoveryCallback(t *testing.T) {
 	f, ch, gen, sink := buildChain(t, netsim.Config{})
 	o := New(Config{}, f, "orch", ch)
 	called := make(chan RecoveryReport, 1)
-	o.OnRecovery = func(r RecoveryReport) { called <- r }
+	o.OnRecovery = func(r RecoveryReport) {
+		select {
+		case called <- r:
+		default:
+		}
+	}
+	o.Start()
+	defer o.Stop()
 	pump(t, ch, gen, sink, 10)
 	ch.Crash(0)
 	o.Recover(0)
