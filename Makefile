@@ -1,11 +1,6 @@
 GO ?= go
 
-# Data-plane burst size for bench-json runs (FTC_BURST env override in the
-# benchmarks); 1 measures the degenerate per-packet pipeline.
-BURST ?= 32
-DATE  := $(shell date +%Y-%m-%d)
-
-.PHONY: all build test vet fmt doclint crossbuild race stress chaos control-chaos fuzz-short bench-check bench-pairs bench-smoke bench-guard bench-fig5 bench-bridge bench-json loc ci
+.PHONY: all build test vet fmt doclint crossbuild race stress chaos control-chaos fuzz-short bench-check bench-pairs bench-fig5 bench-bridge loc ci
 
 all: build vet test
 
@@ -28,7 +23,7 @@ fmt:
 # Doc-comment lint: the deployment-path packages must keep every exported
 # symbol documented (the README walkthrough links to their godoc), and so
 # must the chaos harness, the orchestrator it drives (DESIGN.md §10), the
-# experiment and middlebox catalogs, and the fleet broker with its YAML
+# experiment and middlebox catalogs, and the fleet broker with its JSON
 # config surface — where every numeric scenario knob must also name its
 # unit (Mbps, ms, ...) in the field's doc comment. Package comments must
 # open canonically ("Package <name> ..." / "Command ...").
@@ -109,29 +104,6 @@ bench-pairs:
 	@test -n "$(PARENT)" || { echo "usage: make bench-pairs W=<workload> PARENT=<rev> [N=10]" >&2; exit 2; }
 	bash scripts/bench_pairs.sh $(W) $(PARENT) $(N)
 
-# Fast allocation gate: runs the per-role fast-path benchmarks (pass-through
-# hop, head hop, buffer hop, head hop behind ingest; DESIGN.md §6) a fixed
-# number of iterations so CI can catch an allocation regression in seconds.
-bench-smoke:
-	$(GO) test ./... -run=NONE -bench=FastPath -benchtime=100x
-
-# Benchmark regression guard: bench-smoke plus the million-flow store
-# sweep, diffed against the checked-in baseline. allocs/op regressions fail
-# the build; timing drift beyond ±10% is an advisory warning (CI runners
-# are noisy). Refresh BENCH_BASELINE.json when an improvement lands.
-# MillionFlows runs a fixed iteration count so its 1M-key fill is paid once
-# per sub-benchmark instead of once per benchtime ramp step. The
-# BridgeThroughput rows time a send side with no drain wake-up left to
-# amortize: the sending goroutine packs its burst and makes the syscall, so
-# burst=32 reads one sendmmsg per burst and burst=1 one per frame. At
-# mtu=1472 a burst is one segmented message (UDP_SEGMENT), not ≈ 7 trips
-# through the UDP/IP stack, which is why that mmsg row leads its packed twin.
-bench-guard:
-	{ $(GO) test ./... -run=NONE -bench=FastPath -benchtime=100x ; \
-	  $(GO) test . -run=NONE -bench=MillionFlows -benchtime=100000x ; \
-	  $(GO) test ./internal/trans -run=NONE -bench=BridgeThroughput -benchtime=30000x -benchmem ; } \
-		| tee /dev/stderr | $(GO) run scripts/bench_compare.go
-
 # Deterministic chaos campaigns under -race: CHAOS_COUNT consecutive seeds
 # (56 sweeps the 4-cell f=1..2 × {2pl,occ} matrix 14 times), and
 # SOAK_SECONDS keeps extending the sweep for the nightly soak lane. Every
@@ -168,25 +140,6 @@ bench-fig5:
 bench-bridge:
 	$(GO) test ./internal/trans -run=NONE -bench=BridgeThroughput -benchtime=2s -benchmem
 
-# Machine-readable benchmark snapshot: runs the Figure 5 and Figure 7
-# benchmarks at the configured burst size — including the skewed
-# elephant-queue benchmark (BenchmarkFig5Skewed; stealing needs ≥2 physical
-# cores to pay, see DESIGN.md §9) — plus the
-# million-flow store sweep (fixed iteration count, see bench-guard) and the
-# multi-process bridge benchmark, and writes BENCH_<date>.json with pps,
-# ns/op, and allocs/op per sub-benchmark.
-#   make bench-json            # default burst (32)
-#   make bench-json BURST=1    # per-packet baseline for comparison
-#   make bench-json BURST=0    # adaptive NAPI-style burst sizing
-bench-json:
-	{ FTC_BURST=$(BURST) $(GO) test . -run=NONE -bench='Fig5|Fig7' -benchtime=2s -benchmem ; \
-	  $(GO) test . -run=NONE -bench=MillionFlows -benchtime=2000000x -benchmem ; \
-	  $(GO) test ./internal/trans -run=NONE -bench=BridgeThroughput -benchtime=2s -benchmem ; } \
-		| tee /dev/stderr \
-		| awk -v burst=$(BURST) -v date=$(DATE) -f scripts/bench_json.awk \
-		> BENCH_$(DATE).json
-	@echo wrote BENCH_$(DATE).json
-
 # Size ledger for the "least machinery" aim: non-test Go lines outside the
 # frozen bench/, test lines, and the core.Config field count.
 loc:
@@ -195,8 +148,8 @@ loc:
 	@echo "core.Config fields: $$(awk '/^type Config struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z][A-Za-z]* /{n++} END{print n}' internal/core/config.go)"
 
 # The full pre-merge gate: build, vet, the gofmt gate, doc lint, the
-# cross-compile gate, the frozen bench/ harness check, the piggyback codec
-# fuzz gate, the benchmark regression guard (allocation smoke benchmarks diffed against baseline),
-# the race-sensitive packages under -race, the scheduler stress gate, the
-# orchestrator-crash campaign matrix, and the whole test suite.
-ci: build vet fmt doclint crossbuild bench-check fuzz-short bench-guard race stress control-chaos test
+# cross-compile gate, the frozen bench/ harness check, the decoder fuzz
+# gate, the race-sensitive packages under -race, the scheduler stress gate,
+# the orchestrator-crash campaign matrix, and the whole test suite (whose
+# testing.AllocsPerRun gates pin every hot path's allocations per op).
+ci: build vet fmt doclint crossbuild bench-check fuzz-short race stress control-chaos test

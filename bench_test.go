@@ -13,37 +13,21 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
-	"strconv"
-	"sync"
 	"testing"
 	"time"
 
 	"github.com/ftsfc/ftc/internal/core"
 	"github.com/ftsfc/ftc/internal/exp"
-	"github.com/ftsfc/ftc/internal/hashx"
 	"github.com/ftsfc/ftc/internal/state"
 	"github.com/ftsfc/ftc/internal/wire"
 )
-
-// envBurst reads the FTC_BURST override so `make bench-json BURST=1` can
-// measure the degenerate per-packet pipeline against the default burst
-// without a code change. 0 (unset) keeps each layer's default.
-func envBurst() int {
-	if v := os.Getenv("FTC_BURST"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			return n
-		}
-	}
-	return 0
-}
 
 // pump drives exactly b.N packets through the SUT with a bounded in-flight
 // window and waits for them all to exit.
 func pump(b *testing.B, kind exp.Kind, factory exp.MBFactory, workers int, packetSize int) {
 	b.Helper()
-	p := exp.Params{Flows: 64, PacketSize: packetSize, Burst: envBurst()}
+	p := exp.Params{Flows: 64, PacketSize: packetSize}
 	s, err := exp.BuildSUT(kind, factory, p, workers)
 	if err != nil {
 		b.Fatal(err)
@@ -133,11 +117,10 @@ func BenchmarkFig5(b *testing.B) {
 // RSS-colliding onto one worker's home partitions) through FTC at
 // workers=4. Stealing redistributes those partitions, so pps should approach
 // the uniform-flow number instead of collapsing to ~1 worker's worth. The
-// sub-benchmark keeps the name its BENCH_<date>.json rows were recorded
-// under.
+// sub-benchmark keeps the name EXPERIMENTS.md's rows cite.
 func BenchmarkFig5Skewed(b *testing.B) {
 	b.Run("steal", func(b *testing.B) {
-		p := exp.Params{Flows: 64, PacketSize: 128, Burst: envBurst(), Skew: 1.2}
+		p := exp.Params{Flows: 64, PacketSize: 128, Skew: 1.2}
 		// Per-flow state: inter-flow parallelism is what the scheduler
 		// redistributes; shared Gen keys would serialize workers on
 		// partition locks regardless of scheduling.
@@ -244,7 +227,7 @@ func BenchmarkFig8(b *testing.B) {
 // closedLoop sends one packet at a time, so ns/op ≈ per-packet chain latency.
 func closedLoop(b *testing.B, kind exp.Kind, factory exp.MBFactory, workers int) {
 	b.Helper()
-	s, err := exp.BuildSUT(kind, factory, exp.Params{Flows: 64, PacketSize: 256, Burst: envBurst()}, workers)
+	s, err := exp.BuildSUT(kind, factory, exp.Params{Flows: 64, PacketSize: 256}, workers)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -301,7 +284,7 @@ func BenchmarkFig11(b *testing.B) {
 func BenchmarkFig12(b *testing.B) {
 	for _, f := range []int{1, 2, 3, 4} {
 		b.Run(fmt.Sprintf("replication%d", f+1), func(b *testing.B) {
-			p := exp.Params{Flows: 64, PacketSize: 256, F: f, Burst: envBurst()}
+			p := exp.Params{Flows: 64, PacketSize: 256, F: f}
 			s, err := exp.BuildSUT(exp.FTC, exp.MonitorChain(5, 1), p, 8)
 			if err != nil {
 				b.Fatal(err)
@@ -384,297 +367,160 @@ func BenchmarkAblationTransactions(b *testing.B) {
 	_ = tb
 }
 
-// Million-flow state-engine benchmark. Holds ~1M live flow entries and
-// measures the swiss-table store (internal/state) against seedStore, a
-// faithful reproduction of the pre-rebuild layout (per-partition mutex +
-// map[string][]byte with a copy per read and an allocation per write).
-// Two access patterns per engine:
+// Million-flow state-engine benchmark: ~1M live flow entries in the
+// swiss-table store (internal/state), two access patterns:
 //
 //   - get:   Zipf-skewed lookups (s=1.2) over the live set — the NAT/counter
-//     read path in isolation. The table side must run at 0 allocs/op.
+//     read path in isolation.
 //   - sweep: the headline churning key-space sweep — every op reads one
 //     Zipf-ranked recent flow, every mfCreateEvery-th op creates a flow, and
 //     at burst-boundary cadence (one clock tick per mfCreatesPerTick
-//     creates) due flows age out, keeping the live population pinned near
-//     mfLive. The table expires off the TTL wheel (0 allocs/op); the seed
-//     map has no aging, so its baseline carries the classic flat-map scheme
-//     — a deadline sidecar swept by periodic partition scans (seedAger).
+//     creates) due flows age out off the TTL wheel, keeping the live
+//     population pinned near its target.
+//
+// Both run at 0 allocations per op; TestMillionFlowsAllocs gates that on a
+// smaller live set.
 const (
-	mfLive           = 1 << 20           // live flow population
-	mfRing           = mfLive + mfLive/4 // key ring; the margin keeps creates from reviving live keys
-	mfCreateEvery    = 8                 // sweep ops per flow creation (new-flow packet ratio)
-	mfCreatesPerTick = 64                // creates per clock tick; TTL = mfLive/mfCreatesPerTick ticks
-	mfParts          = 64                // store partitions
-	mfValSize        = 32                // flow-entry value size (NAT mapping scale)
-	mfTTLTicks       = mfLive / mfCreatesPerTick
+	mfLive           = 1 << 20 // live flow population
+	mfCreateEvery    = 8       // sweep ops per flow creation (new-flow packet ratio)
+	mfCreatesPerTick = 64      // creates per clock tick; TTL = live/mfCreatesPerTick ticks
+	mfParts          = 64      // store partitions
+	mfValSize        = 32      // flow-entry value size (NAT mapping scale)
 )
 
-// mfKeys precomputes the key ring and each key's partition so neither hash
-// nor formatting shows up inside the measured loops.
-func mfKeys() ([]string, []uint16) {
-	keys := make([]string, mfRing)
-	parts := make([]uint16, mfRing)
+// mfWorkload precomputes a key ring, each key's partition and a table of
+// Zipf-distributed recency ranks (0 = most recently created flow), so neither
+// hashing, formatting nor the generator shows up inside the measured loops.
+type mfWorkload struct {
+	live  int
+	keys  []string // the ring; its live/4 margin keeps creates from reviving live keys
+	parts []uint16
+	zipf  []int
+	val   []byte
+}
+
+func newMFWorkload(live int) *mfWorkload {
+	w := &mfWorkload{live: live, val: bytes.Repeat([]byte{0xab}, mfValSize)}
 	probe := state.New(mfParts)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("flow:%07d", i)
-		parts[i] = probe.PartitionOf(keys[i])
+	for i := 0; i < live+live/4; i++ {
+		w.keys = append(w.keys, fmt.Sprintf("flow:%07d", i))
+		w.parts = append(w.parts, probe.PartitionOf(w.keys[i]))
 	}
-	return keys, parts
-}
-
-// mfZipf precomputes a table of Zipf-distributed recency ranks (0 = most
-// recently created flow) so the generator itself stays out of the measured
-// loops. Ranks stop a few collection rounds short of mfLive so a ranked
-// flow is always still live in either engine.
-func mfZipf() []int {
-	idx := make([]int, 1<<16)
-	z := rand.NewZipf(rand.New(rand.NewSource(1)), 1.2, 1, mfLive-4*mfCreatesPerTick)
-	for i := range idx {
-		idx[i] = int(z.Uint64())
+	// Ranks stop a few collection rounds short of live so a ranked flow is
+	// always still live.
+	z := rand.NewZipf(rand.New(rand.NewSource(1)), 1.2, 1, uint64(live-4*mfCreatesPerTick))
+	w.zipf = make([]int, 1<<16)
+	for i := range w.zipf {
+		w.zipf[i] = int(z.Uint64())
 	}
-	return idx
+	return w
 }
 
-// seedPart is one seedStore partition: the seed's mutex + Go map layout.
-type seedPart struct {
-	mu sync.Mutex
-	m  map[string][]byte
-}
-
-// seedStore reproduces the pre-rebuild store: partitioned map[string][]byte
-// where every read copies the value out and every write allocates a fresh
-// buffer. It exists only as the benchmark baseline.
-type seedStore struct {
-	parts []seedPart
-}
-
-func newSeedStore(n int) *seedStore {
-	s := &seedStore{parts: make([]seedPart, n)}
-	for i := range s.parts {
-		s.parts[i].m = make(map[string][]byte)
-	}
-	return s
-}
-
-func (s *seedStore) part(key string) *seedPart {
-	return &s.parts[hashx.Sum32String(key)%uint32(len(s.parts))]
-}
-
-func (s *seedStore) get(key string) ([]byte, bool) {
-	p := s.part(key)
-	p.mu.Lock()
-	v, ok := p.m[key]
-	if !ok {
-		p.mu.Unlock()
-		return nil, false
-	}
-	out := make([]byte, len(v))
-	copy(out, v)
-	p.mu.Unlock()
-	return out, true
-}
-
-func (s *seedStore) put(key string, val []byte) {
-	p := s.part(key)
-	p.mu.Lock()
-	p.m[key] = append([]byte(nil), val...)
-	p.mu.Unlock()
-}
-
-// seedAger bolts flow aging onto seedStore the way a flat map has to: a
-// per-partition deadline sidecar swept by periodic scans. The sweep visits
-// one partition per clock tick — full coverage every mfParts ticks — so its
-// expiry-latency bound is mfParts× looser than the wheel's one-tick bound;
-// the comparison is deliberately generous to the baseline (scanning every
-// partition per tick, the wheel's actual contract, would be mfParts× worse
-// again).
-type seedAger struct {
-	st   *seedStore
-	exp  []map[string]int64 // deadline tick per live key, same partitioning as st
-	next int                // next partition to sweep
-}
-
-func newSeedAger(st *seedStore) *seedAger {
-	a := &seedAger{st: st, exp: make([]map[string]int64, len(st.parts))}
-	for i := range a.exp {
-		a.exp[i] = make(map[string]int64)
-	}
-	return a
-}
-
-// put installs a flow with a deadline, partition precomputed by the caller
-// (mirroring how Update carries Partition on the table side).
-func (a *seedAger) put(key string, part uint16, val []byte, deadline int64) {
-	p := &a.st.parts[part]
-	p.mu.Lock()
-	p.m[key] = append([]byte(nil), val...)
-	p.mu.Unlock()
-	a.exp[part][key] = deadline
-}
-
-// tick sweeps the next partition, deleting every flow past its deadline.
-func (a *seedAger) tick(now int64) {
-	part := a.next
-	a.next = (a.next + 1) % len(a.exp)
-	m := a.exp[part]
-	p := &a.st.parts[part]
-	p.mu.Lock()
-	for k, d := range m {
-		if d <= now {
-			delete(m, k)
-			delete(p.m, k)
+// getOp fills a store with the live set and returns the get pattern's op i.
+func (w *mfWorkload) getOp(tb testing.TB) func(i int) {
+	st := state.New(mfParts)
+	ups := make([]state.Update, 0, 1024)
+	for i := 0; i < w.live; i++ {
+		ups = append(ups, state.Update{Key: w.keys[i], Value: w.val, Partition: w.parts[i]})
+		if len(ups) == cap(ups) {
+			st.Apply(ups)
+			ups = ups[:0]
 		}
 	}
-	p.mu.Unlock()
+	st.Apply(ups)
+	var buf []byte
+	return func(i int) {
+		v, ok := st.GetAppend(w.keys[w.zipf[i&(len(w.zipf)-1)]], buf[:0])
+		if !ok {
+			tb.Fatal("live key missing")
+		}
+		buf = v
+	}
 }
 
-// mfReport emits throughput under the same metric name the chain benchmarks
-// use so scripts/bench_json.awk and bench_compare pick the lines up.
-func mfReport(b *testing.B, start time.Time) {
-	b.StopTimer()
-	if elapsed := time.Since(start).Seconds(); elapsed > 0 {
-		b.ReportMetric(float64(b.N)/elapsed, "pps")
+// sweepOp fills a TTL-aged store, warms it one full TTL window and returns
+// the sweep pattern's op i.
+func (w *mfWorkload) sweepOp(tb testing.TB) func(i int) {
+	var now int64 = 1
+	st := state.New(mfParts)
+	st.ConfigureExpiry(state.Expiry{
+		// Tick 1ns makes ticks integral: at one create per tick-slot the live
+		// set stays at ~live.
+		TTL:      time.Duration(w.live / mfCreatesPerTick),
+		Tick:     1,
+		Prefixes: []string{"flow:"},
+		Clock:    func() int64 { return now },
+	})
+	one := make([]state.Update, 1)
+	expired := make([]string, 0, 4*mfCreatesPerTick)
+	dels := make([]state.Update, 0, 4*mfCreatesPerTick)
+	creates := 0
+	create := func() {
+		if creates%mfCreatesPerTick == 0 {
+			now++
+			expired = st.CollectExpired(now, -1, expired[:0])
+			dels = dels[:0]
+			for _, k := range expired {
+				dels = append(dels, state.Update{Key: k, Partition: st.PartitionOf(k)})
+			}
+			st.Apply(dels)
+		}
+		j := creates % len(w.keys)
+		one[0] = state.Update{Key: w.keys[j], Value: w.val, Partition: w.parts[j]}
+		st.Apply(one)
+		creates++
+	}
+	// The second window cycles every wheel bucket through arm → cascade →
+	// collect, so slice capacities reach steady state before the first op.
+	for creates < 2*w.live {
+		create()
+	}
+	var buf []byte
+	return func(i int) {
+		if i%mfCreateEvery == 0 {
+			create()
+		}
+		idx := (creates - 1 - w.zipf[i&(len(w.zipf)-1)]) % len(w.keys)
+		v, ok := st.GetAppend(w.keys[idx], buf[:0])
+		if !ok {
+			tb.Fatalf("recent flow %q missing", w.keys[idx])
+		}
+		buf = v
 	}
 }
 
 // BenchmarkMillionFlows is the store-level scale benchmark backing the
 // million-flow claim: see the const block above for the workload shape.
 func BenchmarkMillionFlows(b *testing.B) {
-	keys, parts := mfKeys()
-	zipf := mfZipf()
-	val := bytes.Repeat([]byte{0xab}, mfValSize)
+	w := newMFWorkload(mfLive)
+	b.Run("table/get", func(b *testing.B) { benchMF(b, w.getOp(b)) })
+	b.Run("table/sweep", func(b *testing.B) { benchMF(b, w.sweepOp(b)) })
+}
 
-	b.Run("table/get", func(b *testing.B) {
-		st := state.New(mfParts)
-		ups := make([]state.Update, 0, 1024)
-		for i := 0; i < mfLive; i++ {
-			ups = append(ups, state.Update{Key: keys[i], Value: val, Partition: parts[i]})
-			if len(ups) == cap(ups) {
-				st.Apply(ups)
-				ups = ups[:0]
-			}
-		}
-		st.Apply(ups)
-		var buf []byte
-		b.ReportAllocs()
-		b.ResetTimer()
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			v, ok := st.GetAppend(keys[zipf[i&(len(zipf)-1)]], buf[:0])
-			if !ok {
-				b.Fatal("live key missing")
-			}
-			buf = v
-		}
-		mfReport(b, start)
-	})
+func benchMF(b *testing.B, op func(i int)) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		op(i)
+	}
+	b.StopTimer()
+	if elapsed := time.Since(start).Seconds(); elapsed > 0 {
+		b.ReportMetric(float64(b.N)/elapsed, "pps")
+	}
+}
 
-	b.Run("table/sweep", func(b *testing.B) {
-		var now int64 = 1
-		st := state.New(mfParts)
-		st.ConfigureExpiry(state.Expiry{
-			// Tick 1ns makes ticks integral: TTL is mfTTLTicks ticks, so at
-			// one create per tick-slot the live set stays at ~mfLive.
-			TTL:      time.Duration(mfTTLTicks),
-			Tick:     1,
-			Prefixes: []string{"flow:"},
-			Clock:    func() int64 { return now },
-		})
-		one := make([]state.Update, 1)
-		expired := make([]string, 0, 4*mfCreatesPerTick)
-		dels := make([]state.Update, 0, 4*mfCreatesPerTick)
-		creates := 0
-		create := func() {
-			if creates%mfCreatesPerTick == 0 {
-				now++
-				expired = st.CollectExpired(now, -1, expired[:0])
-				dels = dels[:0]
-				for _, k := range expired {
-					dels = append(dels, state.Update{Key: k, Partition: st.PartitionOf(k)})
-				}
-				st.Apply(dels)
-			}
-			j := creates % mfRing
-			one[0] = state.Update{Key: keys[j], Value: val, Partition: parts[j]}
-			st.Apply(one)
-			creates++
+// TestMillionFlowsAllocs gates both BenchmarkMillionFlows patterns at 0
+// allocations per op, over 16K live flows instead of 1M.
+func TestMillionFlowsAllocs(t *testing.T) {
+	w := newMFWorkload(1 << 14)
+	for _, c := range []struct {
+		name string
+		op   func(int)
+	}{{"get", w.getOp(t)}, {"sweep", w.sweepOp(t)}} {
+		i := 0
+		if n := testing.AllocsPerRun(4096, func() { c.op(i); i++ }); n != 0 {
+			t.Errorf("%s allocates %v times per op, want 0", c.name, n)
 		}
-		// Fill, then warm one full TTL window before the timer: the second
-		// window cycles every wheel bucket through arm → cascade → collect,
-		// so slice capacities reach steady state — a one-time cost that
-		// would otherwise pollute short (-benchtime=100x) guard runs.
-		for creates < 2*mfLive {
-			create()
-		}
-		var buf []byte
-		b.ReportAllocs()
-		b.ResetTimer()
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			if i%mfCreateEvery == 0 {
-				create()
-			}
-			idx := (creates - 1 - zipf[i&(len(zipf)-1)]) % mfRing
-			v, ok := st.GetAppend(keys[idx], buf[:0])
-			if !ok {
-				b.Fatalf("recent flow %q missing", keys[idx])
-			}
-			buf = v
-		}
-		mfReport(b, start)
-	})
-
-	b.Run("seedmap/get", func(b *testing.B) {
-		s := newSeedStore(mfParts)
-		for i := 0; i < mfLive; i++ {
-			s.put(keys[i], val)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			v, ok := s.get(keys[zipf[i&(len(zipf)-1)]])
-			if !ok {
-				b.Fatal("live key missing")
-			}
-			_ = v
-		}
-		mfReport(b, start)
-	})
-
-	b.Run("seedmap/sweep", func(b *testing.B) {
-		var now int64 = 1
-		s := newSeedStore(mfParts)
-		a := newSeedAger(s)
-		creates := 0
-		create := func() {
-			if creates%mfCreatesPerTick == 0 {
-				now++
-				a.tick(now)
-			}
-			j := creates % mfRing
-			a.put(keys[j], parts[j], val, now+mfTTLTicks)
-			creates++
-		}
-		// Same fill + one-TTL-window warmup as table/sweep so both engines
-		// enter the timer at the same point in the expiry cycle.
-		for creates < 2*mfLive {
-			create()
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			if i%mfCreateEvery == 0 {
-				create()
-			}
-			idx := (creates - 1 - zipf[i&(len(zipf)-1)]) % mfRing
-			v, ok := s.get(keys[idx])
-			if !ok {
-				b.Fatalf("recent flow %q missing", keys[idx])
-			}
-			_ = v
-		}
-		mfReport(b, start)
-	})
+	}
 }

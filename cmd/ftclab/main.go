@@ -6,7 +6,7 @@
 //
 //	ftclab [-quick] [-runtime 1s] [experiment ...]
 //	ftclab -chaos-seed N
-//	ftclab -fleet scenario.yaml [-trace]
+//	ftclab -fleet scenario.json [-trace]
 //
 // Experiments: table1 table2 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
 // fig13 failover ablate. With no arguments, all experiments run in order.
@@ -45,7 +45,7 @@ func main() {
 	runTime := flag.Duration("runtime", time.Second, "measurement window per data point")
 	flows := flag.Int("flows", 128, "generator flows")
 	chaosSeed := flag.Int64("chaos-seed", 0, "replay this chaos campaign seed with a verbose trace and exit")
-	fleetPath := flag.String("fleet", "", "replay this fleet scenario YAML through the chain broker and exit")
+	fleetPath := flag.String("fleet", "", "replay this fleet scenario JSON through the chain broker and exit")
 	traceFlag := flag.Bool("trace", false, "with -fleet: stream the broker event log to stderr")
 	flag.Parse()
 

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"github.com/ftsfc/ftc/internal/netsim"
 	"github.com/ftsfc/ftc/internal/state"
 )
 
@@ -147,15 +146,6 @@ const (
 // period); resending live-but-uncommitted logs snowballs message sizes.
 func (c Config) resendAfter() time.Duration {
 	return max(4*c.PropagateEvery, 10*time.Millisecond)
-}
-
-// maxBurst returns the largest burst a worker may drain — the fixed size,
-// or the adaptive controller's cap. Receive buffers are sized with it.
-func (c Config) maxBurst() int {
-	if c.Burst > 0 {
-		return c.Burst
-	}
-	return netsim.DefaultMaxBurst
 }
 
 // NumIngressQueues is the ingress-queue count a replica node needs under

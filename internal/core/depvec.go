@@ -136,16 +136,6 @@ func CloneDense(v []uint64) []uint64 {
 	return out
 }
 
-// MergeMax folds src into dst entry-wise, keeping the maximum. Used when a
-// buffer or pruner accumulates commit vectors.
-func MergeMax(dst, src []uint64) {
-	for i := range src {
-		if i < len(dst) && src[i] > dst[i] {
-			dst[i] = src[i]
-		}
-	}
-}
-
 // SparseFromDense converts a dense vector to sparse form, omitting zeros
 // (an all-zero prefix carries no information: commit[p] ≥ 0 always holds).
 func SparseFromDense(v []uint64) SparseVec { return AppendSparse(nil, v) }

@@ -95,12 +95,7 @@ func TestVecOutOfRangePartition(t *testing.T) {
 	v.AdvanceInto(max) // must not panic
 }
 
-func TestMergeMaxAndConversions(t *testing.T) {
-	dst := []uint64{1, 5, 0}
-	MergeMax(dst, []uint64{3, 2, 9})
-	if dst[0] != 3 || dst[1] != 5 || dst[2] != 9 {
-		t.Fatalf("merge = %v", dst)
-	}
+func TestDenseSparseConversions(t *testing.T) {
 	s := SparseFromDense([]uint64{0, 7, 0, 3})
 	if len(s) != 2 || s.Get(1) != 7 || s.Get(3) != 3 {
 		t.Fatalf("sparse = %v", s)

@@ -95,15 +95,14 @@ func (rig *fastPathRig) hop(tb testing.TB) {
 }
 
 // TestFastPathAllocs pins the zero-allocation budget of the per-hop
-// forwarding path: at most 2 allocations per forwarded frame in steady
-// state (the target is 0; 2 leaves slack for map-internal churn).
+// forwarding path: no allocation per forwarded frame in steady state.
 func TestFastPathAllocs(t *testing.T) {
 	rig := newFastPathRig(t)
 	for i := 0; i < 200; i++ {
 		rig.hop(t) // warm the decode arenas, route cache, and frame pool
 	}
-	if n := testing.AllocsPerRun(500, func() { rig.hop(t) }); n > 2 {
-		t.Fatalf("fast path allocates %.2f times per hop, budget is 2", n)
+	if n := testing.AllocsPerRun(500, func() { rig.hop(t) }); n != 0 {
+		t.Fatalf("fast path allocates %.2f times per hop, budget is 0", n)
 	}
 }
 

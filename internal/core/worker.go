@@ -18,7 +18,7 @@ import (
 // §9). A single worker homes every queue and never steals.
 func (r *Replica) run(idx int) {
 	w := r.newQueueWorker()
-	ctl := netsim.NewBurstController(r.cfg.Burst, 0)
+	ctl := netsim.NewBurstController(r.cfg.Burst)
 	sched := r.sim.NewQueueSched(idx, r.cfg.Workers)
 	for {
 		q, stolen := sched.Acquire()
@@ -63,7 +63,7 @@ type worker struct {
 	pkt     wire.Packet
 	dec     MsgScratch
 	ingress Message          // reused header for raw-ingress packets
-	in      []netsim.Inbound // burst landing zone (queue and ingest workers), len == cfg.maxBurst()
+	in      []netsim.Inbound // burst landing zone (queue and ingest workers), len == netsim.MaxBurst(cfg.Burst)
 	// arena backs an ingest worker's frames: each burst is copied into it
 	// once and carved into w.in, and the bytes are dead at the flush. Nil on
 	// every other worker, whose inbound frames are pooled and recycle (rel).
@@ -113,7 +113,7 @@ type worker struct {
 // burst landing zone and, on a node hosting a middlebox, the transaction
 // batch and body.
 func (r *Replica) newQueueWorker() *worker {
-	w := &worker{in: make([]netsim.Inbound, r.cfg.maxBurst())}
+	w := &worker{in: make([]netsim.Inbound, netsim.MaxBurst(r.cfg.Burst))}
 	if r.head != nil {
 		w.batch = r.head.NewBatch()
 		w.process = func(tx state.Txn) error {

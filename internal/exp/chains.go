@@ -42,17 +42,6 @@ func SingleGen(stateSize int) MBFactory {
 	}
 }
 
-// SingleGenKeys is SingleGen with an explicit state-key count. Gen hashes
-// each flow onto one of `keys` state variables, so a key count well above
-// the flow count gives (nearly) per-flow state — the inter-flow
-// parallelism that multi-worker scheduling benchmarks need, where
-// SingleGen's 16 shared keys would serialize workers on partition locks.
-func SingleGenKeys(stateSize, keys int) MBFactory {
-	return func(int) []core.Middlebox {
-		return []core.Middlebox{mbox.NewGen(stateSize, keys)}
-	}
-}
-
 // SingleGenPerFlow returns a one-middlebox Gen chain keyed by five-tuple:
 // every flow owns its state variable, so scaled multi-worker workloads
 // spread transactions across all state partitions instead of serializing on
@@ -61,13 +50,6 @@ func SingleGenKeys(stateSize, keys int) MBFactory {
 func SingleGenPerFlow(stateSize int) MBFactory {
 	return func(int) []core.Middlebox {
 		return []core.Middlebox{mbox.NewGenFlows(stateSize)}
-	}
-}
-
-// GenChain returns Ch-Gen: Gen1 → Gen2.
-func GenChain(stateSize int) MBFactory {
-	return func(int) []core.Middlebox {
-		return []core.Middlebox{mbox.NewGen(stateSize, 16), mbox.NewGen(stateSize, 16)}
 	}
 }
 

@@ -13,8 +13,8 @@
 // replication ring, orch recovers crashed replicas, tgen offers each
 // chain's workload, and netsim provides the shared fabric. What fleet adds
 // is the broker state machine (spec.go), the capacity model and placement
-// policy (pool.go), steering (steer.go), the scenario YAML surface
-// (scenario.go, yaml.go), and the run loop plus reporting (broker.go,
+// policy (pool.go), steering (steer.go), the scenario JSON surface
+// (scenario.go), and the run loop plus reporting (broker.go,
 // report.go). DESIGN.md §12 specifies the invariants; `ftclab -fleet
-// <scenario.yaml>` replays a scenario from the command line.
+// <scenario.json>` replays a scenario from the command line.
 package fleet

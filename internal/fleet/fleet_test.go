@@ -24,58 +24,19 @@ func traceTo(t *testing.T) Options {
 // reclaimed with convergent stores, the rejected chain must count against
 // the acceptance ratio, and both chains touching s0 must log a recovery.
 func TestFleetScenarioEndToEnd(t *testing.T) {
-	yaml := `
-name: e2e
-seed: 11
-pool:
-  servers: 4
-  cpu_per_server: 4
-  bandwidth_mbps: 1000
-traffic:
-  packet_size: 256
-  rate_scale: 0.004
-  flow_ttl_ms: 60000
-chains:
-  - name: c0
-    arrival_ms: 0
-    ttl_ms: 2600
-    bandwidth_mbps: 300
-    users: 16
-    f: 1
-    middleboxes: [monitor, flowcounter]
-  - name: c1
-    arrival_ms: 100
-    ttl_ms: 2500
-    bandwidth_mbps: 300
-    users: 12
-    f: 1
-    middleboxes: [nat]
-  - name: c2
-    arrival_ms: 200
-    ttl_ms: 2300
-    bandwidth_mbps: 300
-    users: 12
-    f: 1
-    middleboxes: [flowcounter]
-  - name: c3
-    arrival_ms: 300
-    ttl_ms: 2200
-    bandwidth_mbps: 300
-    users: 16
-    f: 1
-    middleboxes: [monitor, genflows]
-  - name: toofat
-    arrival_ms: 400
-    ttl_ms: 1000
-    bandwidth_mbps: 2000
-    users: 8
-    f: 1
-    middleboxes: [monitor]
-crashes:
-  - at_ms: 1200
-    server: s0
-`
-	scn, err := ParseScenario([]byte(yaml))
+	scn, err := ParseScenario([]byte(`{
+  "name": "e2e", "seed": 11,
+  "pool": {"servers": 4, "cpu_per_server": 4, "bandwidth_mbps": 1000},
+  "traffic": {"packet_size": 256, "rate_scale": 0.004, "flow_ttl_ms": 60000},
+  "chains": [
+    {"name": "c0", "arrival_ms": 0, "ttl_ms": 2600, "bandwidth_mbps": 300, "users": 16, "f": 1, "middleboxes": ["monitor", "flowcounter"]},
+    {"name": "c1", "arrival_ms": 100, "ttl_ms": 2500, "bandwidth_mbps": 300, "users": 12, "f": 1, "middleboxes": ["nat"]},
+    {"name": "c2", "arrival_ms": 200, "ttl_ms": 2300, "bandwidth_mbps": 300, "users": 12, "f": 1, "middleboxes": ["flowcounter"]},
+    {"name": "c3", "arrival_ms": 300, "ttl_ms": 2200, "bandwidth_mbps": 300, "users": 16, "f": 1, "middleboxes": ["monitor", "genflows"]},
+    {"name": "toofat", "arrival_ms": 400, "ttl_ms": 1000, "bandwidth_mbps": 2000, "users": 8, "f": 1, "middleboxes": ["monitor"]}
+  ],
+  "crashes": [{"at_ms": 1200, "server": "s0"}]
+}`))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -146,26 +107,14 @@ crashes:
 // A fleet whose every chain outstrips the pool rejects everything, runs no
 // traffic, and still produces a clean (violation-free) report.
 func TestFleetAllRejected(t *testing.T) {
-	yaml := `
-name: overloaded
-pool:
-  servers: 2
-  cpu_per_server: 1
-  bandwidth_mbps: 100
-chains:
-  - name: a
-    ttl_ms: 500
-    bandwidth_mbps: 500
-    users: 4
-    middleboxes: [monitor]
-  - name: b
-    arrival_ms: 50
-    ttl_ms: 500
-    bandwidth_mbps: 500
-    users: 4
-    middleboxes: [monitor]
-`
-	scn, err := ParseScenario([]byte(yaml))
+	scn, err := ParseScenario([]byte(`{
+  "name": "overloaded",
+  "pool": {"servers": 2, "cpu_per_server": 1, "bandwidth_mbps": 100},
+  "chains": [
+    {"name": "a", "ttl_ms": 500, "bandwidth_mbps": 500, "users": 4, "middleboxes": ["monitor"]},
+    {"name": "b", "arrival_ms": 50, "ttl_ms": 500, "bandwidth_mbps": 500, "users": 4, "middleboxes": ["monitor"]}
+  ]
+}`))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -195,35 +144,16 @@ func TestFleetTTLExpiryRacesRecovery(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			yaml := fmt.Sprintf(`
-name: race
-seed: %d
-pool:
-  servers: 3
-  cpu_per_server: 4
-  bandwidth_mbps: 1000
-traffic:
-  rate_scale: 0.004
-  flow_ttl_ms: 60000
-chains:
-  - name: racer
-    ttl_ms: 900
-    bandwidth_mbps: 200
-    users: 8
-    f: 1
-    middleboxes: [flowcounter]
-  - name: bystander
-    arrival_ms: 50
-    ttl_ms: 1800
-    bandwidth_mbps: 200
-    users: 8
-    f: 1
-    middleboxes: [monitor, flowcounter]
-crashes:
-  - at_ms: 900
-    server: auto
-`, seed)
-			scn, err := ParseScenario([]byte(yaml))
+			scn, err := ParseScenario([]byte(fmt.Sprintf(`{
+  "name": "race", "seed": %d,
+  "pool": {"servers": 3, "cpu_per_server": 4, "bandwidth_mbps": 1000},
+  "traffic": {"rate_scale": 0.004, "flow_ttl_ms": 60000},
+  "chains": [
+    {"name": "racer", "ttl_ms": 900, "bandwidth_mbps": 200, "users": 8, "f": 1, "middleboxes": ["flowcounter"]},
+    {"name": "bystander", "arrival_ms": 50, "ttl_ms": 1800, "bandwidth_mbps": 200, "users": 8, "f": 1, "middleboxes": ["monitor", "flowcounter"]}
+  ],
+  "crashes": [{"at_ms": 900, "server": "auto"}]
+}`, seed)))
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
@@ -246,27 +176,15 @@ crashes:
 // Per-chain downtime budgets: an impossible budget must be reported as a
 // violation when a recovery occurs, and only for the budgeted chain.
 func TestFleetDowntimeBudgetViolation(t *testing.T) {
-	yaml := `
-name: budget
-pool:
-  servers: 3
-  cpu_per_server: 4
-  bandwidth_mbps: 1000
-traffic:
-  rate_scale: 0.004
-chains:
-  - name: tight
-    ttl_ms: 1500
-    bandwidth_mbps: 200
-    users: 8
-    f: 1
-    downtime_ms: 0.000001
-    middleboxes: [flowcounter]
-crashes:
-  - at_ms: 700
-    server: auto
-`
-	scn, err := ParseScenario([]byte(yaml))
+	scn, err := ParseScenario([]byte(`{
+  "name": "budget",
+  "pool": {"servers": 3, "cpu_per_server": 4, "bandwidth_mbps": 1000},
+  "traffic": {"rate_scale": 0.004},
+  "chains": [
+    {"name": "tight", "ttl_ms": 1500, "bandwidth_mbps": 200, "users": 8, "f": 1, "downtime_ms": 0.000001, "middleboxes": ["flowcounter"]}
+  ],
+  "crashes": [{"at_ms": 700, "server": "auto"}]
+}`))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -299,38 +217,16 @@ crashes:
 // and fully restored — the failover shows up as nothing but latency —
 // and at least one ensemble must have actually failed over.
 func TestFleetSurvivesOrchestratorFailover(t *testing.T) {
-	yaml := `
-name: orch-failover
-seed: 23
-orch_members: 3
-pool:
-  servers: 4
-  cpu_per_server: 4
-  bandwidth_mbps: 1000
-traffic:
-  packet_size: 256
-  rate_scale: 0.004
-  flow_ttl_ms: 60000
-chains:
-  - name: c0
-    arrival_ms: 0
-    ttl_ms: 3200
-    bandwidth_mbps: 300
-    users: 16
-    f: 1
-    middleboxes: [monitor, flowcounter]
-  - name: c1
-    arrival_ms: 100
-    ttl_ms: 3100
-    bandwidth_mbps: 300
-    users: 12
-    f: 1
-    middleboxes: [flowcounter]
-crashes:
-  - at_ms: 1200
-    server: auto
-`
-	scn, err := ParseScenario([]byte(yaml))
+	scn, err := ParseScenario([]byte(`{
+  "name": "orch-failover", "seed": 23, "orch_members": 3,
+  "pool": {"servers": 4, "cpu_per_server": 4, "bandwidth_mbps": 1000},
+  "traffic": {"packet_size": 256, "rate_scale": 0.004, "flow_ttl_ms": 60000},
+  "chains": [
+    {"name": "c0", "arrival_ms": 0, "ttl_ms": 3200, "bandwidth_mbps": 300, "users": 16, "f": 1, "middleboxes": ["monitor", "flowcounter"]},
+    {"name": "c1", "arrival_ms": 100, "ttl_ms": 3100, "bandwidth_mbps": 300, "users": 12, "f": 1, "middleboxes": ["flowcounter"]}
+  ],
+  "crashes": [{"at_ms": 1200, "server": "auto"}]
+}`))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}

@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"sort"
@@ -9,76 +12,76 @@ import (
 	"time"
 )
 
-// Scenario is the YAML config surface for a fleet run: the shared server
+// Scenario is the JSON config surface for a fleet run: the shared server
 // pool, the fabric's link behaviour, the traffic shape, a Poisson arrival
 // process, explicitly scheduled chains, and a crash timeline. Durations in
 // the file carry their unit in the field name (_ms, _us, per_s) and every
 // field's doc comment states its unit — `make doclint` enforces this for
-// all yaml-tagged fields.
+// every json-tagged field in this package.
 type Scenario struct {
 	// Name labels the scenario in reports (dimensionless).
-	Name string `yaml:"name"`
+	Name string `json:"name"`
 	// Seed seeds the Poisson arrival process and every other scenario
 	// randomness source; equal seeds draw equal fleets (dimensionless).
-	Seed int64 `yaml:"seed"`
+	Seed int64 `json:"seed"`
 	// TimeScale multiplies every scenario duration at run time, so one
 	// scenario file can replay compressed or stretched (multiplier;
 	// 0 means 1.0).
-	TimeScale float64 `yaml:"time_scale"`
+	TimeScale float64 `json:"time_scale"`
 	// RunSlackMs is the extra wall-clock wait in ms after the last chain's
 	// scheduled lifetime before the run is declared wedged.
-	RunSlackMs float64 `yaml:"run_slack_ms"`
+	RunSlackMs float64 `json:"run_slack_ms"`
 	// Links shapes every fabric link.
-	Links LinksConfig `yaml:"links"`
+	Links LinksConfig `json:"links"`
 	// Pool sizes the shared server pool.
-	Pool PoolConfig `yaml:"pool"`
+	Pool PoolConfig `json:"pool"`
 	// Traffic shapes the per-chain workloads.
-	Traffic TrafficConfig `yaml:"traffic"`
+	Traffic TrafficConfig `json:"traffic"`
 	// Arrivals, when count > 0, generates chains via a Poisson process.
-	Arrivals ArrivalsConfig `yaml:"arrivals"`
+	Arrivals ArrivalsConfig `json:"arrivals"`
 	// OrchMembers is the per-chain orchestrator ensemble size in members
 	// (count): 0 or 1 runs an unreplicated orchestrator, 3 survives one
 	// orchestrator crash, 5 survives two. Odd sizes keep majorities clean.
-	OrchMembers int `yaml:"orch_members"`
+	OrchMembers int `json:"orch_members"`
 	// Chains lists explicitly scheduled chains (merged with Arrivals).
-	Chains []ChainConfig `yaml:"chains"`
+	Chains []ChainConfig `json:"chains"`
 	// Crashes schedules mid-run server crashes.
-	Crashes []CrashConfig `yaml:"crashes"`
+	Crashes []CrashConfig `json:"crashes"`
 }
 
 // LinksConfig shapes the default profile of every fabric link.
 type LinksConfig struct {
 	// LatencyUs is the one-way link propagation delay in µs (0 keeps the
 	// zero-latency fast path).
-	LatencyUs float64 `yaml:"latency_us"`
+	LatencyUs float64 `json:"latency_us"`
 	// LossRate is the fraction of frames each link drops (0..1 fraction).
-	LossRate float64 `yaml:"loss_rate"`
+	LossRate float64 `json:"loss_rate"`
 }
 
 // PoolConfig sizes the shared server pool chains are admitted against.
 type PoolConfig struct {
 	// Servers is the number of servers in the pool (count).
-	Servers int `yaml:"servers"`
+	Servers int `json:"servers"`
 	// CPUPerServer is each server's processing capacity in CPU units; one
 	// placed ring replica consumes one CPU unit.
-	CPUPerServer int `yaml:"cpu_per_server"`
+	CPUPerServer int `json:"cpu_per_server"`
 	// BandwidthMbps is each server's NIC capacity in Mbps.
-	BandwidthMbps float64 `yaml:"bandwidth_mbps"`
+	BandwidthMbps float64 `json:"bandwidth_mbps"`
 }
 
 // TrafficConfig shapes the workload every admitted chain offers.
 type TrafficConfig struct {
 	// PacketSize is the workload frame size in bytes.
-	PacketSize int `yaml:"packet_size"`
+	PacketSize int `json:"packet_size"`
 	// RateScale multiplies every chain's offered packet rate without
 	// changing its admission-control bandwidth demand — the knob that lets
 	// a laptop-scale run keep fleet admission math at production numbers
 	// (multiplier; 0 means 1.0).
-	RateScale float64 `yaml:"rate_scale"`
+	RateScale float64 `json:"rate_scale"`
 	// FlowTTLMs is the per-flow idle TTL in ms armed on every chain's
 	// stores; fleet teardown drains all remaining flow state through this
 	// TTL-wheel path (0 means 600000 ms).
-	FlowTTLMs float64 `yaml:"flow_ttl_ms"`
+	FlowTTLMs float64 `json:"flow_ttl_ms"`
 }
 
 // ArrivalsConfig generates chains by a Poisson process: exponential
@@ -86,72 +89,72 @@ type TrafficConfig struct {
 // uniformly from the min/max ranges below.
 type ArrivalsConfig struct {
 	// Count is how many chains the process generates (count).
-	Count int `yaml:"count"`
+	Count int `json:"count"`
 	// RatePerS is the mean arrival rate in chains per second.
-	RatePerS float64 `yaml:"rate_per_s"`
+	RatePerS float64 `json:"rate_per_s"`
 	// TTLMinMs and TTLMaxMs bound the uniformly drawn chain lifetime in ms.
-	TTLMinMs float64 `yaml:"ttl_min_ms"`
+	TTLMinMs float64 `json:"ttl_min_ms"`
 	// TTLMaxMs is the upper lifetime bound in ms.
-	TTLMaxMs float64 `yaml:"ttl_max_ms"`
+	TTLMaxMs float64 `json:"ttl_max_ms"`
 	// BandwidthMinMbps and BandwidthMaxMbps bound the uniformly drawn
 	// bandwidth demand in Mbps.
-	BandwidthMinMbps float64 `yaml:"bandwidth_min_mbps"`
+	BandwidthMinMbps float64 `json:"bandwidth_min_mbps"`
 	// BandwidthMaxMbps is the upper demand bound in Mbps.
-	BandwidthMaxMbps float64 `yaml:"bandwidth_max_mbps"`
+	BandwidthMaxMbps float64 `json:"bandwidth_max_mbps"`
 	// MaxLatencyMs is every generated chain's response-latency SLA in ms.
-	MaxLatencyMs float64 `yaml:"max_latency_ms"`
+	MaxLatencyMs float64 `json:"max_latency_ms"`
 	// UsersMin and UsersMax bound the uniformly drawn subscriber count
 	// (count).
-	UsersMin int `yaml:"users_min"`
+	UsersMin int `json:"users_min"`
 	// UsersMax is the upper subscriber bound (count).
-	UsersMax int `yaml:"users_max"`
+	UsersMax int `json:"users_max"`
 	// F is every generated chain's tolerated failure count (count).
-	F int `yaml:"f"`
+	F int `json:"f"`
 	// DowntimeMs is every generated chain's cumulative recovery-downtime
 	// budget in ms.
-	DowntimeMs float64 `yaml:"downtime_ms"`
+	DowntimeMs float64 `json:"downtime_ms"`
 	// Templates lists middlebox-chain templates cycled across generated
 	// chains, each a "+"-joined type list like "monitor+nat"
 	// (dimensionless).
-	Templates []string `yaml:"templates"`
+	Templates []string `json:"templates"`
 }
 
 // ChainConfig is one explicitly scheduled chain in a scenario file — the
-// YAML spelling of ChainSpec, durations in ms.
+// JSON spelling of ChainSpec, durations in ms.
 type ChainConfig struct {
 	// Name identifies the chain; must be unique (dimensionless).
-	Name string `yaml:"name"`
+	Name string `json:"name"`
 	// ArrivalMs is the arrival offset from scenario start in ms.
-	ArrivalMs float64 `yaml:"arrival_ms"`
+	ArrivalMs float64 `json:"arrival_ms"`
 	// TTLMs is the chain lifetime in ms.
-	TTLMs float64 `yaml:"ttl_ms"`
+	TTLMs float64 `json:"ttl_ms"`
 	// BandwidthMbps is the bandwidth demand in Mbps (0 derives it as
 	// users × per_user_mbps).
-	BandwidthMbps float64 `yaml:"bandwidth_mbps"`
+	BandwidthMbps float64 `json:"bandwidth_mbps"`
 	// MaxLatencyMs is the response-latency SLA in ms.
-	MaxLatencyMs float64 `yaml:"max_latency_ms"`
+	MaxLatencyMs float64 `json:"max_latency_ms"`
 	// Users is the subscriber count, mapped to generator flows (count).
-	Users int `yaml:"users"`
+	Users int `json:"users"`
 	// PerUserMbps is the per-user data rate in Mbps (used when
 	// bandwidth_mbps is 0).
-	PerUserMbps float64 `yaml:"per_user_mbps"`
+	PerUserMbps float64 `json:"per_user_mbps"`
 	// F is the tolerated failure count (count).
-	F int `yaml:"f"`
+	F int `json:"f"`
 	// Middleboxes lists the chain's middlebox types in order
 	// (dimensionless; see BuildMiddleboxes).
-	Middleboxes []string `yaml:"middleboxes"`
+	Middleboxes []string `json:"middleboxes"`
 	// DowntimeMs is the cumulative recovery-downtime budget in ms.
-	DowntimeMs float64 `yaml:"downtime_ms"`
+	DowntimeMs float64 `json:"downtime_ms"`
 }
 
 // CrashConfig schedules one mid-run server crash.
 type CrashConfig struct {
 	// AtMs is the crash time as an offset from scenario start in ms.
-	AtMs float64 `yaml:"at_ms"`
+	AtMs float64 `json:"at_ms"`
 	// Server names the server to kill, or "auto" to pick the up server
 	// hosting ring replicas of the most distinct chains at that moment
 	// (dimensionless).
-	Server string `yaml:"server"`
+	Server string `json:"server"`
 }
 
 func ms(x float64) time.Duration { return time.Duration(x * float64(time.Millisecond)) }
@@ -204,7 +207,7 @@ func (s Scenario) scale(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * s.TimeScale)
 }
 
-// LoadScenario reads and decodes a scenario YAML file.
+// LoadScenario reads and decodes a scenario JSON file.
 func LoadScenario(path string) (Scenario, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -213,15 +216,18 @@ func LoadScenario(path string) (Scenario, error) {
 	return ParseScenario(data)
 }
 
-// ParseScenario decodes scenario YAML bytes.
+// ParseScenario decodes one scenario JSON object. Unknown keys are an error
+// — a typo in a scenario file must not silently become a default — and so
+// is anything but whitespace after the object.
 func ParseScenario(data []byte) (Scenario, error) {
-	m, err := parseYAML(data)
-	if err != nil {
-		return Scenario{}, err
-	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var s Scenario
-	if err := bindYAML(&s, m, "scenario"); err != nil {
-		return Scenario{}, err
+	if err := dec.Decode(&s); err != nil {
+		return Scenario{}, fmt.Errorf("fleet: scenario: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Scenario{}, fmt.Errorf("fleet: scenario: data after the top-level object")
 	}
 	return s, nil
 }

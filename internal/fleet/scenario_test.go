@@ -1,52 +1,28 @@
 package fleet
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
 
-const sampleYAML = `
-# fleet smoke scenario
-name: smoke
-seed: 7
-time_scale: 1.0
-links:
-  latency_us: 50
-  loss_rate: 0.0
-pool:
-  servers: 4
-  cpu_per_server: 4
-  bandwidth_mbps: 1000
-traffic:
-  packet_size: 256
-  rate_scale: 0.01
-  flow_ttl_ms: 60000
-chains:
-  - name: edge
-    arrival_ms: 0
-    ttl_ms: 1000
-    bandwidth_mbps: 300
-    max_latency_ms: 50
-    users: 16
-    f: 1
-    middleboxes: [monitor, flowcounter]
-  - name: subs
-    arrival_ms: 100
-    ttl_ms: 900
-    users: 10
-    per_user_mbps: 25   # demand derived: 250 Mbps
-    max_latency_ms: 40
-    f: 1
-    middleboxes:
-      - nat
-crashes:
-  - at_ms: 500
-    server: auto
-`
+const sampleJSON = `{
+  "name": "smoke", "seed": 7, "time_scale": 1.0,
+  "links": {"latency_us": 50, "loss_rate": 0.0},
+  "pool": {"servers": 4, "cpu_per_server": 4, "bandwidth_mbps": 1000},
+  "traffic": {"packet_size": 256, "rate_scale": 0.01, "flow_ttl_ms": 60000},
+  "chains": [
+    {"name": "edge", "arrival_ms": 0, "ttl_ms": 1000, "bandwidth_mbps": 300, "max_latency_ms": 50,
+     "users": 16, "f": 1, "middleboxes": ["monitor", "flowcounter"]},
+    {"name": "subs", "arrival_ms": 100, "ttl_ms": 900, "users": 10, "per_user_mbps": 25,
+     "max_latency_ms": 40, "f": 1, "middleboxes": ["nat"]}
+  ],
+  "crashes": [{"at_ms": 500, "server": "auto"}]
+}`
 
 func TestParseScenario(t *testing.T) {
-	s, err := ParseScenario([]byte(sampleYAML))
+	s, err := ParseScenario([]byte(sampleJSON))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -60,10 +36,10 @@ func TestParseScenario(t *testing.T) {
 		t.Fatalf("lists mismatch: %d chains, %d crashes", len(s.Chains), len(s.Crashes))
 	}
 	if got := s.Chains[0].Middleboxes; len(got) != 2 || got[0] != "monitor" || got[1] != "flowcounter" {
-		t.Fatalf("inline middlebox list mismatch: %v", got)
+		t.Fatalf("middlebox list mismatch: %v", got)
 	}
 	if got := s.Chains[1].Middleboxes; len(got) != 1 || got[0] != "nat" {
-		t.Fatalf("block middlebox list mismatch: %v", got)
+		t.Fatalf("middlebox list mismatch: %v", got)
 	}
 	if s.Crashes[0].Server != "auto" || s.Crashes[0].AtMs != 500 {
 		t.Fatalf("crash mismatch: %+v", s.Crashes[0])
@@ -88,18 +64,34 @@ func TestParseScenario(t *testing.T) {
 }
 
 func TestParseScenarioRejectsUnknownKey(t *testing.T) {
-	_, err := ParseScenario([]byte("name: x\nbogus_knob: 3\n"))
+	_, err := ParseScenario([]byte(`{"name": "x", "bogus_knob": 3}`))
 	if err == nil || !strings.Contains(err.Error(), "bogus_knob") {
 		t.Fatalf("unknown key not rejected: %v", err)
 	}
+	for _, trailing := range []string{`{"name": "x"} {"name": "y"}`, `{"name": "x"}}`, `{"name": "x"} # note`} {
+		if _, err := ParseScenario([]byte(trailing)); err == nil {
+			t.Fatalf("data after the scenario object not rejected: %s", trailing)
+		}
+	}
 }
 
-func TestParseScenarioRejectsTabsAndDuplicates(t *testing.T) {
-	if _, err := ParseScenario([]byte("name: x\n\tseed: 1\n")); err == nil {
-		t.Fatal("tab indentation not rejected")
+// TestCheckedInScenariosDecode loads every scenario file the repository
+// ships, so one that drifts from the config surface fails here and not only
+// inside ftclab.
+func TestCheckedInScenariosDecode(t *testing.T) {
+	files, err := filepath.Glob("../../scenarios/*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no scenario files found (%v)", err)
 	}
-	if _, err := ParseScenario([]byte("name: x\nname: y\n")); err == nil {
-		t.Fatal("duplicate key not rejected")
+	for _, f := range files {
+		s, err := LoadScenario(f)
+		if err != nil {
+			t.Errorf("%s: %v", f, err)
+			continue
+		}
+		if _, err := s.ExpandChains(); err != nil {
+			t.Errorf("%s: %v", f, err)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // `ServiceFunctionChain{arrival_time, ttl, bandwidth_demand,
 // max_response_latency, number_of_users}` shape of the slice-broker
 // literature (PAPERS.md: Wion et al.), normalized to internal units. The
-// scenario loader derives it from the YAML surface (ChainConfig) or from
+// scenario loader derives it from the JSON surface (ChainConfig) or from
 // the Poisson arrival process (ArrivalsConfig); the broker admits, places,
 // runs, and reclaims chains by it.
 type ChainSpec struct {

@@ -382,6 +382,27 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestSendRecvFastPathAllocs gates BenchmarkSendRecvFastPath's hop — a
+// pooled copy in, received and released — at 0 allocations per frame.
+func TestSendRecvFastPathAllocs(t *testing.T) {
+	_, a, b := twoNodes(t, Config{})
+	frame := make([]byte, 256)
+	hop := func() {
+		if err := a.Send("b", frame); err != nil {
+			t.Fatal(err)
+		}
+		in, ok := b.TryRecv(0)
+		if !ok {
+			t.Fatal("frame not delivered")
+		}
+		ReleaseFrame(in.Frame)
+	}
+	hop() // fill the route cache and the frame pool
+	if n := testing.AllocsPerRun(1000, hop); n != 0 {
+		t.Fatalf("send/recv allocates %v times per frame, want 0", n)
+	}
+}
+
 func BenchmarkSendRecvFastPath(b *testing.B) {
 	f := New(Config{})
 	defer f.Stop()

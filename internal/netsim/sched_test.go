@@ -9,9 +9,9 @@ import (
 )
 
 func TestBurstControllerFixed(t *testing.T) {
-	c := NewBurstController(32, 0)
-	if c.Size() != 32 || c.Max() != 32 {
-		t.Fatalf("fixed controller: size=%d max=%d, want 32/32", c.Size(), c.Max())
+	c := NewBurstController(32)
+	if c.Size() != 32 {
+		t.Fatalf("fixed controller: size=%d, want 32", c.Size())
 	}
 	c.Observe(32, 100)
 	c.Observe(0, 0)
@@ -22,24 +22,29 @@ func TestBurstControllerFixed(t *testing.T) {
 
 // TestBurstControllerAdaptive pins the grow/decay rules of DESIGN.md §9:
 // ×2 growth while the budget fills or backlog remains, ÷2 decay on a short
-// drain with an empty queue, clamped to [1, max].
+// drain with an empty queue, clamped to [1, DefaultMaxBurst].
 func TestBurstControllerAdaptive(t *testing.T) {
-	c := NewBurstController(0, 8)
-	if !c.adaptive || c.Size() != 1 || c.Max() != 8 {
-		t.Fatalf("adaptive controller: size=%d max=%d adaptive=%v", c.Size(), c.Max(), c.adaptive)
+	c := NewBurstController(0)
+	if !c.adaptive || c.Size() != 1 {
+		t.Fatalf("adaptive controller: size=%d adaptive=%v", c.Size(), c.adaptive)
 	}
+	const top = DefaultMaxBurst
 	steps := []struct {
 		drained, backlog, want int
 	}{
-		{1, 0, 2}, // budget filled → grow
-		{2, 0, 4}, // budget filled → grow
-		{1, 3, 8}, // short drain but backlog remains → grow
-		{8, 8, 8}, // clamped at max
-		{3, 0, 4}, // short drain, empty queue → decay
-		{1, 0, 2}, // decay again
-		{0, 0, 1}, // empty drain → decay
-		{0, 0, 1}, // clamped at 1
-		{1, 0, 2}, // budget of 1 filled → grow again
+		{1, 0, 2},             // budget filled → grow
+		{2, 0, 4},             // budget filled → grow
+		{1, 3, 8},             // short drain but backlog remains → grow
+		{8, 0, 16},            // budget filled → grow
+		{0, 9, 32},            // backlog → grow
+		{32, 0, 64},           // grow
+		{64, 0, 128},          // grow
+		{1, 1, top},           // backlog → grow to the cap
+		{top, top, top},       // clamped at the cap
+		{3, 0, top / 2},       // short drain, empty queue → decay
+		{top / 2, 0, top},     // budget filled → grow back
+		{0, 0, top / 2},       // empty drain → decay
+		{top / 4, 0, top / 4}, // decay again
 	}
 	for i, s := range steps {
 		c.Observe(s.drained, s.backlog)
@@ -48,12 +53,17 @@ func TestBurstControllerAdaptive(t *testing.T) {
 				i, s.drained, s.backlog, c.Size(), s.want)
 		}
 	}
+	for i := 0; i < 16; i++ {
+		c.Observe(0, 0)
+	}
+	if c.Size() != 1 {
+		t.Fatalf("idle controller settled at %d, want 1", c.Size())
+	}
 }
 
 func TestBurstControllerDefaultMax(t *testing.T) {
-	c := NewBurstController(0, 0)
-	if c.Max() != DefaultMaxBurst {
-		t.Fatalf("default max = %d, want %d", c.Max(), DefaultMaxBurst)
+	if MaxBurst(0) != DefaultMaxBurst || MaxBurst(32) != 32 {
+		t.Fatalf("MaxBurst(0), MaxBurst(32) = %d, %d, want %d, 32", MaxBurst(0), MaxBurst(32), DefaultMaxBurst)
 	}
 }
 
@@ -232,8 +242,8 @@ func TestQueueSchedPerQueueFIFO(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			s := n.NewQueueSched(w, workers)
-			ctl := NewBurstController(0, 32)
-			buf := make([]Inbound, ctl.Max())
+			ctl := NewBurstController(0)
+			buf := make([]Inbound, MaxBurst(0))
 			for {
 				q, _ := s.Acquire()
 				if q < 0 {

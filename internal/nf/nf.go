@@ -125,9 +125,9 @@ func (n *Node) start() {
 		n.wg.Add(1)
 		go func(q int) {
 			defer n.wg.Done()
-			ctl := netsim.NewBurstController(n.burst, 0)
-			in := make([]netsim.Inbound, ctl.Max())
-			out := make([][]byte, 0, ctl.Max())
+			ctl := netsim.NewBurstController(n.burst)
+			in := make([]netsim.Inbound, netsim.MaxBurst(n.burst))
+			out := make([][]byte, 0, netsim.MaxBurst(n.burst))
 			batch := n.store.NewBatch()
 			// Per-queue packet view, verdict and transaction body, reused
 			// across frames: what an FTC worker gets, so the baseline pays

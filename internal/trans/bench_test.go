@@ -30,68 +30,114 @@ import (
 // frame, and goodput is payload bytes over datagram bytes, both from the
 // bridge Stats counters.
 func BenchmarkBridgeThroughput(b *testing.B) {
-	mtu1472 := 1500 - 28
-	cases := []struct {
-		name     string
-		burst    int
-		mtu      int
-		portable bool
-	}{
-		{"burst=1", 1, DefaultMTUBudget, false},
-		{"burst=32/mtu=8972/packed", 32, DefaultMTUBudget, true},
-		{"burst=32/mtu=8972/mmsg", 32, DefaultMTUBudget, false},
-		{"burst=32/mtu=1472/packed", 32, mtu1472, true},
-		{"burst=32/mtu=1472/mmsg", 32, mtu1472, false},
-	}
-	for _, c := range cases {
+	for _, c := range bridgeCases {
 		b.Run(c.name, func(b *testing.B) {
 			benchBridge(b, c.burst, c.mtu, c.portable)
 		})
 	}
 }
 
-func benchBridge(b *testing.B, burst, mtu int, portable bool) {
-	// UDP has no flow control: an unpaced sender just overruns the
-	// receive socket, and the benchmark would measure kernel drop
-	// processing. The sender therefore keeps a bounded credit window of
-	// frames in flight against the receiver's count — enough to pipeline
-	// across the wakeup chain, small enough for the socket buffer.
-	const window = 1024
-	const sockBuf = 4 << 20
+// bridgeCases is BenchmarkBridgeThroughput's matrix.
+var bridgeCases = []struct {
+	name     string
+	burst    int
+	mtu      int
+	portable bool
+}{
+	{"burst=1", 1, DefaultMTUBudget, false},
+	{"burst=32/mtu=8972/packed", 32, DefaultMTUBudget, true},
+	{"burst=32/mtu=8972/mmsg", 32, DefaultMTUBudget, false},
+	{"burst=32/mtu=1472/packed", 32, 1500 - 28, true},
+	{"burst=32/mtu=1472/mmsg", 32, 1500 - 28, false},
+}
 
+// UDP has no flow control: an unpaced sender just overruns the receive
+// socket, and the benchmark would measure kernel drop processing. The sender
+// therefore keeps a bounded credit window of frames in flight against the
+// receiver's count — enough to pipeline across the wakeup chain, small
+// enough for the socket buffer.
+const creditWindow = 1024
+
+// newBridgePair joins a sender fabric's node "src" to a receiver fabric's
+// node "dst" over loopback bridges, and returns both nodes, the bridges and
+// one burst of 256-byte frames. tb's cleanup stops and closes everything.
+func newBridgePair(tb testing.TB, burst, mtu int, portable bool) (txNode, rxNode *netsim.Node, txBridge, rxBridge *Bridge, batch [][]byte) {
 	sockets := 0 // default: GOMAXPROCS on the mmsg path
 	if portable {
 		sockets = 1 // the PR 3 single-socket reference
 	}
-	cfg := Config{Burst: burst, MTUBudget: mtu, SocketBuf: sockBuf,
+	cfg := Config{Burst: burst, MTUBudget: mtu, SocketBuf: 4 << 20,
 		Sockets: sockets, portable: portable}
 
 	rxFab := netsim.New(netsim.Config{})
-	defer rxFab.Stop()
-	rxNode := rxFab.AddNode("dst", netsim.NodeConfig{QueueCap: 2 * window})
+	tb.Cleanup(rxFab.Stop)
+	rxNode = rxFab.AddNode("dst", netsim.NodeConfig{QueueCap: 2 * creditWindow})
 	rxBridge, err := NewBridge(rxFab, "dst", "", "", nil, cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer rxBridge.Close()
+	tb.Cleanup(func() { rxBridge.Close() })
 	rxUDP, rxTCP := rxBridge.Addrs()
 
 	txFab := netsim.New(netsim.Config{})
-	defer txFab.Stop()
-	txNode := txFab.AddNode("src", netsim.NodeConfig{QueueCap: 2 * window})
-	txBridge, err := NewBridge(txFab, "src", "", "", []Peer{
+	tb.Cleanup(txFab.Stop)
+	txNode = txFab.AddNode("src", netsim.NodeConfig{QueueCap: 2 * creditWindow})
+	txBridge, err = NewBridge(txFab, "src", "", "", []Peer{
 		{ID: "dst", UDPAddr: rxUDP, TCPAddr: rxTCP},
 	}, cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer txBridge.Close()
+	tb.Cleanup(func() { txBridge.Close() })
 
 	frame := make([]byte, 256)
-	batch := make([][]byte, burst)
+	batch = make([][]byte, burst)
 	for i := range batch {
 		batch[i] = frame
 	}
+	return txNode, rxNode, txBridge, rxBridge, batch
+}
+
+// TestBridgeThroughputAllocs gates every BenchmarkBridgeThroughput row at
+// its 0 allocs/op — fewer than one allocation per delivered frame, send and
+// receive sides together — closed-loop: a burst sent, then drained at the
+// far node.
+func TestBridgeThroughputAllocs(t *testing.T) {
+	for _, c := range bridgeCases {
+		t.Run(c.name, func(t *testing.T) {
+			txNode, rxNode, _, _, batch := newBridgePair(t, c.burst, c.mtu, c.portable)
+			defer time.AfterFunc(time.Minute, rxNode.Crash).Stop() // a lost datagram must not hang the suite
+			bufs := make([]netsim.Inbound, 64)
+			hop := func() {
+				if err := txNode.SendBurstBlocking("dst", batch); err != nil {
+					t.Fatal(err)
+				}
+				for got := 0; got < len(batch); {
+					n := rxNode.RecvBurst(0, bufs)
+					if n == 0 {
+						t.Fatal("receiver crashed")
+					}
+					for i := 0; i < n; i++ {
+						netsim.ReleaseFrame(bufs[i].Frame)
+						bufs[i] = netsim.Inbound{}
+					}
+					got += n
+				}
+			}
+			for i := 0; i < 50; i++ {
+				hop()
+			}
+			per := testing.AllocsPerRun(200, hop) / float64(len(batch))
+			t.Logf("%.3f allocations per frame", per)
+			if per >= 1 {
+				t.Fatalf("bridge hop allocates %.2f times per frame, want < 1", per)
+			}
+		})
+	}
+}
+
+func benchBridge(b *testing.B, burst, mtu int, portable bool) {
+	txNode, rxNode, txBridge, rxBridge, batch := newBridgePair(b, burst, mtu, portable)
 	var receivedCount atomic.Int64
 	stop := make(chan struct{})
 	var senderDone sync.WaitGroup
@@ -105,7 +151,7 @@ func benchBridge(b *testing.B, burst, mtu int, portable bool) {
 				return
 			default:
 			}
-			for sent-receivedCount.Load() >= window {
+			for sent-receivedCount.Load() >= creditWindow {
 				select {
 				case <-stop:
 					return

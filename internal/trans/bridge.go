@@ -124,15 +124,6 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// maxBurst is the largest burst the bridge expects — the fixed Burst, or
-// the adaptive workers' cap. Receive buffers are sized with it.
-func (c Config) maxBurst() int {
-	if c.Burst > 0 {
-		return c.Burst
-	}
-	return netsim.DefaultMaxBurst
-}
-
 // Peer describes a remote process hosting one fabric node.
 type Peer struct {
 	// ID is the fabric node ID the remote node is known by (proxied
@@ -553,7 +544,7 @@ func (b *Bridge) newRxBatch() *rxBatch {
 // receive loop drains per wakeup (and thus its buffer footprint); each
 // datagram can itself carry a full burst, so a small bound suffices.
 func (b *Bridge) portableRxBudget() int {
-	k := b.cfg.maxBurst()
+	k := netsim.MaxBurst(b.cfg.Burst)
 	if k > maxDrainDatagrams {
 		k = maxDrainDatagrams
 	}
@@ -599,7 +590,7 @@ func (b *Bridge) readBurstPortable(s *sock, r *rxBatch) (int, bool) {
 func (b *Bridge) udpLoop(s *sock) {
 	defer b.wg.Done()
 	r := b.newRxBatch()
-	frames := make([][]byte, 0, b.cfg.maxBurst())
+	frames := make([][]byte, 0, netsim.MaxBurst(b.cfg.Burst))
 	for {
 		n, ok := b.readBurst(s, r)
 		if !ok {

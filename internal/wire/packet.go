@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -292,20 +293,15 @@ func (p *Packet) Trailer() []byte {
 	return p.Buf[p.ipEnd : len(p.Buf)-trailerFooterLen]
 }
 
-// SetTrailer appends or replaces the FTC trailer. The body must fit a
-// uint16 length. The IP headers are untouched: the trailer lives outside the
-// IP total length, and construction is in-place per §6.
+// SetTrailer appends or replaces the FTC trailer with a copy of body, which
+// must fit a uint16 length. The IP headers are untouched: the trailer lives
+// outside the IP total length, and construction is in-place per §6.
 func (p *Packet) SetTrailer(body []byte) error {
-	if len(body) > 0xffff {
-		return fmt.Errorf("%w: trailer body %d bytes", ErrBadHeader, len(body))
+	grown, err := appendTrailerAt(append(p.Buf[:p.ipEnd], body...), p.ipEnd)
+	if err == nil {
+		p.Buf = grown
 	}
-	p.Buf = p.Buf[:p.ipEnd]
-	p.Buf = append(p.Buf, body...)
-	var foot [trailerFooterLen]byte
-	binary.BigEndian.PutUint16(foot[0:2], trailerMagic)
-	binary.BigEndian.PutUint16(foot[2:4], uint16(len(body)))
-	p.Buf = append(p.Buf, foot[:]...)
-	return nil
+	return err
 }
 
 // TrailerEncoder produces a trailer body by appending to dst (the usual
@@ -315,27 +311,26 @@ type TrailerEncoder interface {
 }
 
 // AppendTrailer sets the FTC trailer by letting enc append the body directly
-// onto the frame past the IP-covered bytes, avoiding the intermediate body
-// buffer SetTrailer requires. Any existing trailer is replaced.
+// onto the frame past the IP-covered bytes, so no intermediate body buffer
+// is needed. Any existing trailer is replaced.
 func (p *Packet) AppendTrailer(enc TrailerEncoder) error {
-	grown, err := appendTrailerAt(p.Buf[:p.ipEnd], enc)
-	if err != nil {
-		return err
+	grown, err := appendTrailerAt(enc.Encode(p.Buf[:p.ipEnd]), p.ipEnd)
+	if err == nil {
+		p.Buf = grown
 	}
-	p.Buf = grown
-	return nil
+	return err
 }
 
 // AppendRawTrailer appends an FTC trailer to a frame whose length is exactly
 // its IP-covered byte count (a prebuilt carrier template), without parsing.
 // The returned slice is frame, grown in place when capacity allows.
 func AppendRawTrailer(frame []byte, enc TrailerEncoder) ([]byte, error) {
-	return appendTrailerAt(frame, enc)
+	return appendTrailerAt(enc.Encode(frame), len(frame))
 }
 
-func appendTrailerAt(base []byte, enc TrailerEncoder) ([]byte, error) {
-	end := len(base)
-	grown := enc.Encode(base)
+// appendTrailerAt closes the trailer whose body is grown[end:] by appending
+// its footer: the one routine that writes a trailer footer.
+func appendTrailerAt(grown []byte, end int) ([]byte, error) {
 	bodyLen := len(grown) - end
 	if bodyLen < 0 {
 		return nil, fmt.Errorf("%w: trailer encoder shrank the frame", ErrBadHeader)
@@ -352,13 +347,8 @@ func appendTrailerAt(base []byte, enc TrailerEncoder) ([]byte, error) {
 // StripTrailer removes the trailer, returning a copy of its body (nil if no
 // trailer was present).
 func (p *Packet) StripTrailer() []byte {
-	t := p.Trailer()
-	if t == nil {
-		return nil
-	}
-	body := make([]byte, len(t))
-	copy(body, t)
-	p.Buf = p.Buf[:p.ipEnd]
+	body := bytes.Clone(p.Trailer())
+	p.DropTrailer()
 	return body
 }
 

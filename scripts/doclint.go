@@ -3,11 +3,12 @@
 // Command doclint enforces the godoc contract on selected packages: every
 // exported top-level symbol must carry a doc comment, the package comment
 // must open canonically ("Package <name> ..." — or "Command ..." for main
-// packages), and every struct field carrying a `yaml:"..."` tag must have
-// a doc comment; numeric YAML fields must additionally name their unit
-// (Mbps, ms, µs, seconds, bytes, count, ...) so no scenario knob ships
-// without its dimension. It is part of `make ci` for the packages whose
-// documentation the deployment and fleet walkthroughs depend on.
+// packages), and in a config package (configPackages) every struct field
+// carrying a `json:"..."` tag must have a doc comment; numeric ones must
+// additionally name their unit (Mbps, ms, µs, seconds, bytes, count, ...)
+// so no scenario knob ships without its dimension. It is part of `make ci`
+// for the packages whose documentation the deployment and fleet
+// walkthroughs depend on.
 //
 // Usage: go run scripts/doclint.go <dir> [<dir>...]
 package main
@@ -40,7 +41,12 @@ func main() {
 	}
 }
 
-// unitTokens are the accepted unit spellings for numeric YAML config
+// configPackages names the packages whose json-tagged structs are a config
+// surface users write by hand. Elsewhere JSON tags spell a wire format (the
+// orchestrator's command log and member RPCs) and the field rule skips them.
+var configPackages = map[string]bool{"fleet": true}
+
+// unitTokens are the accepted unit spellings for numeric JSON config
 // fields. Each must appear in the field's doc comment as a whole word —
 // "ms" inside "items" does not count.
 var unitTokens = []string{
@@ -112,7 +118,7 @@ func lintDir(dir string) int {
 					}
 					report(d.Pos(), "func %s has no doc comment", name)
 				case *ast.GenDecl:
-					lintGenDecl(d, report)
+					lintGenDecl(d, configPackages[pkg.Name], report)
 				}
 			}
 		}
@@ -156,8 +162,9 @@ func lintPackageDoc(fset *token.FileSet, pkg *ast.Package) int {
 
 // lintGenDecl checks exported types, vars, and consts. A doc comment on
 // the grouped declaration covers all its specs, matching godoc rendering.
-// Struct types additionally get their yaml-tagged fields checked.
-func lintGenDecl(d *ast.GenDecl, report func(token.Pos, string, ...any)) {
+// In a config package, struct types additionally get their json-tagged
+// fields checked.
+func lintGenDecl(d *ast.GenDecl, config bool, report func(token.Pos, string, ...any)) {
 	if d.Tok != token.TYPE && d.Tok != token.VAR && d.Tok != token.CONST {
 		return
 	}
@@ -167,8 +174,8 @@ func lintGenDecl(d *ast.GenDecl, report func(token.Pos, string, ...any)) {
 			if s.Name.IsExported() && d.Doc == nil && s.Doc == nil && s.Comment == nil {
 				report(s.Pos(), "type %s has no doc comment", s.Name.Name)
 			}
-			if st, ok := s.Type.(*ast.StructType); ok {
-				lintYAMLFields(s.Name.Name, st, report)
+			if st, ok := s.Type.(*ast.StructType); ok && config {
+				lintConfigFields(s.Name.Name, st, report)
 			}
 		case *ast.ValueSpec:
 			for _, n := range s.Names {
@@ -180,10 +187,10 @@ func lintGenDecl(d *ast.GenDecl, report func(token.Pos, string, ...any)) {
 	}
 }
 
-// lintYAMLFields enforces the config-surface contract: every field with a
-// `yaml:"..."` tag must carry a doc comment, and numeric fields must name
+// lintConfigFields enforces the config-surface contract: every field with a
+// `json:"..."` tag must carry a doc comment, and numeric fields must name
 // their unit in it — a scenario knob without a dimension is unusable.
-func lintYAMLFields(typeName string, st *ast.StructType, report func(token.Pos, string, ...any)) {
+func lintConfigFields(typeName string, st *ast.StructType, report func(token.Pos, string, ...any)) {
 	for _, field := range st.Fields.List {
 		if field.Tag == nil {
 			continue
@@ -192,11 +199,11 @@ func lintYAMLFields(typeName string, st *ast.StructType, report func(token.Pos, 
 		if err != nil {
 			continue
 		}
-		yamlKey, ok := reflect.StructTag(raw).Lookup("yaml")
-		if !ok || yamlKey == "-" {
+		key, ok := reflect.StructTag(raw).Lookup("json")
+		if !ok || key == "-" {
 			continue
 		}
-		name := yamlKey
+		name := key
 		if len(field.Names) > 0 {
 			name = field.Names[0].Name
 		}
@@ -207,13 +214,13 @@ func lintYAMLFields(typeName string, st *ast.StructType, report func(token.Pos, 
 			docText = field.Comment.Text()
 		}
 		if strings.TrimSpace(docText) == "" {
-			report(field.Pos(), "yaml field %s.%s (yaml:%q) has no doc comment", typeName, name, yamlKey)
+			report(field.Pos(), "json field %s.%s (json:%q) has no doc comment", typeName, name, key)
 			continue
 		}
 		if ident, isIdent := field.Type.(*ast.Ident); isIdent && numericKinds[ident.Name] {
 			if !hasUnit(docText) {
-				report(field.Pos(), "yaml field %s.%s (yaml:%q) doc names no unit (expected one of: %s)",
-					typeName, name, yamlKey, strings.Join(unitTokens, ", "))
+				report(field.Pos(), "json field %s.%s (json:%q) doc names no unit (expected one of: %s)",
+					typeName, name, key, strings.Join(unitTokens, ", "))
 			}
 		}
 	}
