@@ -42,11 +42,12 @@ type Config struct {
 	// traffic, a propagating packet carries pending piggyback state through
 	// the chain at this period (§5.1).
 	PropagateEvery time.Duration
-	// RepairEvery is how long a follower waits for a missing predecessor
-	// log before requesting retransmission from its group predecessor.
+	// RepairEvery is the period of each replica's maintenance tick: a frame
+	// parked in the pending set on a missing predecessor log for this long
+	// has the log requested from the follower's group predecessor.
 	RepairEvery time.Duration
-	// RepairDeadline bounds the total wait for a missing log; packets whose
-	// logs cannot be repaired within it are counted and passed on.
+	// RepairDeadline bounds how long a frame stays parked on a missing log;
+	// a log not repaired within it is counted and passed on unapplied.
 	RepairDeadline time.Duration
 	// NewStore builds the state engine for each replica store. Defaults to
 	// the pessimistic state.New (wound-wait 2PL); state.NewOCC selects the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/ftsfc/ftc/internal/netsim"
@@ -33,27 +32,6 @@ func (r *Replica) registerControl() {
 	r.sim.RegisterRPC(rpcPing, func(netsim.NodeID, []byte) ([]byte, error) {
 		return []byte{1}, nil
 	})
-}
-
-// fetchGateWait bounds how long a state fetch waits for a head's fetch
-// gate before reporting busy. Generous against burst holds (microseconds)
-// and contended schedulers, far below any recovery budget.
-const fetchGateWait = 250 * time.Millisecond
-
-// lockWithin acquires mu within the given wait, polling TryLock so the
-// attempt never enqueues as a writer (a pending writer would block the data
-// path's read-side gate acquisitions).
-func lockWithin(mu *sync.RWMutex, wait time.Duration) bool {
-	deadline := time.Now().Add(wait)
-	for {
-		if mu.TryLock() {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 // checkCtrlTerm rejects a routing/generation command whose controller term
@@ -124,8 +102,9 @@ func (r *Replica) handleRepair(_ netsim.NodeID, req []byte) ([]byte, error) {
 
 // handleSpill applies logs whose updates were too big for their packet's
 // byte budget and were pushed over RPC instead of the piggyback trailer.
-// The wait is bounded: if dependencies stay unmet the push is dropped and
-// the sender's resend loop re-pushes once commits stall.
+// Nothing waits: a Blocked log is dropped, and the sender's resend loop
+// re-pushes it once commits stall. An apply that advanced a MAX resumes the
+// parked frames it unblocked.
 func (r *Replica) handleSpill(_ netsim.NodeID, req []byte) ([]byte, error) {
 	m, err := DecodeMessage(req)
 	if err != nil {
@@ -135,17 +114,14 @@ func (r *Replica) handleSpill(_ netsim.NodeID, req []byte) ([]byte, error) {
 		r.stats.StaleGen.Add(1)
 		return nil, nil
 	}
-	deadline := 4 * r.cfg.RepairEvery
-	if deadline > r.cfg.RepairDeadline {
-		deadline = r.cfg.RepairDeadline
-	}
+	advanced := false
 	for _, l := range m.Logs {
-		f := r.followers[l.MB]
-		if f == nil {
-			continue
+		if f := r.followers[l.MB]; f != nil && f.Apply(l) == Applied {
+			advanced = true
 		}
-		mb := l.MB
-		f.waitApply(l, r.cfg.RepairEvery, func() { r.repair(mb, f) }, deadline, nil)
+	}
+	if advanced && r.stats.Pending.Load() > 0 {
+		r.kick()
 	}
 	return nil, nil
 }
@@ -166,15 +142,7 @@ func (r *Replica) handleFetch(_ netsim.NodeID, req []byte) ([]byte, error) {
 		// torn cut would double-apply delta updates or lose a burst's logs
 		// at the recovering replica.
 		h := r.head
-		if !lockWithin(&h.fetchMu, fetchGateWait) {
-			// A burst normally holds the gate for microseconds; failing to
-			// get it for this long means a worker is parked mid-burst on
-			// dependencies only the recovery itself will deliver. Report
-			// busy instead of queueing as a writer: the caller falls over
-			// to the next alive group member, and a queued writer would
-			// stall the data path behind us.
-			return nil, fmt.Errorf("core: replica %d fetch gate busy for mb %d", r.idx, mb)
-		}
+		h.fetchMu.Lock()
 		fs.Vector = h.Vector()
 		fs.Logs = h.Buffer().all()
 		fs.Snapshot = h.Store().Snapshot()
@@ -337,12 +305,9 @@ func (r *Replica) followerSources(mb int) []int {
 
 // fetchFirst tries each candidate ring position in order, returning the
 // first successful fetch. Each candidate gets an equal slice of the
-// remaining deadline, not the whole budget: a source whose fetch gate is
-// wedged behind a burst worker blocked on the failed replica's own missing
-// deltas would otherwise eat the full recovery timeout and leave the
-// healthy fallback candidates an already-expired context — a circular wait
-// where recovering the ring needs a fetch that only completes once the ring
-// is recovered.
+// remaining deadline, not the whole budget: a candidate cut off by a
+// network partition would otherwise eat the full recovery timeout and leave
+// the healthy fallback candidates an already-expired context.
 func (r *Replica) fetchFirst(ctx context.Context, peerID func(int) netsim.NodeID, mb uint16, candidates []int) (*FetchState, error) {
 	var lastErr error
 	for i, c := range candidates {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"time"
 
 	"github.com/ftsfc/ftc/internal/state"
 )
@@ -23,11 +22,6 @@ type Follower struct {
 
 	locks []sync.Mutex // per-partition apply locks; max[p] is guarded by locks[p]
 	max   []uint64
-
-	notifyMu sync.Mutex
-	// notify is closed when MAX advances and lazily recreated by the next
-	// waiter, so the in-order fast path (no one waiting) allocates nothing.
-	notify chan struct{}
 }
 
 // ApplyOutcome reports what Apply did with a log.
@@ -39,7 +33,8 @@ const (
 	Applied ApplyOutcome = iota
 	// Duplicate: the log had already been applied (repair or recovery replay).
 	Duplicate
-	// Blocked: prior logs are missing; the caller must wait or repair.
+	// Blocked: prior logs are missing; the caller parks the log (the
+	// replica's pending set) or drops it, and repair fills the gap.
 	Blocked
 )
 
@@ -78,8 +73,7 @@ func (f *Follower) unlockVec(v SparseVec) {
 }
 
 // Apply attempts to apply one piggyback log. It never blocks: a log whose
-// dependencies are unmet returns Blocked and the caller decides whether to
-// wait (WaitApply) or request repair.
+// dependencies are unmet returns Blocked and the caller decides what holds it.
 func (f *Follower) Apply(l Log) ApplyOutcome { return f.apply(l, nil) }
 
 // apply is Apply with an optional retransmission-buffer sink: when sink is
@@ -122,7 +116,6 @@ func (f *Follower) apply(l Log, sink *[]Log) ApplyOutcome {
 	} else {
 		f.buf.add(l.Retain())
 	}
-	f.wake()
 	return Applied
 }
 
@@ -191,7 +184,6 @@ func (f *Follower) applyCoalescedLocked(l Log, sink *[]Log) ApplyOutcome {
 	} else {
 		f.buf.add(l.Retain())
 	}
-	f.wake()
 	return Applied
 }
 
@@ -205,78 +197,25 @@ func (v SparseVec) SupersededByAny(max []uint64) bool {
 	return false
 }
 
-func (f *Follower) wake() {
-	f.notifyMu.Lock()
-	if f.notify != nil {
-		close(f.notify)
-		f.notify = nil
+// lockAll takes every apply lock, ascending like lockVec; unlockAll
+// releases them in reverse.
+func (f *Follower) lockAll() {
+	for i := range f.locks {
+		f.locks[i].Lock()
 	}
-	f.notifyMu.Unlock()
 }
 
-func (f *Follower) notifyCh() chan struct{} {
-	f.notifyMu.Lock()
-	defer f.notifyMu.Unlock()
-	if f.notify == nil {
-		f.notify = make(chan struct{})
-	}
-	return f.notify
-}
-
-// WaitApply applies l, blocking while its dependencies are unmet. Each time
-// the wait exceeds repairEvery, onRepair is invoked (if non-nil) so the
-// caller can fetch missing logs from the group predecessor; logs returned by
-// repair should be fed through Apply by the callback. WaitApply gives up
-// and reports false after deadline (zero means wait forever).
-func (f *Follower) WaitApply(l Log, repairEvery time.Duration, onRepair func(), deadline time.Duration) bool {
-	return f.waitApply(l, repairEvery, onRepair, deadline, nil)
-}
-
-// waitApply is WaitApply with an optional buffer sink (see apply).
-func (f *Follower) waitApply(l Log, repairEvery time.Duration, onRepair func(), deadline time.Duration, sink *[]Log) bool {
-	var elapsed time.Duration
-	for {
-		switch f.apply(l, sink) {
-		case Applied, Duplicate:
-			return true
-		case Blocked:
-		}
-		ch := f.notifyCh()
-		// Re-check after taking the channel: an Apply that advanced MAX
-		// between our Apply and notifyCh would otherwise be missed.
-		if out := f.apply(l, sink); out != Blocked {
-			return true
-		}
-		wait := repairEvery
-		if wait <= 0 {
-			wait = 5 * time.Millisecond
-		}
-		t := time.NewTimer(wait)
-		select {
-		case <-ch:
-			t.Stop()
-		case <-t.C:
-			if onRepair != nil {
-				onRepair()
-			}
-			elapsed += wait
-			if deadline > 0 && elapsed >= deadline {
-				return false
-			}
-		}
+func (f *Follower) unlockAll() {
+	for i := len(f.locks) - 1; i >= 0; i-- {
+		f.locks[i].Unlock()
 	}
 }
 
 // Max snapshots the follower's MAX dependency vector.
 func (f *Follower) Max() []uint64 {
-	for i := range f.locks {
-		f.locks[i].Lock()
-	}
-	out := CloneDense(f.max)
-	for i := len(f.locks) - 1; i >= 0; i-- {
-		f.locks[i].Unlock()
-	}
-	return out
+	f.lockAll()
+	defer f.unlockAll()
+	return CloneDense(f.max)
 }
 
 // Fetch atomically snapshots the follower's MAX vector, retransmission
@@ -285,23 +224,15 @@ func (f *Follower) Max() []uint64 {
 // multi-partition log racing the copy, double-apply or vanish at the
 // recovered replica.
 func (f *Follower) Fetch() (max []uint64, logs []Log, snap []state.Update) {
-	for i := range f.locks {
-		f.locks[i].Lock()
-	}
-	max = CloneDense(f.max)
-	logs = f.buf.all()
-	snap = f.store.Snapshot()
-	for i := len(f.locks) - 1; i >= 0; i-- {
-		f.locks[i].Unlock()
-	}
-	return max, logs, snap
+	f.lockAll()
+	defer f.unlockAll()
+	return CloneDense(f.max), f.buf.all(), f.store.Snapshot()
 }
 
 // RestoreMax installs a MAX vector (recovery initialization).
 func (f *Follower) RestoreMax(v []uint64) {
-	for i := range f.locks {
-		f.locks[i].Lock()
-	}
+	f.lockAll()
+	defer f.unlockAll()
 	for i := range f.max {
 		if i < len(v) {
 			f.max[i] = v[i]
@@ -309,10 +240,6 @@ func (f *Follower) RestoreMax(v []uint64) {
 			f.max[i] = 0
 		}
 	}
-	for i := len(f.locks) - 1; i >= 0; i-- {
-		f.locks[i].Unlock()
-	}
-	f.wake()
 }
 
 // Prune drops buffered logs covered by the commit vector.

@@ -42,9 +42,8 @@ type bridgedRig struct {
 	chain *Chain // the two replicas, for the audits
 
 	// fwdLanes is how many lanes the link from node 0 to node 1 uses: one
-	// where a single goroutine pumps the ring (it would deliver the second
-	// lane's logs only after parking on the first's), two where each lane
-	// has its receive goroutine. Set before traffic.
+	// where a single goroutine pumps the ring, two where each lane has its
+	// receive goroutine. Set before traffic.
 	fwdLanes int
 
 	mu    sync.Mutex
@@ -57,6 +56,11 @@ var rigRing = []netsim.NodeID{"r0", "r1"}
 func newBridgedRig(tb testing.TB, cfg Config, mbs ...Middlebox) *bridgedRig {
 	tb.Helper()
 	cfg.NumMB, cfg.F = len(mbs), 1
+	if cfg.QueueCap == 0 {
+		// The lanes are unbounded, so a lane can run far ahead of the other
+		// one; queues and pending sets get room for that skew.
+		cfg.QueueCap = 4096
+	}
 	rig := &bridgedRig{fab: netsim.New(netsim.Config{}), fwdLanes: 1}
 	tb.Cleanup(rig.fab.Stop)
 	for i := range rig.bell {
@@ -84,7 +88,7 @@ func newBridgedRig(tb testing.TB, cfg Config, mbs ...Middlebox) *bridgedRig {
 	rig.fab.AddNode("sink", netsim.NodeConfig{Deliver: capture(func([]byte) int { return laneEgress })})
 	rig.wan = rig.fab.AddNode("wan", netsim.NodeConfig{})
 	for i := range rig.r {
-		rig.sim[i] = rig.fab.AddNode(rigRing[i], netsim.NodeConfig{QueueCap: 4096})
+		rig.sim[i] = rig.fab.AddNode(rigRing[i], netsim.NodeConfig{QueueCap: cfg.QueueCap})
 		spec := ReplicaSpec{Index: i, Sim: rig.sim[i], Fabric: rig.fab}
 		if i < len(mbs) {
 			spec.MB = mbs[i]
@@ -521,30 +525,20 @@ func TestIngestConcurrentFlowsFIFO(t *testing.T) {
 
 // TestIngestLifecycle covers the three rules at the edges of a replica's
 // life. Before Start an injected burst is dropped and counted, never queued.
-// Stop under ingest load — four goroutines injecting, one of them parked in
-// Follower.waitApply on a frame whose eight logs would each wait out
-// RepairDeadline — returns within about one deadline, because the crashed
-// check abandons the frame after the log it was parked on. And once Stop has
-// returned nothing more is processed: later injections are dropped and
-// counted.
+// A frame whose eight logs can never apply parks in the pending set, so its
+// inject returns at once, and Stop under ingest load — three goroutines
+// injecting, each also behind that frame in its flow — returns within
+// about a burst although RepairDeadline is 10 s, releasing what is parked
+// unprocessed, with no log timed out. And once Stop has returned nothing
+// more is processed: later injections are dropped and counted.
 func TestIngestLifecycle(t *testing.T) {
-	cfg := Config{RepairDeadline: 300 * time.Millisecond}
+	cfg := Config{RepairDeadline: 10 * time.Second}
 	rig := newBridgedRig(t, cfg, newGenMB(16))
 	last := rig.r[1]
 	frames := func(n int) [][]byte {
 		out := make([][]byte, n)
 		for i := range out {
-			pkt, err := wire.Parse(flowFrame(t, i%4, i, rigFrame))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := pkt.InsertFTCOption(); err != nil {
-				t.Fatal(err)
-			}
-			if err := pkt.AppendTrailer(&Message{}); err != nil {
-				t.Fatal(err)
-			}
-			out[i] = pkt.Buf
+			out[i] = ftcFrame(t, i%4, i, &Message{})
 		}
 		return out
 	}
@@ -565,27 +559,17 @@ func TestIngestLifecycle(t *testing.T) {
 
 	// A frame whose logs the follower can never apply: sequence 100 of
 	// partitions that have seen nothing, and no predecessor to repair from.
-	pkt, err := wire.Parse(flowFrame(t, 0, 0, rigFrame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pkt.InsertFTCOption(); err != nil {
-		t.Fatal(err)
-	}
 	stuck := &Message{}
 	for p := uint16(0); p < 8; p++ {
 		stuck.Logs = append(stuck.Logs, Log{MB: 0, Vec: SparseVec{{Part: p, Seq: 100}}})
 	}
-	if err := pkt.AppendTrailer(stuck); err != nil {
-		t.Fatal(err)
+	begin := time.Now()
+	rig.inject(t, 1, [][]byte{ftcFrame(t, 0, 0, stuck)})
+	if took := time.Since(begin); took > 100*time.Millisecond || last.Stats().Pending.Load() != 1 {
+		t.Fatalf("the stuck frame's inject took %v and left %d frames parked, want at once and 1", took, last.Stats().Pending.Load())
 	}
 	var load sync.WaitGroup
 	stopLoad := make(chan struct{})
-	load.Add(1)
-	go func() {
-		defer load.Done()
-		rig.inject(t, 1, [][]byte{pkt.Buf}) // parks
-	}()
 	for i := 0; i < 3; i++ {
 		load.Add(1)
 		go func() {
@@ -600,15 +584,15 @@ func TestIngestLifecycle(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(20 * time.Millisecond) // the parked goroutine is inside waitApply by now
+	time.Sleep(20 * time.Millisecond)
 
-	begin := time.Now()
+	begin = time.Now()
 	last.Stop()
-	if took := time.Since(begin); took > time.Second {
-		t.Fatalf("Stop took %v with an ingest parked in waitApply; RepairDeadline is %v", took, cfg.RepairDeadline)
+	if took := time.Since(begin); took > 100*time.Millisecond {
+		t.Fatalf("Stop took %v with a frame parked; RepairDeadline is %v", took, cfg.RepairDeadline)
 	}
-	if got := last.Stats().ApplyTimeouts.Load(); got > 1 {
-		t.Fatalf("the parked frame waited out %d logs after the crash, want at most the one it was parked on", got)
+	if s := last.Stats(); s.ApplyTimeouts.Load() != 0 || s.Pending.Load() != 0 {
+		t.Fatalf("after Stop: %d logs timed out and %d frames still parked, want 0 and 0", s.ApplyTimeouts.Load(), s.Pending.Load())
 	}
 	rx := last.Stats().RxFrames.Load()
 	_, _, droppedAtStop, _ := rig.fab.Stats()

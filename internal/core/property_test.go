@@ -49,7 +49,7 @@ func TestQuickFollowerConvergesUnderAnyOrder(t *testing.T) {
 			}
 		}
 		for _, l := range logs {
-			if !fol.WaitApply(l, time.Millisecond, repair, 5*time.Second) {
+			if !applyOrRepair(fol, l, repair, 5*time.Second) {
 				return false
 			}
 		}

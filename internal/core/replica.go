@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 
@@ -21,7 +22,7 @@ type Stats struct {
 	FencedHeld    atomic.Uint64 // held packets dropped by a generation bump
 	Repairs       atomic.Uint64 // repair RPCs issued
 	RepairedLogs  atomic.Uint64 // logs recovered via repair
-	ApplyTimeouts atomic.Uint64 // logs that could not be repaired in time
+	ApplyTimeouts atomic.Uint64 // logs passed on unapplied after RepairDeadline
 	Duplicates    atomic.Uint64 // duplicate logs suppressed
 	MBErrors      atomic.Uint64 // middlebox processing errors
 	Propagating   atomic.Uint64 // propagating packets emitted
@@ -37,6 +38,9 @@ type Stats struct {
 	PiggybackBytesOut atomic.Uint64
 	WireBytesOut      atomic.Uint64
 	SpilledLogs       atomic.Uint64 // logs diverted to the spillover RPC by the byte budget
+
+	Pending      atomic.Int64  // gauge: frames in the pending set (pending.go)
+	PendingDrops atomic.Uint64 // frames dropped because the pending set was full
 }
 
 // SchedStats exposes the scheduling layer's observability (DESIGN.md §9):
@@ -111,10 +115,13 @@ type Replica struct {
 	started bool
 	ingFree []*worker
 
+	pend pendingSet
+
 	stats    Stats
 	sched    SchedStats
 	stopOnce sync.Once
-	stopped  chan struct{}
+	life     context.Context // cancelled by Stop: ends the loops and their RPCs
+	halt     context.CancelFunc
 	wg       sync.WaitGroup
 }
 
@@ -162,8 +169,8 @@ func NewReplica(cfg Config, spec ReplicaSpec) *Replica {
 		ringIDs:    append([]netsim.NodeID(nil), spec.RingIDs...),
 		commitSeen: make(map[uint16][]uint64),
 		pruneTick:  make(map[uint16]int),
-		stopped:    make(chan struct{}),
 	}
+	r.life, r.halt = context.WithCancel(context.Background())
 	r.tails = ring.TailsOf(spec.Index)
 	ttlFor := func(mb int) []string {
 		if cfg.FlowTTL <= 0 || spec.TTLPrefixes == nil {
@@ -257,11 +264,11 @@ func (r *Replica) SetGen(g uint32) {
 	}
 }
 
-// Start launches the worker threads and, on the first node, the propagating
-// timer, registers the control-plane handlers and opens the node to
-// injected bursts (ingest). Workers goroutines schedule claim-based over
-// whatever ingress queues the node has (Config.NumIngressQueues when the
-// chain built it).
+// Start launches the worker threads, the maintenance tick and, on the
+// first node, the propagating timer, registers the control-plane handlers
+// and opens the node to injected bursts (ingest). Workers goroutines
+// schedule claim-based over whatever ingress queues the node has
+// (Config.NumIngressQueues when the chain built it).
 func (r *Replica) Start() {
 	r.registerControl()
 	r.ingMu.Lock()
@@ -278,18 +285,18 @@ func (r *Replica) Start() {
 		r.wg.Add(1)
 		go r.propagateLoop()
 	}
-	if r.head != nil && r.cfg.F > 0 {
-		r.wg.Add(1)
-		go r.resendLoop()
-	}
+	r.wg.Add(1)
+	go r.maintain()
 }
 
 // Stop terminates the replica's goroutines and waits out the ingests in
-// flight; once it returns nothing more is processed. The fabric node is
-// left crashed.
+// flight; once it returns nothing more is processed, and the frames parked
+// in the pending set are released unprocessed. No frame waits inside a
+// goroutine, so Stop takes about one burst. The fabric node is left
+// crashed.
 func (r *Replica) Stop() {
 	r.stopOnce.Do(func() {
-		close(r.stopped)
+		r.halt()
 		// Under ingMu: an ingest either counted itself into wg before the
 		// crash or sees it and is refused, so no wg.Add races the Wait.
 		r.ingMu.Lock()
@@ -297,6 +304,7 @@ func (r *Replica) Stop() {
 		r.ingMu.Unlock()
 	})
 	r.wg.Wait()
+	r.dropPending()
 }
 
 // nextHop returns the fabric ID of the next ring node, or "" on the last.

@@ -9,15 +9,17 @@ import (
 )
 
 // propagateLoop is the forwarder's idle timer (§5.1): when traffic pauses,
-// pending piggyback state still flows through the chain.
+// pending piggyback state still flows through the chain. Its worker is a
+// queue worker's, so the frames a carrier's logs unblock resume in its
+// bracket.
 func (r *Replica) propagateLoop() {
 	defer r.wg.Done()
 	t := time.NewTicker(r.cfg.PropagateEvery)
 	defer t.Stop()
-	w := &worker{}
+	w := r.newQueueWorker()
 	for {
 		select {
-		case <-r.stopped:
+		case <-r.life.Done():
 			return
 		case <-t.C:
 			if r.sim.Crashed() {
@@ -46,34 +48,51 @@ func (r *Replica) propagateLoop() {
 	}
 }
 
-// resendLoop is the head's anti-entropy timer. A head's logs normally ride
-// data packets, so a frame lost between adjacent servers (a crashed
-// successor not yet routed around) leaves followers with no signal that
-// anything is missing once traffic pauses: repair is pull-based and only
-// triggers when a later log arrives out of order. The loop watches the
+// maintain is the replica's maintenance tick, every RepairEvery. When the
+// pending set holds frames, it repairs each gap a frame has waited on for
+// a full period — the RPC goes out with no bracket held — and then drains
+// in a bracket of its own (kick), which also lets frames past
+// RepairDeadline go on and drops fenced ones.
+//
+// Every resendAfter it also runs the head's anti-entropy step. A head's
+// logs normally ride data packets, so a frame lost between adjacent servers
+// (a crashed successor not yet routed around) leaves followers with no
+// signal that anything is missing once traffic pauses: repair only
+// triggers when a later log arrives out of order. The step watches the
 // commit vector for the head's own middlebox; if it stalls behind the
 // dependency vector for a full resendAfter with no progress, the unpruned
 // uncommitted logs are re-emitted on propagating carriers (followers
 // suppress duplicates via their MAX vectors).
-func (r *Replica) resendLoop() {
+func (r *Replica) maintain() {
 	defer r.wg.Done()
-	t := time.NewTicker(r.cfg.resendAfter())
+	t := time.NewTicker(r.cfg.RepairEvery)
 	defer t.Stop()
 	w := &worker{}
-	mb := r.head.MB()
 	var lastSum uint64
 	stale := false // one full interval of lag must elapse before resending
+	next := time.Now().Add(r.cfg.resendAfter())
 	for {
 		select {
-		case <-r.stopped:
+		case <-r.life.Done():
 			return
-		case <-t.C:
+		case now := <-t.C:
 			if r.sim.Crashed() {
 				return // replaced after a crash; never Stop()ed
 			}
+			if r.stats.Pending.Load() > 0 {
+				for _, mb := range r.gaps(now) {
+					r.repair(mb, r.followers[mb])
+				}
+				r.kick()
+			}
+			if r.head == nil || now.Before(next) {
+				continue
+			}
+			next = now.Add(r.cfg.resendAfter())
 			if r.expiryOn {
 				r.maybeExpire() // idle chains still age flows out
 			}
+			mb := r.head.MB()
 			commit := r.commitSnapshot(mb)
 			vec := r.head.Vector()
 			var sum uint64

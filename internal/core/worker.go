@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"time"
 
 	"github.com/ftsfc/ftc/internal/netsim"
@@ -55,8 +56,8 @@ func (r *Replica) run(idx int) {
 // frames) plus the deferred-work queues that let a burst pay once for what
 // a per-packet pipeline pays per frame — next-hop route resolution and
 // sends, state-lock begin/commit, retransmission-buffer appends, and commit
-// dissemination. The queue workers (run), the ingest workers (ingest) and
-// the timers (propagateLoop, resendLoop, expiry) each own one: everything
+// dissemination. The queue workers (run), the ingest workers (ingest, kick)
+// and the timers (propagateLoop, maintain, expiry) each own one: everything
 // the pipeline emits leaves the node through a worker's
 // beginBurst/flushBurst bracket.
 type worker struct {
@@ -107,6 +108,19 @@ type worker struct {
 	now       time.Time // the burst's one clock reading (beginBurst)
 	last      bool      // processing the burst's final frame (flush boundary)
 	dissemDue bool      // a commitEvery tick fired; disseminate at the boundary
+
+	// The pending set's view of this worker (pending.go): blocked is
+	// applyLogs' scratch; wake says an apply advanced a MAX, so the flush
+	// drains; claims are the partitions it resumed frames from, released at
+	// the end of the flush; flushes counts finished flushes; relook is
+	// another drain asking it to drain again after its flush.
+	blocked   []int
+	wake      bool
+	claims    []*pendPart
+	resumed   int64
+	flushes   atomic.Uint64
+	relook    atomic.Bool
+	relooking bool
 }
 
 // newQueueWorker builds the state of one run loop or one ingest worker: the
@@ -164,20 +178,9 @@ func (r *Replica) handleBurst(w *worker, n int) {
 // the pipeline's locks already cover. It reports false — the fabric drops
 // and counts the burst — before Start and once the node has crashed.
 func (r *Replica) ingest(frames [][]byte) bool {
-	r.ingMu.Lock()
-	if !r.started || r.sim.Crashed() {
-		r.ingMu.Unlock()
-		return false
-	}
-	r.wg.Add(1)
-	var w *worker
-	if k := len(r.ingFree); k > 0 {
-		w, r.ingFree = r.ingFree[k-1], r.ingFree[:k-1]
-	}
-	r.ingMu.Unlock()
+	w := r.enter()
 	if w == nil {
-		// At most one per concurrently injecting goroutine is ever built.
-		w = r.newQueueWorker()
+		return false
 	}
 	r.sched.Burst.Set(int64(len(frames)))
 	for len(frames) > 0 {
@@ -199,11 +202,33 @@ func (r *Replica) ingest(frames [][]byte) bool {
 		r.handleBurst(w, n)
 		frames = frames[n:]
 	}
+	r.leave(w)
+	return true
+}
+
+// enter admits a goroutine from outside the replica's own loops (an
+// ingest, a kick) and lends it a queue worker; nil before Start and once
+// the node has crashed. leave returns the worker.
+func (r *Replica) enter() *worker {
+	r.ingMu.Lock()
+	defer r.ingMu.Unlock()
+	if !r.started || r.sim.Crashed() {
+		return nil
+	}
+	r.wg.Add(1)
+	if k := len(r.ingFree); k > 0 {
+		w := r.ingFree[k-1]
+		r.ingFree = r.ingFree[:k-1]
+		return w
+	}
+	return r.newQueueWorker() // at most one per concurrent goroutine, ever
+}
+
+func (r *Replica) leave(w *worker) {
 	r.ingMu.Lock()
 	r.ingFree = append(r.ingFree, w)
 	r.ingMu.Unlock()
 	r.wg.Done()
-	return true
 }
 
 // beginBurst opens the bracket that flushBurst closes; between the two, the
@@ -217,9 +242,8 @@ func (r *Replica) beginBurst(w *worker) {
 		// between transactions, so a per-transaction read lock could deadlock
 		// against a pending fetch writer. flushBurst releases it once the
 		// burst's logs are in the retransmission buffer and the batch has
-		// flushed — the earliest point a fetch sees a consistent cut — or,
-		// for a worker parked on a follower log, openFetchGate releases it
-		// for the length of the wait.
+		// flushed — the earliest point a fetch sees a consistent cut. No
+		// frame waits inside a bracket (pending.go), so the hold is short.
 		r.head.fetchMu.RLock()
 	}
 }
@@ -229,6 +253,10 @@ func (r *Replica) beginBurst(w *worker) {
 // batch flush, one buffer-release scan. Frames recycle only after the burst
 // sends have copied them into the fabric.
 func (r *Replica) flushBurst(w *worker) {
+	if w.wake {
+		r.drain(w) // resumed frames join the burst's deferred work
+		w.wake = false
+	}
 	// Safety net for the coalescer: a run is normally closed onto the
 	// burst's last data packet, but if that frame never reached the
 	// transaction stage (parse error, stale gen, buffer transfer) the run is
@@ -296,6 +324,13 @@ func (r *Replica) flushBurst(w *worker) {
 		netsim.ReleaseFrame(fr)
 	}
 	reset(&w.rel)
+	if len(w.claims) > 0 {
+		r.release(w)
+	}
+	w.flushes.Add(1)
+	if !w.relooking && w.relook.Load() {
+		r.relook(w)
+	}
 }
 
 // sparse converts a dense commit vector to sparse form in the worker's

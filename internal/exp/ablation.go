@@ -124,7 +124,9 @@ func applyConcurrent(f *core.Follower, logs []core.Log, workers int) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			for l := range ch {
-				f.WaitApply(l, time.Millisecond, nil, 10*time.Second)
+				for f.Apply(l) == core.Blocked {
+					runtime.Gosched() // a sibling applier holds the dependency
+				}
 			}
 			done <- struct{}{}
 		}()

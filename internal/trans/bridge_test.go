@@ -29,9 +29,6 @@ type chainOpts struct {
 	burst      int                             // 0: defaults
 	newMB      func(i int) core.Middlebox      // nil: monitor everywhere
 	transCfg   func(i int, base Config) Config // nil: base config everywhere
-	// repairDeadline bounds how long a worker stays parked on a missing log
-	// (0: core's default, 2 s) — and with it how long Stop can take.
-	repairDeadline time.Duration
 }
 
 // startChainProcs boots an n-replica chain where every replica lives in its
@@ -39,8 +36,7 @@ type chainOpts struct {
 func startChainProcs(t *testing.T, n int, opts chainOpts) ([]*proc, core.Config) {
 	t.Helper()
 	egressAddr := opts.egressAddr
-	cfg := core.Config{F: 1, NumMB: n, Workers: 2, Burst: opts.burst, PropagateEvery: time.Millisecond,
-		RepairDeadline: opts.repairDeadline}.WithDefaults()
+	cfg := core.Config{F: 1, NumMB: n, Workers: 2, Burst: opts.burst, PropagateEvery: time.Millisecond}.WithDefaults()
 	ring := cfg.Ring()
 	procs := make([]*proc, ring.M())
 	udpAddrs := make([]string, ring.M())
