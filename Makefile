@@ -52,9 +52,11 @@ crossbuild:
 # covers the burst tunnel (packing, socket drain, burst injection) and its
 # burst-equivalence/crash tests; internal/state covers the swiss-table
 # partitions and TTL wheels that every engine and the expiry driver share;
-# internal/fleet covers the broker's TTL-expiry-vs-crash-recovery locking.
+# internal/fleet covers the broker's TTL-expiry-vs-crash-recovery locking;
+# internal/mbox covers middleboxes filling Txn.Write buffers from two
+# workers' batches at once (one shared store per middlebox).
 race:
-	$(GO) test -race ./internal/netsim/... ./internal/core/... ./internal/trans/... ./internal/orch/... ./internal/state/... ./internal/fleet/...
+	$(GO) test -race ./internal/netsim/... ./internal/core/... ./internal/trans/... ./internal/orch/... ./internal/state/... ./internal/fleet/... ./internal/mbox/...
 
 # Scheduler stress gate: the burst/steal equivalence proofs (delivered sets
 # + state digests identical to the per-packet reference at burst 32 and

@@ -21,6 +21,12 @@ import (
 // All of its state lives in the transaction's store, which is exactly what
 // FTC piggybacks and replicates — after a failover, flagged scanners stay
 // flagged.
+//
+// It uses the allocation-free idiom of the bundled middleboxes: keys are a
+// fixed prefix plus the packet's raw address bytes, held by value
+// (ftc.MakeKey) and looked up with GetKey, and writes fill the buffer
+// tx.Write returns. A packet of a (source, port) pair already seen only
+// reads, and builds no key string.
 type scanIDS struct {
 	threshold uint32
 }
@@ -29,44 +35,53 @@ func (s *scanIDS) Name() string { return "ScanIDS" }
 
 func (s *scanIDS) Process(pkt *ftc.Packet, tx ftc.Txn) (ftc.Verdict, error) {
 	t := pkt.FiveTuple()
-	srcKey := "ids:src:" + t.Src.String()
+	var pair [6]byte // source address, then destination port
+	copy(pair[:4], t.Src[:])
+	binary.BigEndian.PutUint16(pair[4:], t.DstPort)
+	src := pair[:4]
 
 	// Already flagged as a scanner? Drop.
-	if v, ok, err := tx.Get(srcKey + ":flagged"); err != nil {
+	flagKey := ftc.MakeKey("ids:flag:", src)
+	if v, ok, err := tx.GetKey(flagKey); err != nil {
 		return ftc.Drop, err
 	} else if ok && v[0] == 1 {
 		return ftc.Drop, nil
 	}
 
 	// Record this (source, destination port) pair once.
-	portKey := fmt.Sprintf("%s:port:%d", srcKey, t.DstPort)
-	if _, seen, err := tx.Get(portKey); err != nil {
-		return ftc.Drop, err
-	} else if !seen {
-		if err := tx.Put(portKey, []byte{1}); err != nil {
-			return ftc.Drop, err
-		}
-		// Bump the distinct-port counter.
-		var n uint32
-		if v, ok, err := tx.Get(srcKey + ":ports"); err != nil {
-			return ftc.Drop, err
-		} else if ok {
-			n = binary.BigEndian.Uint32(v)
-		}
-		n++
-		var buf [4]byte
-		binary.BigEndian.PutUint32(buf[:], n)
-		if err := tx.Put(srcKey+":ports", buf[:]); err != nil {
-			return ftc.Drop, err
-		}
-		if n >= s.threshold {
-			if err := tx.Put(srcKey+":flagged", []byte{1}); err != nil {
-				return ftc.Drop, err
-			}
-			return ftc.Drop, nil
-		}
+	portKey := ftc.MakeKey("ids:port:", pair[:])
+	if _, seen, err := tx.GetKey(portKey); err != nil || seen {
+		return ftc.Forward, err
 	}
-	return ftc.Forward, nil
+	mark, err := tx.Write(portKey.String(), 1)
+	if err != nil {
+		return ftc.Drop, err
+	}
+	mark[0] = 1
+
+	// Bump the distinct-port counter.
+	countKey := ftc.MakeKey("ids:ports:", src)
+	var n uint32
+	if v, ok, err := tx.GetKey(countKey); err != nil {
+		return ftc.Drop, err
+	} else if ok {
+		n = binary.BigEndian.Uint32(v)
+	}
+	n++
+	count, err := tx.Write(countKey.String(), 4)
+	if err != nil {
+		return ftc.Drop, err
+	}
+	binary.BigEndian.PutUint32(count, n)
+	if n < s.threshold {
+		return ftc.Forward, nil
+	}
+	flag, err := tx.Write(flagKey.String(), 1)
+	if err != nil {
+		return ftc.Drop, err
+	}
+	flag[0] = 1
+	return ftc.Drop, nil
 }
 
 func main() {

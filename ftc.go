@@ -55,6 +55,9 @@ type (
 	Verdict = core.Verdict
 	// Txn is a packet transaction over the middlebox state store.
 	Txn = state.Txn
+	// Key is a state key held by value, looked up with Txn.GetKey without
+	// building a heap string.
+	Key = state.Key
 	// Packet is a parsed network packet.
 	Packet = wire.Packet
 	// FiveTuple identifies a transport flow.
@@ -100,6 +103,9 @@ const (
 	Forward = core.Forward
 	Drop    = core.Drop
 )
+
+// MakeKey returns the state key prefix+suffix, held by value (see Key).
+func MakeKey(prefix string, suffix []byte) Key { return state.MakeKey(prefix, suffix) }
 
 // Addr4 builds an IPv4 address from four octets.
 func Addr4(a, b, c, d byte) IPv4Addr { return wire.Addr4(a, b, c, d) }

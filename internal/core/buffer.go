@@ -64,7 +64,7 @@ func (r *Replica) bufferStage(pkt *wire.Packet, msg *Message, w *worker) bool {
 	}
 	if includeView {
 		for _, j := range r.wrappedMBs() {
-			if sv := w.sparse(r.commitSnapshot(j)); len(sv) > 0 {
+			if sv := w.sparse(func(dst SparseVec) SparseVec { return r.appendCommit(dst, j) }); len(sv) > 0 {
 				commits = append(commits, Commit{MB: j, Vec: sv})
 			}
 		}

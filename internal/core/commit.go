@@ -56,6 +56,14 @@ func (r *Replica) commitSnapshot(mb uint16) []uint64 {
 	return CloneDense(r.commitSeen[mb])
 }
 
+// appendCommit is commitSnapshot in sparse form, appended to dst under the
+// same lock: the buffer's commit view needs no dense clone.
+func (r *Replica) appendCommit(dst SparseVec, mb uint16) SparseVec {
+	r.commitMu.Lock()
+	defer r.commitMu.Unlock()
+	return AppendSparse(dst, r.commitSeen[mb])
+}
+
 // commitEvery throttles tail commit dissemination and the buffer's
 // commit-view transfers to once per this many packets; commitRefresh bounds
 // the staleness in time at low rates.

@@ -155,8 +155,8 @@ func TestFastPathForwardEquivalence(t *testing.T) {
 }
 
 // genMB mirrors mbox.Gen (core cannot import it): every packet writes size
-// bytes derived from its RSS hash into one of 16 precomputed keys. The value
-// it builds is the one allocation per packet the head hop is allowed.
+// bytes derived from its RSS hash into one of 16 precomputed keys, filling
+// the transaction's own value buffer as Gen does.
 type genMB struct {
 	size int
 	keys [16]string
@@ -174,12 +174,12 @@ func (g *genMB) Name() string { return "gen" }
 
 func (g *genMB) Process(p *wire.Packet, tx state.Txn) (Verdict, error) {
 	seed := wire.RSSHash(p.Buf)
-	val := make([]byte, g.size)
+	val, err := tx.Write(g.keys[seed%uint64(len(g.keys))], g.size)
+	if err != nil {
+		return Drop, err
+	}
 	for i := range val {
 		val[i] = byte(seed >> (uint(i%8) * 8))
-	}
-	if err := tx.Put(g.keys[seed%uint64(len(g.keys))], val); err != nil {
-		return Drop, err
 	}
 	return Forward, nil
 }
@@ -280,7 +280,9 @@ func drain(n *netsim.Node) int {
 	}
 }
 
-const headHopBudget = 1.5 // allocations per packet; genMB's value is 1.0
+// headHopBudget is allocations per packet. The hop measures 0.19: amortized
+// slab chunks and per-burst logs; the middlebox's value costs nothing.
+const headHopBudget = 0.3
 
 // headHop sends one burst of raw packets from the generator and runs it
 // through the head hop: forwarder take, option insert, packet transaction,
@@ -296,8 +298,8 @@ func (rig *roleRig) headHop(tb testing.TB) {
 }
 
 // TestFastPathHeadAllocs gates the hop gen-small's node 0 performs: a
-// forwarder-and-head replica hosting a 16 B Gen may allocate the middlebox's
-// own value per packet and only amortized chunks and per-burst logs beyond it.
+// forwarder-and-head replica hosting a 16 B Gen may allocate only amortized
+// chunks and per-burst logs.
 func TestFastPathHeadAllocs(t *testing.T) {
 	rig := newRoleRig(t, rigFrame)
 	for i := 0; i < 50; i++ {

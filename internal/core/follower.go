@@ -218,6 +218,14 @@ func (f *Follower) Max() []uint64 {
 	return CloneDense(f.max)
 }
 
+// appendMax is Max in sparse form, appended to dst under the same locks:
+// the tail's commit dissemination needs no dense clone.
+func (f *Follower) appendMax(dst SparseVec) SparseVec {
+	f.lockAll()
+	defer f.unlockAll()
+	return AppendSparse(dst, f.max)
+}
+
 // Fetch atomically snapshots the follower's MAX vector, retransmission
 // buffer and store under all apply locks. Recovery must ship a consistent
 // cut: a MAX torn against the snapshot would make a delta update, or a

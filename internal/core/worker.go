@@ -333,12 +333,13 @@ func (r *Replica) flushBurst(w *worker) {
 	}
 }
 
-// sparse converts a dense commit vector to sparse form in the worker's
-// burst-scoped storage. A reallocating append leaves earlier results on the
-// old array, where they stay valid.
-func (w *worker) sparse(dense []uint64) SparseVec {
+// sparse mints a commit vector in the worker's burst-scoped storage:
+// appendVec appends the vector's sparse form, and sparse returns what it
+// appended. A reallocating append leaves earlier results on the old array,
+// where they stay valid.
+func (w *worker) sparse(appendVec func(SparseVec) SparseVec) SparseVec {
 	n := len(w.commitVecs)
-	w.commitVecs = AppendSparse(w.commitVecs, dense)
+	w.commitVecs = appendVec(w.commitVecs)
 	return w.commitVecs[n:len(w.commitVecs):len(w.commitVecs)]
 }
 

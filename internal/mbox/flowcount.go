@@ -41,7 +41,7 @@ func (c *FlowCounter) DeltaPrefixes() []string { return []string{c.prefix} }
 
 // Key returns the state-store key this middlebox uses for a flow; external
 // auditors use it to look up a packet's counter in replica snapshots.
-func (c *FlowCounter) Key(t wire.FiveTuple) string { return flowKey(c.prefix, t) }
+func (c *FlowCounter) Key(t wire.FiveTuple) string { return flowKey(c.prefix, t).String() }
 
 // Count decodes one of this middlebox's counter values as stored (0 for a
 // missing or malformed value).

@@ -35,7 +35,7 @@ func NewLoadBalancer(vip wire.IPv4Addr, backends []wire.IPv4Addr) (*LoadBalancer
 // Name implements core.Middlebox.
 func (lb *LoadBalancer) Name() string { return "LoadBalancer" }
 
-func lbConnKey(t wire.FiveTuple) string { return flowKey("lb:c:", t) }
+func lbConnKey(t wire.FiveTuple) state.Key { return flowKey("lb:c:", t) }
 
 func lbLoadKey(i int) string {
 	var b [2]byte
@@ -51,7 +51,7 @@ func (lb *LoadBalancer) Process(pkt *wire.Packet, tx state.Txn) (core.Verdict, e
 		return core.Forward, nil
 	}
 	key := lbConnKey(t)
-	v, ok, err := tx.Get(key)
+	v, ok, err := tx.GetKey(key)
 	if err != nil {
 		return core.Drop, err
 	}
@@ -78,11 +78,11 @@ func (lb *LoadBalancer) Process(pkt *wire.Packet, tx state.Txn) (core.Verdict, e
 		if _, err := counterAdd(tx, lbLoadKey(idx), 1); err != nil {
 			return core.Drop, err
 		}
-		var rec [2]byte
-		binary.BigEndian.PutUint16(rec[:], uint16(idx))
-		if err := tx.Put(key, rec[:]); err != nil {
+		rec, err := tx.Write(key.String(), 2)
+		if err != nil {
 			return core.Drop, err
 		}
+		binary.BigEndian.PutUint16(rec, uint16(idx))
 	}
 	if idx >= len(lb.backends) {
 		return core.Drop, errors.New("mbox: corrupt load-balancer record")

@@ -23,18 +23,21 @@ import (
 	"github.com/ftsfc/ftc/internal/wire"
 )
 
-// flowKey renders a five-tuple as a state-store key.
-func flowKey(prefix string, t wire.FiveTuple) string {
+// flowKey renders a five-tuple as a state-store key held by value: a
+// lookup through Txn.GetKey builds no string, and only a write (flow setup)
+// pays for Key.String.
+func flowKey(prefix string, t wire.FiveTuple) state.Key {
 	var b [13]byte
 	copy(b[0:4], t.Src[:])
 	copy(b[4:8], t.Dst[:])
 	binary.BigEndian.PutUint16(b[8:10], t.SrcPort)
 	binary.BigEndian.PutUint16(b[10:12], t.DstPort)
 	b[12] = t.Proto
-	return prefix + string(b[:])
+	return state.MakeKey(prefix, b[:])
 }
 
-// counterAdd increments a uint64 counter key inside a transaction.
+// counterAdd increments a uint64 counter key inside a transaction, writing
+// the new count straight into the transaction's value buffer.
 func counterAdd(tx state.Txn, key string, delta uint64) (uint64, error) {
 	v, _, err := tx.Get(key)
 	if err != nil {
@@ -45,9 +48,12 @@ func counterAdd(tx state.Txn, key string, delta uint64) (uint64, error) {
 		n = binary.BigEndian.Uint64(v)
 	}
 	n += delta
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], n)
-	return n, tx.Put(key, buf[:])
+	buf, err := tx.Write(key, 8)
+	if err != nil {
+		return 0, err
+	}
+	binary.BigEndian.PutUint64(buf, n)
+	return n, nil
 }
 
 // Monitor counts packets per flow group. Its sharing level controls how
@@ -158,18 +164,18 @@ func (g *Gen) Process(pkt *wire.Packet, tx state.Txn) (core.Verdict, error) {
 	seed := wire.RSSHash(pkt.Buf)
 	var key string
 	if g.perFlow {
-		key = flowKey(GenFlowPrefix, pkt.FiveTuple())
+		key = flowKey(GenFlowPrefix, pkt.FiveTuple()).String()
 	} else {
 		key = g.keyNames[seed%uint64(g.keys)]
 	}
-	val := make([]byte, g.stateSize)
+	val, err := tx.Write(key, g.stateSize)
+	if err != nil {
+		return core.Drop, err
+	}
 	// Derive deterministic contents from the packet so replicas can be
 	// compared byte-for-byte in tests.
 	for i := range val {
 		val[i] = byte(seed >> (uint(i%8) * 8))
-	}
-	if err := tx.Put(key, val); err != nil {
-		return core.Drop, err
 	}
 	return core.Forward, nil
 }

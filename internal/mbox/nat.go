@@ -18,15 +18,23 @@ type natBinding struct {
 	Port uint16
 }
 
-func (b natBinding) encode() []byte {
-	out := make([]byte, 6)
+// bindingLen is the encoded size of a natBinding (and of MazuNAT's reverse
+// record, which has the same address-and-port layout).
+const bindingLen = 6
+
+// write buffers b as key's value in the transaction.
+func (b natBinding) write(tx state.Txn, key string) error {
+	out, err := tx.Write(key, bindingLen)
+	if err != nil {
+		return err
+	}
 	copy(out[0:4], b.Addr[:])
 	binary.BigEndian.PutUint16(out[4:6], b.Port)
-	return out
+	return nil
 }
 
 func decodeBinding(v []byte) (natBinding, bool) {
-	if len(v) != 6 {
+	if len(v) != bindingLen {
 		return natBinding{}, false
 	}
 	var b natBinding
@@ -72,7 +80,7 @@ func (n *SimpleNAT) Process(pkt *wire.Packet, tx state.Txn) (core.Verdict, error
 		return core.Forward, nil
 	}
 	key := flowKey("nat:f:", t)
-	v, ok, err := tx.Get(key)
+	v, ok, err := tx.GetKey(key)
 	if err != nil {
 		return core.Drop, err
 	}
@@ -90,7 +98,7 @@ func (n *SimpleNAT) Process(pkt *wire.Packet, tx state.Txn) (core.Verdict, error
 			return core.Drop, ErrPortsExhausted
 		}
 		b = natBinding{Addr: n.extIP, Port: n.portBase + uint16(next-1)}
-		if err := tx.Put(key, b.encode()); err != nil {
+		if err := b.write(tx, key.String()); err != nil {
 			return core.Drop, err
 		}
 	}
@@ -157,7 +165,7 @@ func (n *MazuNAT) Process(pkt *wire.Packet, tx state.Txn) (core.Verdict, error) 
 
 func (n *MazuNAT) outbound(pkt *wire.Packet, tx state.Txn, t wire.FiveTuple) (core.Verdict, error) {
 	key := flowKey("mnat:f:", t)
-	v, ok, err := tx.Get(key)
+	v, ok, err := tx.GetKey(key)
 	if err != nil {
 		return core.Drop, err
 	}
@@ -175,15 +183,13 @@ func (n *MazuNAT) outbound(pkt *wire.Packet, tx state.Txn, t wire.FiveTuple) (co
 			return core.Drop, ErrPortsExhausted
 		}
 		b = natBinding{Addr: n.extIP, Port: n.portBase + uint16(next-1)}
-		if err := tx.Put(key, b.encode()); err != nil {
+		if err := b.write(tx, key.String()); err != nil {
 			return core.Drop, err
 		}
 		// Reverse mapping: external port → original source, so inbound
 		// traffic can be translated back.
-		rev := make([]byte, 6)
-		copy(rev[0:4], t.Src[:])
-		binary.BigEndian.PutUint16(rev[4:6], t.SrcPort)
-		if err := tx.Put(revKey(b.Port), rev); err != nil {
+		orig := natBinding{Addr: t.Src, Port: t.SrcPort}
+		if err := orig.write(tx, revKey(b.Port).String()); err != nil {
 			return core.Drop, err
 		}
 		// Per-flow statistics, written at setup only (keeps the middlebox
@@ -198,22 +204,21 @@ func (n *MazuNAT) outbound(pkt *wire.Packet, tx state.Txn, t wire.FiveTuple) (co
 }
 
 func (n *MazuNAT) inbound(pkt *wire.Packet, tx state.Txn, t wire.FiveTuple) (core.Verdict, error) {
-	v, ok, err := tx.Get(revKey(t.DstPort))
+	v, _, err := tx.GetKey(revKey(t.DstPort))
 	if err != nil {
 		return core.Drop, err
 	}
-	if !ok || len(v) != 6 {
+	orig, ok := decodeBinding(v)
+	if !ok {
 		return core.Drop, nil // no binding: drop unsolicited inbound traffic
 	}
-	var orig wire.IPv4Addr
-	copy(orig[:], v[0:4])
-	pkt.SetIPDst(orig)
-	pkt.SetDstPort(binary.BigEndian.Uint16(v[4:6]))
+	pkt.SetIPDst(orig.Addr)
+	pkt.SetDstPort(orig.Port)
 	return core.Forward, nil
 }
 
-func revKey(port uint16) string {
+func revKey(port uint16) state.Key {
 	var b [2]byte
 	binary.BigEndian.PutUint16(b[:], port)
-	return "mnat:r:" + string(b[:])
+	return state.MakeKey("mnat:r:", b[:])
 }

@@ -244,6 +244,15 @@ func (v *batchView) Get(key string) ([]byte, bool, error) {
 	return out, ok, nil
 }
 
+// GetKey implements Txn. An inline key becomes a string on this frame's
+// stack: Get keeps no reference to it.
+func (v *batchView) GetKey(k Key) ([]byte, bool, error) {
+	if k.long != "" {
+		return v.Get(k.long)
+	}
+	return v.Get(string(k.b[:k.n]))
+}
+
 // arena copies val into the view's read buffer and returns the copy.
 func (v *batchView) arena(val []byte) []byte {
 	if v.rbuf == nil {
@@ -255,16 +264,25 @@ func (v *batchView) arena(val []byte) []byte {
 
 // Put buffers a write, visible at commit.
 func (v *batchView) Put(key string, val []byte) error {
+	buf, err := v.Write(key, len(val))
+	if err != nil {
+		return err
+	}
+	copy(buf, val)
+	return nil
+}
+
+// Write implements Txn: the returned buffer is the slab carve that commits.
+func (v *batchView) Write(key string, n int) ([]byte, error) {
 	p := v.batch.store.PartitionOf(key)
 	if err := v.lockPartition(p); err != nil {
-		return err
+		return nil, err
 	}
 	// The value buffer must be fresh — the committed update outlives this
 	// transaction inside the replication log.
-	buf := v.vals.Take(len(val))
-	copy(buf, val)
+	buf := v.vals.Take(n)
 	v.bufferWrite(key, buf, p)
-	return nil
+	return buf, nil
 }
 
 // Delete buffers a deletion.

@@ -272,34 +272,42 @@ func (t *occTxn) Get(key string) ([]byte, bool, error) {
 	return out, true, nil
 }
 
+// GetKey implements Txn. The read set keeps the key, so it is always a
+// heap string here.
+func (t *occTxn) GetKey(k Key) ([]byte, bool, error) { return t.Get(k.String()) }
+
 // Put implements Txn: a buffered write.
 func (t *occTxn) Put(key string, val []byte) error {
-	pi := t.store.PartitionOf(key)
-	t.touched[pi] = struct{}{}
-	v := make([]byte, len(val))
-	copy(v, val)
-	if w, ok := t.writes[key]; ok {
-		w.Value = v
-		return nil
-	}
-	u := &Update{Key: key, Value: v, Partition: pi}
-	t.writes[key] = u
-	t.writeLog = append(t.writeLog, u)
+	buf, _ := t.Write(key, len(val))
+	copy(buf, val)
 	return nil
+}
+
+// Write implements Txn: a buffered write whose returned buffer is the
+// update's value. It never fails: conflicts surface at commit.
+func (t *occTxn) Write(key string, n int) ([]byte, error) {
+	v := make([]byte, n)
+	t.bufferWrite(key, v)
+	return v, nil
 }
 
 // Delete implements Txn: a buffered deletion.
 func (t *occTxn) Delete(key string) error {
+	t.bufferWrite(key, nil)
+	return nil
+}
+
+// bufferWrite records a write of val (nil deletes), deduplicating by key.
+func (t *occTxn) bufferWrite(key string, val []byte) {
 	pi := t.store.PartitionOf(key)
 	t.touched[pi] = struct{}{}
 	if w, ok := t.writes[key]; ok {
-		w.Value = nil
-		return nil
+		w.Value = val
+		return
 	}
-	u := &Update{Key: key, Value: nil, Partition: pi}
+	u := &Update{Key: key, Value: val, Partition: pi}
 	t.writes[key] = u
 	t.writeLog = append(t.writeLog, u)
-	return nil
 }
 
 // DeleteExpired implements ExpiryTxn: it buffers a deletion only if key is

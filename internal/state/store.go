@@ -57,8 +57,17 @@ var (
 type Txn interface {
 	// Get reads a key; the bool reports presence.
 	Get(key string) ([]byte, bool, error)
+	// GetKey is Get for a key held by value. Looking up an inline Key
+	// builds no heap string.
+	GetKey(k Key) ([]byte, bool, error)
 	// Put buffers a write, visible at commit.
 	Put(key string, val []byte) error
+	// Write buffers a write of an n-byte value and returns that value's
+	// buffer, zeroed: the bytes it holds when the transaction body returns
+	// are the bytes that commit. It saves Put's copy and the caller's own
+	// value allocation. A later Put, Write or Delete of the same key in the
+	// transaction detaches the buffer.
+	Write(key string, n int) ([]byte, error)
 	// Delete buffers a deletion.
 	Delete(key string) error
 }

@@ -199,38 +199,50 @@ func (t *lockTxn) DeleteExpired(key string, now int64) (bool, error) {
 	return true, t.Delete(key)
 }
 
+// GetKey implements Txn.
+func (t *lockTxn) GetKey(k Key) ([]byte, bool, error) {
+	if k.long != "" {
+		return t.Get(k.long)
+	}
+	return t.Get(string(k.b[:k.n]))
+}
+
 // Put buffers a write; it becomes visible (and replicable) at commit.
 func (t *lockTxn) Put(key string, val []byte) error {
-	p := t.store.PartitionOf(key)
-	if err := t.lockPartition(p); err != nil {
+	buf, err := t.Write(key, len(val))
+	if err != nil {
 		return err
 	}
-	v := make([]byte, len(val))
-	copy(v, val)
-	if w, ok := t.writes[key]; ok {
-		w.Value = v
-		return nil
-	}
-	u := &Update{Key: key, Value: v, Partition: p}
-	if t.writes == nil {
-		t.writes = make(map[string]*Update, 4)
-	}
-	t.writes[key] = u
-	t.writeLog = append(t.writeLog, u)
+	copy(buf, val)
 	return nil
+}
+
+// Write implements Txn: the returned buffer is the update's value.
+func (t *lockTxn) Write(key string, n int) ([]byte, error) {
+	v := make([]byte, n)
+	if err := t.bufferWrite(key, v); err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 // Delete buffers a deletion of key.
 func (t *lockTxn) Delete(key string) error {
+	return t.bufferWrite(key, nil)
+}
+
+// bufferWrite locks key's partition and records a write of val (nil
+// deletes), deduplicating by key.
+func (t *lockTxn) bufferWrite(key string, val []byte) error {
 	p := t.store.PartitionOf(key)
 	if err := t.lockPartition(p); err != nil {
 		return err
 	}
 	if w, ok := t.writes[key]; ok {
-		w.Value = nil
+		w.Value = val
 		return nil
 	}
-	u := &Update{Key: key, Value: nil, Partition: p}
+	u := &Update{Key: key, Value: val, Partition: p}
 	if t.writes == nil {
 		t.writes = make(map[string]*Update, 4)
 	}
