@@ -51,7 +51,8 @@ crossbuild:
 # goroutines: the pooled-frame ownership rules live here. internal/trans
 # covers the burst tunnel (packing, socket drain, burst injection) and its
 # burst-equivalence/crash tests; internal/state covers the swiss-table
-# partitions and TTL wheels that every engine and the expiry driver share;
+# partitions and TTL wheels that the store's batches and the expiry driver
+# share;
 # internal/fleet covers the broker's TTL-expiry-vs-crash-recovery locking;
 # internal/mbox covers middleboxes filling Txn.Write buffers from two
 # workers' batches at once (one shared store per middlebox).
@@ -111,12 +112,13 @@ bench-pairs:
 	bash scripts/bench_pairs.sh $(W) $(PARENT) $(N)
 
 # Deterministic chaos campaigns under -race: CHAOS_COUNT consecutive seeds
-# (56 sweeps the 4-cell f=1..2 × {2pl,occ} matrix 14 times), and
+# (any 2 cover f=1..2; 56 also run FlowTTL on and off and the leader kill at
+# each recovery phase), and
 # SOAK_SECONDS keeps extending the sweep for the nightly soak lane. Every
 # failure prints a copy-pasteable single-seed repro command.
 #   make chaos                       # pre-merge: 56 seeds, ~5 min
 #   make chaos SOAK_SECONDS=600      # nightly: at least 10 min of seeds
-#   make chaos CHAOS_COUNT=8         # quick matrix sweep
+#   make chaos CHAOS_COUNT=8         # quick sweep
 CHAOS_COUNT  ?= 56
 SOAK_SECONDS ?= 0
 CHAOS_TIMEOUT := $(shell expr $(SOAK_SECONDS) + 1200)

@@ -85,8 +85,8 @@ func replayChaos(seed int64) int {
 		fmt.Fprintf(os.Stderr, "ftclab: seed %d derived an invalid schedule: %v\n", seed, err)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "chaos: replaying seed %d: f=%d engine=%s chain=%d flows=%d packets=%d episodes=%d linkfaults=%d\n",
-		seed, c.F, c.Engine, c.ChainLen, c.Flows, c.Packets, len(c.Episodes), len(c.LinkFaults))
+	fmt.Fprintf(os.Stderr, "chaos: replaying seed %d: f=%d chain=%d flows=%d packets=%d episodes=%d linkfaults=%d\n",
+		seed, c.F, c.ChainLen, c.Flows, c.Packets, len(c.Episodes), len(c.LinkFaults))
 	res := chaos.Run(c, chaos.Options{Trace: func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "chaos: "+format+"\n", args...)
 	}})
@@ -181,7 +181,6 @@ func run(name string, p exp.Params) error {
 		fmt.Println(exp.AblationServers(5, 1))
 		fmt.Println(exp.AblationServers(2, 2))
 		fmt.Println(exp.AblationTransactions(iters/8, 8))
-		fmt.Println(exp.AblationEngines(iters/8, 8))
 		return nil
 	default:
 		return fmt.Errorf("unknown experiment %q", name)

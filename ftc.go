@@ -175,9 +175,6 @@ type Options struct {
 	Heartbeat OrchestratorConfig
 	// ChainName prefixes fabric node names (default "ftc").
 	ChainName string
-	// OptimisticState selects the optimistic (OCC) state engine instead of
-	// the default wound-wait two-phase locking.
-	OptimisticState bool
 }
 
 // Deployment is a fully assembled FTC system: fabric, chain, orchestrator,
@@ -208,9 +205,6 @@ func Deploy(mbs []Middlebox, opt Options) (*Deployment, error) {
 		F:          opt.F,
 		Workers:    opt.Workers,
 		Partitions: opt.Partitions,
-	}
-	if opt.OptimisticState {
-		cfg.NewStore = func(partitions int) state.Backend { return state.NewOCC(partitions) }
 	}
 	chain := core.NewChain(cfg, fabric, name, mbs, sink.ID())
 	chain.Start()

@@ -167,13 +167,3 @@ func TestFirewallRuleTypeAlias(t *testing.T) {
 		t.Fatal("firewall alias broken")
 	}
 }
-
-func TestDeployOptimisticEngine(t *testing.T) {
-	dep := deployTest(t, []Middlebox{NewMonitor(1, 2), NewMonitor(1, 2)},
-		Options{OptimisticState: true, Workers: 2})
-	sent := dep.Generator.Offer(10000, 100*time.Millisecond)
-	got := dep.WaitForEgress(sent/2, 10*time.Second)
-	if got < sent/2 {
-		t.Fatalf("OCC deployment: egress %d of %d", got, sent)
-	}
-}

@@ -15,7 +15,6 @@ import (
 	"github.com/ftsfc/ftc/internal/metrics"
 	"github.com/ftsfc/ftc/internal/netsim"
 	"github.com/ftsfc/ftc/internal/orch"
-	"github.com/ftsfc/ftc/internal/state"
 	"github.com/ftsfc/ftc/internal/wire"
 )
 
@@ -81,20 +80,12 @@ func (r *Result) Failed() bool { return len(r.Violations) > 0 }
 // OneLine renders the result as a single log line.
 func (r *Result) OneLine() string {
 	return fmt.Sprintf(
-		"seed=%-6d f=%d engine=%s ttl=%-5v sent=%d delivered=%d crashes=%d recoveries=%d retries=%d detected=%d leaderkills=%d takeovers=%d resumed=%d rec_p99=%v violations=%d elapsed=%v",
-		r.Campaign.Seed, r.Campaign.F, r.Campaign.Engine, r.Campaign.FlowTTL,
+		"seed=%-6d f=%d ttl=%-5v sent=%d delivered=%d crashes=%d recoveries=%d retries=%d detected=%d leaderkills=%d takeovers=%d resumed=%d rec_p99=%v violations=%d elapsed=%v",
+		r.Campaign.Seed, r.Campaign.F, r.Campaign.FlowTTL,
 		r.Sent, r.Delivered, r.Crashes, r.Recoveries, r.Retries, r.Detected,
 		r.LeaderKills, r.Takeovers, r.Resumed,
 		r.Recovery.P99.Round(time.Microsecond), len(r.Violations),
 		r.Elapsed.Round(time.Millisecond))
-}
-
-// newStore maps the campaign's engine selector to a state constructor.
-func (c Campaign) newStore() func(int) state.Backend {
-	if c.Engine == EngineOCC {
-		return func(n int) state.Backend { return state.NewOCC(n) }
-	}
-	return func(n int) state.Backend { return state.New(n) }
 }
 
 // parsePayloadID extracts the injected sequence number from a workload
@@ -148,7 +139,6 @@ func Run(c Campaign, opt Options) *Result {
 		PropagateEvery: time.Millisecond,
 		RepairEvery:    2 * time.Millisecond,
 		RepairDeadline: 10 * time.Second,
-		NewStore:       c.newStore(),
 	}
 	// FlowTTL campaigns age flows on a manual clock: the TTL is far longer
 	// than any campaign, so nothing expires mid-workload (the committed-state

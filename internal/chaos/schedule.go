@@ -32,14 +32,6 @@ import (
 	"github.com/ftsfc/ftc/internal/orch"
 )
 
-// State-engine selectors for Campaign.Engine.
-const (
-	// Engine2PL selects the pessimistic wound-wait two-phase-locking store.
-	Engine2PL = "2pl"
-	// EngineOCC selects the optimistic engine (§3.2's HTM-style adaptation).
-	EngineOCC = "occ"
-)
-
 // KillReplacement as a MidRecovery target crashes the replacement replica
 // being brought up instead of an original ring position — the
 // "crash-during-recovery" case where the orchestrator must detect that its
@@ -110,8 +102,8 @@ type LinkFaultSpec struct {
 	Both bool
 }
 
-// Campaign is one fully specified chaos run: the matrix cell (f, state
-// engine), the workload, and the fault schedule. Build one with
+// Campaign is one fully specified chaos run: the matrix cell (f), the
+// workload, and the fault schedule. Build one with
 // Derive or by hand (negative-control tests hand-build invalid ones).
 type Campaign struct {
 	// Seed reproduces the campaign; it also seeds the fabric's link
@@ -119,8 +111,6 @@ type Campaign struct {
 	Seed int64
 	// F is the failure tolerance under test (state replicated to F+1).
 	F int
-	// Engine selects the state engine (Engine2PL or EngineOCC).
-	Engine string
 	// FlowTTL arms flow-state aging on the chain (a long TTL on a manual
 	// clock, so nothing expires mid-workload); after the normal audits the
 	// runner jumps the clock past the TTL, forces expiry, and audits that no
@@ -167,23 +157,21 @@ func (c Campaign) RingLen() int {
 }
 
 // Derive expands a seed into a campaign. The matrix cell comes from the
-// seed's low bits — bit 0 picks f∈{1,2}, bit 1 the state engine — so any 4
-// consecutive seeds sweep the full f=1..2 × {2pl,occ} matrix. Bit 2 once
-// chose a scheduler that no longer exists; it is left unread rather than
-// renumbering the bits above it, so every seed keeps the schedule it always
-// derived. Bit 3 toggles FlowTTL (read
-// straight off the seed, consuming no rng draws, so adding it did not
-// reshuffle existing schedules); everything else comes from a rand stream
-// seeded with the seed. Bits 4–6 select the orchestrator-leader kill
-// (also read straight off the seed): 1–3 kill the leader at
+// seed's low bits: bit 0 picks f∈{1,2}, so any 2 consecutive seeds sweep
+// the full f=1..2 matrix. Bits 1 and 2 are unread: bit 1 once chose a
+// state engine and bit 2 a scheduler, neither of which exists any more,
+// and they are left unread rather than renumbering the bits above them, so
+// every seed keeps the schedule it always derived. Bit 3 toggles FlowTTL
+// (read straight off the seed, consuming no rng draws, so adding it did
+// not reshuffle existing schedules); everything else comes from a rand
+// stream seeded with the seed. Bits 4–6 select the orchestrator-leader
+// kill (also read straight off the seed): 1–3 kill the leader at
 // spawned/fetched/adopted, 4–6 the same phase plus the successor during
 // takeover, 0 and 7 leave the control plane unattacked.
 func Derive(seed int64) Campaign {
-	cell := int(((seed % 8) + 8) % 8)
 	c := Campaign{
 		Seed:           seed,
-		F:              1 + cell&1,
-		Engine:         Engine2PL,
+		F:              1 + int(seed&1),
 		FlowTTL:        (seed>>3)&1 != 0,
 		Workers:        2,
 		OrchMembers:    3,
@@ -196,9 +184,6 @@ func Derive(seed int64) Campaign {
 	case 4, 5, 6:
 		c.OrchKill = &OrchKill{Phase: orch.Phase(k - 4), KillSuccessor: true}
 		c.OrchMembers = 5
-	}
-	if cell&2 != 0 {
-		c.Engine = EngineOCC
 	}
 	rng := rand.New(rand.NewSource(seed))
 	c.ChainLen = 2 + rng.Intn(2)
@@ -296,9 +281,6 @@ func pruneOverlaps(faults []LinkFaultSpec) []LinkFaultSpec {
 func (c Campaign) Validate() error {
 	if c.F < 1 {
 		return fmt.Errorf("chaos: f=%d, want ≥ 1", c.F)
-	}
-	if c.Engine != Engine2PL && c.Engine != EngineOCC {
-		return fmt.Errorf("chaos: unknown state engine %q", c.Engine)
 	}
 	if c.ChainLen < 1 || c.Packets <= 0 || c.Flows <= 0 {
 		return fmt.Errorf("chaos: degenerate workload (chain=%d packets=%d flows=%d)",

@@ -82,8 +82,8 @@ type workloadOpts struct {
 // function of the seed — identical across burst sizes. Inside the chain all
 // links are reliable and flow-controlled, so every survivor must egress.
 // Returns the sorted delivered IDs and the converged state digest.
-func runBurstWorkload(t *testing.T, burst, n int, newStore func(int) state.Backend) ([]int, string) {
-	return runSchedWorkload(t, workloadOpts{burst: burst, workers: 1}, n, newStore)
+func runBurstWorkload(t *testing.T, burst, n int) ([]int, string) {
+	return runSchedWorkload(t, workloadOpts{burst: burst, workers: 1}, n)
 }
 
 // runSchedWorkload is runBurstWorkload generalized over worker count and
@@ -92,12 +92,11 @@ func runBurstWorkload(t *testing.T, burst, n int, newStore func(int) state.Backe
 // happens on the generator link before any scheduling decision, and the
 // state digest stays order-independent because the workload's middleboxes
 // only bump commutative per-flow counters.
-func runSchedWorkload(t *testing.T, o workloadOpts, n int, newStore func(int) state.Backend) ([]int, string) {
+func runSchedWorkload(t *testing.T, o workloadOpts, n int) ([]int, string) {
 	t.Helper()
 	cfg := testConfig()
 	cfg.Workers = o.workers
 	cfg.Burst = o.burst
-	cfg.NewStore = newStore
 	mbs := []Middlebox{&flowMB{"a"}, &countMB{"c1"}, &flowMB{"b"}}
 	h := newHarness(t, cfg, mbs, netsim.Config{Seed: 42})
 	h.fabric.SetLink("gen", h.chain.IngressID(), netsim.LinkProfile{LossRate: 0.15})
@@ -123,57 +122,39 @@ func runSchedWorkload(t *testing.T, o workloadOpts, n int, newStore func(int) st
 // TestBurstEquivalence is the burst=1 vs burst=32 equivalence proof: under
 // deterministic ingress loss, both burst sizes must deliver exactly the same
 // packets and converge every head and follower store to exactly the same
-// state, on both concurrency-control engines. Burst 1 exercises the
+// state. Burst 1 exercises the
 // degenerate flush-after-every-frame path, which must behave like the
 // original per-packet pipeline.
 func TestBurstEquivalence(t *testing.T) {
-	engines := []struct {
-		name     string
-		newStore func(int) state.Backend
-	}{
-		{"2pl", nil},
-		{"occ", func(p int) state.Backend { return state.NewOCC(p) }},
-	}
 	const n = 400
-	for _, e := range engines {
-		e := e
-		t.Run(e.name, func(t *testing.T) {
-			ids1, dig1 := runBurstWorkload(t, 1, n, e.newStore)
-			ids32, dig32 := runBurstWorkload(t, 32, n, e.newStore)
-			if len(ids1) == 0 || len(ids1) == n {
-				t.Fatalf("loss link ineffective: %d of %d delivered", len(ids1), n)
+	t.Run("2pl", func(t *testing.T) {
+		ids1, dig1 := runBurstWorkload(t, 1, n)
+		ids32, dig32 := runBurstWorkload(t, 32, n)
+		if len(ids1) == 0 || len(ids1) == n {
+			t.Fatalf("loss link ineffective: %d of %d delivered", len(ids1), n)
+		}
+		if len(ids1) != len(ids32) {
+			t.Fatalf("delivered %d packets at burst=1, %d at burst=32", len(ids1), len(ids32))
+		}
+		for i := range ids1 {
+			if ids1[i] != ids32[i] {
+				t.Fatalf("delivered sets diverge at %d: burst=1 has %d, burst=32 has %d",
+					i, ids1[i], ids32[i])
 			}
-			if len(ids1) != len(ids32) {
-				t.Fatalf("delivered %d packets at burst=1, %d at burst=32", len(ids1), len(ids32))
-			}
-			for i := range ids1 {
-				if ids1[i] != ids32[i] {
-					t.Fatalf("delivered sets diverge at %d: burst=1 has %d, burst=32 has %d",
-						i, ids1[i], ids32[i])
-				}
-			}
-			if dig1 != dig32 {
-				t.Fatalf("state digests diverge:\nburst=1:\n%s\nburst=32:\n%s", dig1, dig32)
-			}
-		})
-	}
+		}
+		if dig1 != dig32 {
+			t.Fatalf("state digests diverge:\nburst=1:\n%s\nburst=32:\n%s", dig1, dig32)
+		}
+	})
 }
 
 // TestStealEquivalence is the scheduling counterpart of
 // TestBurstEquivalence: with two stealing workers, fixed burst 32 and the
 // adaptive controller must deliver exactly the same packets as the
 // per-packet reference (fixed burst 1) under deterministic ingress loss and
-// converge every head and follower store to exactly the same state, on both
-// concurrency-control engines. Claim migration between workers must be
-// invisible in the output.
+// converge every head and follower store to exactly the same state. Claim
+// migration between workers must be invisible in the output.
 func TestStealEquivalence(t *testing.T) {
-	engines := []struct {
-		name     string
-		newStore func(int) state.Backend
-	}{
-		{"2pl", nil},
-		{"occ", func(p int) state.Backend { return state.NewOCC(p) }},
-	}
 	variants := []struct {
 		name string
 		o    workloadOpts
@@ -183,32 +164,29 @@ func TestStealEquivalence(t *testing.T) {
 		{"steal-adaptive", workloadOpts{burst: 0, workers: 2}},
 	}
 	const n = 400
-	for _, e := range engines {
-		e := e
-		t.Run(e.name, func(t *testing.T) {
-			refIDs, refDig := runSchedWorkload(t, variants[0].o, n, e.newStore)
-			if len(refIDs) == 0 || len(refIDs) == n {
-				t.Fatalf("loss link ineffective: %d of %d delivered", len(refIDs), n)
+	t.Run("2pl", func(t *testing.T) {
+		refIDs, refDig := runSchedWorkload(t, variants[0].o, n)
+		if len(refIDs) == 0 || len(refIDs) == n {
+			t.Fatalf("loss link ineffective: %d of %d delivered", len(refIDs), n)
+		}
+		for _, v := range variants[1:] {
+			ids, dig := runSchedWorkload(t, v.o, n)
+			if len(ids) != len(refIDs) {
+				t.Fatalf("%s delivered %d packets, %s delivered %d",
+					variants[0].name, len(refIDs), v.name, len(ids))
 			}
-			for _, v := range variants[1:] {
-				ids, dig := runSchedWorkload(t, v.o, n, e.newStore)
-				if len(ids) != len(refIDs) {
-					t.Fatalf("%s delivered %d packets, %s delivered %d",
-						variants[0].name, len(refIDs), v.name, len(ids))
-				}
-				for i := range ids {
-					if ids[i] != refIDs[i] {
-						t.Fatalf("delivered sets diverge at %d: %s has %d, %s has %d",
-							i, variants[0].name, refIDs[i], v.name, ids[i])
-					}
-				}
-				if dig != refDig {
-					t.Fatalf("state digests diverge:\n%s:\n%s\n%s:\n%s",
-						variants[0].name, refDig, v.name, dig)
+			for i := range ids {
+				if ids[i] != refIDs[i] {
+					t.Fatalf("delivered sets diverge at %d: %s has %d, %s has %d",
+						i, variants[0].name, refIDs[i], v.name, ids[i])
 				}
 			}
-		})
-	}
+			if dig != refDig {
+				t.Fatalf("state digests diverge:\n%s:\n%s\n%s:\n%s",
+					variants[0].name, refDig, v.name, dig)
+			}
+		}
+	})
 }
 
 // TestBurstCrashMidBurst crashes and replaces a replica while bursts are in

@@ -60,16 +60,6 @@ type Chain struct {
 func NewChain(cfg Config, fabric *netsim.Fabric, name string, mbs []Middlebox, egress netsim.NodeID) *Chain {
 	cfg.NumMB = len(mbs)
 	cfg = cfg.WithDefaults()
-	if cfg.CarrierCapacity > 0 && cfg.Groups == nil {
-		cost := func(j int) float64 {
-			if cc, ok := mbs[j].(CarrierCoster); ok {
-				return cc.CarrierCost()
-			}
-			return 1
-		}
-		// nil (infeasible capacity) falls back to the consecutive layout.
-		cfg.Groups = PlanGroups(len(mbs), cfg.F, cfg.CarrierCapacity, cost)
-	}
 	ring := cfg.Ring()
 	c := &Chain{
 		cfg:     cfg,

@@ -574,55 +574,6 @@ func (b *bigStateMB) Process(_ *wire.Packet, tx state.Txn) (Verdict, error) {
 	return Forward, tx.Put("big", make([]byte, b.size))
 }
 
-// TestChainOnOptimisticEngine runs the full FTC protocol with the OCC state
-// engine (§3.2's HTM-style adaptation): identical behaviour, different
-// concurrency control.
-func TestChainOnOptimisticEngine(t *testing.T) {
-	cfg := testConfig()
-	cfg.NewStore = func(partitions int) state.Backend { return state.NewOCC(partitions) }
-	mbs := []Middlebox{&countMB{"c0"}, &countMB{"c1"}, &countMB{"c2"}}
-	h := newHarness(t, cfg, mbs, netsim.Config{})
-	const n = 150
-	h.sendPackets(t, n)
-	h.collect(t, n, 15*time.Second)
-	waitForQuiescence(t, h, n)
-	for i := 0; i < 3; i++ {
-		v, ok := h.chain.Replica(i).Head().Store().Get(fmt.Sprintf("c%d", i))
-		if !ok || binary.BigEndian.Uint64(v) != n {
-			t.Fatalf("OCC engine: mb %d counted %v", i, v)
-		}
-		// Followers converge too.
-		tail := h.chain.Ring().Tail(i)
-		fv, ok := h.chain.Replica(tail).Follower(uint16(i)).Store().Get(fmt.Sprintf("c%d", i))
-		if !ok || binary.BigEndian.Uint64(fv) != n {
-			t.Fatalf("OCC engine: follower of mb %d has %v", i, fv)
-		}
-	}
-}
-
-// TestChainCrashRecoveryOnOCC exercises recovery with the optimistic engine.
-func TestChainCrashRecoveryOnOCC(t *testing.T) {
-	cfg := testConfig()
-	cfg.NewStore = func(partitions int) state.Backend { return state.NewOCC(partitions) }
-	mbs := []Middlebox{&countMB{"c0"}, &countMB{"c1"}, &countMB{"c2"}}
-	h := newHarness(t, cfg, mbs, netsim.Config{})
-	const n = 80
-	h.sendPackets(t, n)
-	h.collect(t, n, 15*time.Second)
-	waitForQuiescence(t, h, n)
-	h.chain.Crash(1)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	nr, err := h.chain.Replace(ctx, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, _ := nr.Head().Store().Get("c1")
-	if binary.BigEndian.Uint64(v) != n {
-		t.Fatalf("OCC recovery: counter = %v", v)
-	}
-}
-
 // TestChainBurstWithWrappedBacklog pins the forwarder's bounded-batch
 // draining: a burst at high replication factor leaves thousands of wrapped
 // logs pending at once, which must ride packets in batches (a single

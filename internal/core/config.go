@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"github.com/ftsfc/ftc/internal/state"
-)
+import "time"
 
 // Config holds the FTC protocol parameters shared by all replicas of a
 // chain.
@@ -49,10 +45,6 @@ type Config struct {
 	// RepairDeadline bounds how long a frame stays parked on a missing log;
 	// a log not repaired within it is counted and passed on unapplied.
 	RepairDeadline time.Duration
-	// NewStore builds the state engine for each replica store. Defaults to
-	// the pessimistic state.New (wound-wait 2PL); state.NewOCC selects the
-	// optimistic engine (§3.2's HTM-style adaptation).
-	NewStore func(partitions int) state.Backend
 	// FlowTTL, when positive, ages idle flow entries out of middlebox
 	// stores: keys matching a middlebox's FlowTTLer prefixes expire FlowTTL
 	// after their last write or transactional read. Expiry runs at the head
@@ -72,17 +64,6 @@ type Config struct {
 	// the background spillover RPC. Zero means unlimited — the pre-budget
 	// behavior, where oversized state can overflow the MTU and drop frames.
 	PiggybackBudget int
-	// Groups, when non-nil, pins each middlebox's replication group to an
-	// explicit list of ring positions (head first) instead of the paper's
-	// F+1-consecutive-successors rule. Normally produced by the cost-aware
-	// placement planner (see PlanGroups) rather than written by hand.
-	Groups [][]int
-	// CarrierCapacity, when positive, bounds how many follower replicas each
-	// ring node may host and turns on cost-aware carrier placement: chains
-	// built through NewChain ask each middlebox for its per-packet carrier
-	// cost and assign the costliest states to the nearest downstream nodes
-	// with free capacity. Zero keeps the consecutive-successors layout.
-	CarrierCapacity int
 }
 
 // WithDefaults fills zero fields with production defaults.
@@ -110,9 +91,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.RepairDeadline <= 0 {
 		c.RepairDeadline = 2 * time.Second
-	}
-	if c.NewStore == nil {
-		c.NewStore = func(partitions int) state.Backend { return state.New(partitions) }
 	}
 	return c
 }
@@ -164,4 +142,4 @@ func (c Config) NumIngressQueues() int {
 }
 
 // Ring derives the chain's logical ring from the configuration.
-func (c Config) Ring() Ring { return Ring{N: c.NumMB, F: c.F, Groups: c.Groups} }
+func (c Config) Ring() Ring { return Ring{N: c.NumMB, F: c.F} }

@@ -256,9 +256,7 @@ func (r *Replica) Recover(ctx context.Context, peerID func(ringIdx int) netsim.N
 			if err != nil {
 				return recovered, fmt.Errorf("recovering head state for mb %d: %w", mb, err)
 			}
-			r.head.Store().Restore(fs.Snapshot)
-			r.head.RestoreVector(fs.Vector)
-			r.head.Buffer().restore(fs.Logs)
+			r.head.restoreFrom(fs)
 			recovered++
 		}
 	}
@@ -277,6 +275,26 @@ func (r *Replica) Recover(ctx context.Context, peerID func(ringIdx int) netsim.N
 		recovered++
 	}
 	return recovered, nil
+}
+
+// restoreFrom installs a follower's fetched state as the head's own. The
+// source may hold a coalesced run it applied only in part
+// (Follower.applyCoalescedLocked): the run is in its buffer, but its MAX
+// and snapshot lack the partitions left behind. The head installs those
+// itself; otherwise it would resend writes its own store lacks, and whose
+// packets may already have left the chain.
+func (h *Head) restoreFrom(fs *FetchState) {
+	h.Store().Restore(fs.Snapshot)
+	f := NewFollower(h.MB(), h.Store())
+	f.RestoreMax(fs.Vector)
+	for progress := true; progress; {
+		progress = false
+		for _, l := range fs.Logs {
+			progress = f.Apply(l) == Applied || progress
+		}
+	}
+	h.RestoreVector(f.max)
+	h.Buffer().restore(fs.Logs)
 }
 
 // followerSources orders the candidate state sources for recovering this

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
@@ -174,13 +173,9 @@ func dietDigest(t *testing.T, cfg Config, n int) map[string]string {
 // computes from the same n packets: both shared counters read n and every
 // per-flow counter reads the number of packets sendPackets gave that source
 // port. Delta encoding, coalescing and elided markers must land exactly
-// there on both engines at per-packet, fixed and adaptive burst sizes, with
+// there at per-packet, fixed and adaptive burst sizes, with
 // every follower byte-equal to its head (dietDigest).
 func TestDietEquivalence(t *testing.T) {
-	engines := map[string]func(int) state.Backend{
-		"2pl": nil,
-		"occ": func(p int) state.Backend { return state.NewOCC(p) },
-	}
 	const n = 300
 	counter := func(v uint64) string { return string(binary.BigEndian.AppendUint64(nil, v)) }
 	want := map[string]string{"c0": counter(n), "c2": counter(n)}
@@ -191,23 +186,20 @@ func TestDietEquivalence(t *testing.T) {
 	for port, c := range perFlow {
 		want[fmt.Sprintf("fc:%d", port)] = counter(c)
 	}
-	for name, newStore := range engines {
-		for _, burst := range []int{1, DefaultBurst, 0} {
-			t.Run(fmt.Sprintf("%s/burst%d", name, burst), func(t *testing.T) {
-				cfg := testConfig()
-				cfg.NewStore = newStore
-				cfg.Burst = burst
-				got := dietDigest(t, cfg, n)
-				if len(got) != len(want) {
-					t.Fatalf("%d keys, want %d", len(got), len(want))
+	for _, burst := range []int{1, DefaultBurst, 0} {
+		t.Run(fmt.Sprintf("2pl/burst%d", burst), func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Burst = burst
+			got := dietDigest(t, cfg, n)
+			if len(got) != len(want) {
+				t.Fatalf("%d keys, want %d", len(got), len(want))
+			}
+			for k, v := range want {
+				if got[k] != v {
+					t.Fatalf("key %q = %x, want %x", k, []byte(got[k]), []byte(v))
 				}
-				for k, v := range want {
-					if got[k] != v {
-						t.Fatalf("key %q = %x, want %x", k, []byte(got[k]), []byte(v))
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -384,148 +376,6 @@ func TestPiggybackBudgetCapsTrailer(t *testing.T) {
 		fs := h.chain.Replica(tail).Follower(uint16(j)).Store().Snapshot()
 		if len(fs) != len(hs) {
 			t.Fatalf("mb %d: follower %d keys, head %d", j, len(fs), len(hs))
-		}
-	}
-}
-
-func TestPlanGroupsUniformMatchesConsecutive(t *testing.T) {
-	uniform := func(int) float64 { return 1 }
-	for _, tc := range []struct{ n, f, cap int }{{4, 1, 1}, {3, 2, 2}, {5, 2, 4}, {2, 2, 3}} {
-		got := PlanGroups(tc.n, tc.f, tc.cap, uniform)
-		if got == nil {
-			t.Fatalf("n=%d f=%d cap=%d: planner returned nil", tc.n, tc.f, tc.cap)
-		}
-		base := Ring{N: tc.n, F: tc.f}
-		for j := 0; j < tc.n; j++ {
-			if !reflect.DeepEqual(got[j], base.Members(j)) {
-				t.Fatalf("n=%d f=%d cap=%d mb %d: plan %v, consecutive %v",
-					tc.n, tc.f, tc.cap, j, got[j], base.Members(j))
-			}
-		}
-	}
-}
-
-func TestPlanGroupsInfeasibleReturnsNil(t *testing.T) {
-	uniform := func(int) float64 { return 1 }
-	if g := PlanGroups(4, 2, 1, uniform); g != nil { // 1*4 < 2*4
-		t.Fatalf("infeasible capacity produced %v", g)
-	}
-	if g := PlanGroups(4, 0, 8, uniform); g != nil {
-		t.Fatalf("f=0 produced %v", g)
-	}
-	if g := PlanGroups(4, 1, 0, uniform); g != nil {
-		t.Fatalf("capacity=0 produced %v", g)
-	}
-}
-
-func TestPlanGroupsRespectsCapacityAndOrder(t *testing.T) {
-	n, f, cap := 6, 2, 3
-	cost := func(j int) float64 { return float64((j*7)%5) + 1 }
-	g := PlanGroups(n, f, cap, cost)
-	if g == nil {
-		t.Fatal("feasible plan returned nil")
-	}
-	r := Ring{N: n, F: f}
-	m := r.M()
-	load := make([]int, m)
-	for j := 0; j < n; j++ {
-		if len(g[j]) != f+1 || g[j][0] != j {
-			t.Fatalf("mb %d group %v: want head-first, size %d", j, g[j], f+1)
-		}
-		prev := 0
-		for _, p := range g[j][1:] {
-			d := ((p-j)%m + m) % m
-			if d <= prev {
-				t.Fatalf("mb %d group %v: ring distances not strictly increasing", j, g[j])
-			}
-			prev = d
-			load[p]++
-		}
-	}
-	for p, l := range load {
-		if l > cap {
-			t.Fatalf("node %d hosts %d follower roles, capacity %d", p, l, cap)
-		}
-	}
-}
-
-// TestRingGroupsConsecutiveEquivalence pins that a Groups table spelling out
-// the consecutive layout answers every topology query exactly like the
-// arithmetic rule, including the extension-replica case (N < F+1).
-func TestRingGroupsConsecutiveEquivalence(t *testing.T) {
-	for _, tc := range []struct{ n, f int }{{5, 2}, {2, 2}, {3, 1}, {4, 3}} {
-		base := Ring{N: tc.n, F: tc.f}
-		groups := make([][]int, tc.n)
-		for j := 0; j < tc.n; j++ {
-			groups[j] = base.Members(j)
-		}
-		tab := Ring{N: tc.n, F: tc.f, Groups: groups}
-		m := base.M()
-		if tab.M() != m {
-			t.Fatalf("n=%d f=%d: M %d != %d", tc.n, tc.f, tab.M(), m)
-		}
-		for j := 0; j < tc.n; j++ {
-			if base.Tail(j) != tab.Tail(j) || base.Wrapped(j) != tab.Wrapped(j) {
-				t.Fatalf("n=%d f=%d mb %d: tail/wrapped mismatch", tc.n, tc.f, j)
-			}
-			if !reflect.DeepEqual(base.Members(j), tab.Members(j)) {
-				t.Fatalf("members mismatch for mb %d", j)
-			}
-			for i := 0; i < m; i++ {
-				if base.IsMember(i, j) != tab.IsMember(i, j) ||
-					base.IsTail(i, j) != tab.IsTail(i, j) ||
-					base.PredecessorInGroup(i, j) != tab.PredecessorInGroup(i, j) ||
-					base.SuccessorInGroup(i, j) != tab.SuccessorInGroup(i, j) {
-					t.Fatalf("n=%d f=%d node %d mb %d: group-walk mismatch", tc.n, tc.f, i, j)
-				}
-			}
-		}
-		for i := 0; i < m; i++ {
-			// FollowerOf's listing order is unspecified; compare as sets.
-			bf, tf := base.FollowerOf(i), tab.FollowerOf(i)
-			sort.Ints(bf)
-			sort.Ints(tf)
-			if !reflect.DeepEqual(bf, tf) ||
-				base.TailOf(i) != tab.TailOf(i) ||
-				!reflect.DeepEqual(base.TailsOf(i), tab.TailsOf(i)) {
-				t.Fatalf("n=%d f=%d node %d: follower/tail listing mismatch", tc.n, tc.f, i)
-			}
-		}
-	}
-}
-
-// TestChainCostAwarePlacement runs a chain end to end with the placement
-// planner engaged (CarrierCapacity set) and verifies the plan took effect
-// and replication still converges.
-func TestChainCostAwarePlacement(t *testing.T) {
-	cfg := testConfig()
-	cfg.CarrierCapacity = 1
-	mbs := []Middlebox{
-		&countDeltaMB{countMB{"c0"}},
-		&countDeltaMB{countMB{"c1"}},
-		&countDeltaMB{countMB{"c2"}},
-		&countDeltaMB{countMB{"c3"}},
-	}
-	h := newHarness(t, cfg, mbs, netsim.Config{})
-	if h.chain.Config().Groups == nil {
-		t.Fatal("planner did not produce a placement")
-	}
-	const n = 150
-	h.sendPackets(t, n)
-	h.collect(t, n, 15*time.Second)
-	waitForQuiescence(t, h, n)
-	ring := h.chain.Ring()
-	for j := 0; j < 4; j++ {
-		key := fmt.Sprintf("c%d", j)
-		v, ok := h.chain.Replica(j).Head().Store().Get(key)
-		if !ok || binary.BigEndian.Uint64(v) != n {
-			t.Fatalf("mb %d head = %v %v", j, v, ok)
-		}
-		for _, i := range ring.Members(j)[1:] {
-			fv, ok := h.chain.Replica(i).Follower(uint16(j)).Store().Get(key)
-			if !ok || binary.BigEndian.Uint64(fv) != n {
-				t.Fatalf("mb %d follower at %d = %v %v", j, i, fv, ok)
-			}
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/ftsfc/ftc/internal/netsim"
-	"github.com/ftsfc/ftc/internal/state"
 )
 
 // ttlFlowMB is flowMB with its per-flow counters opted into TTL aging.
@@ -23,13 +22,12 @@ const expiryClockBase = int64(1e15)
 // flow middleboxes and a manual expiry clock, then jumps the clock past the
 // TTL and forces expiry. It returns the delivered count, the digest after
 // normal traffic, and the digest after every flow entry aged out.
-func runExpiryWorkload(t *testing.T, burst, n int, newStore func(int) state.Backend) (int, string, string) {
+func runExpiryWorkload(t *testing.T, burst, n int) (int, string, string) {
 	t.Helper()
 	var offset atomic.Int64
 	cfg := testConfig()
 	cfg.Workers = 1
 	cfg.Burst = burst
-	cfg.NewStore = newStore
 	cfg.FlowTTL = time.Hour
 	cfg.ExpiryClock = func() int64 { return expiryClockBase + offset.Load() }
 	mbs := []Middlebox{
@@ -72,37 +70,27 @@ func runExpiryWorkload(t *testing.T, burst, n int, newStore func(int) state.Back
 
 // TestExpiryBurstEquivalence extends the burst=1 vs burst=32 equivalence
 // proof across flow aging: with FlowTTL armed, both burst sizes must produce
-// identical chain-wide digests before and after forced expiry, on both
-// engines, and expiry must remove exactly the flow-prefixed keys from every
+// identical chain-wide digests before and after forced expiry, and expiry
+// must remove exactly the flow-prefixed keys from every
 // head and follower store.
 func TestExpiryBurstEquivalence(t *testing.T) {
-	engines := []struct {
-		name     string
-		newStore func(int) state.Backend
-	}{
-		{"2pl", nil},
-		{"occ", func(p int) state.Backend { return state.NewOCC(p) }},
-	}
 	const n = 400
-	for _, e := range engines {
-		e := e
-		t.Run(e.name, func(t *testing.T) {
-			n1, pre1, post1 := runExpiryWorkload(t, 1, n, e.newStore)
-			n32, pre32, post32 := runExpiryWorkload(t, 32, n, e.newStore)
-			if n1 == 0 || n1 == n {
-				t.Fatalf("loss link ineffective: %d of %d delivered", n1, n)
-			}
-			if n1 != n32 {
-				t.Fatalf("delivered %d packets at burst=1, %d at burst=32", n1, n32)
-			}
-			if pre1 != pre32 {
-				t.Fatalf("pre-expiry digests diverge:\nburst=1:\n%s\nburst=32:\n%s", pre1, pre32)
-			}
-			if post1 != post32 {
-				t.Fatalf("post-expiry digests diverge:\nburst=1:\n%s\nburst=32:\n%s", post1, post32)
-			}
-		})
-	}
+	t.Run("2pl", func(t *testing.T) {
+		n1, pre1, post1 := runExpiryWorkload(t, 1, n)
+		n32, pre32, post32 := runExpiryWorkload(t, 32, n)
+		if n1 == 0 || n1 == n {
+			t.Fatalf("loss link ineffective: %d of %d delivered", n1, n)
+		}
+		if n1 != n32 {
+			t.Fatalf("delivered %d packets at burst=1, %d at burst=32", n1, n32)
+		}
+		if pre1 != pre32 {
+			t.Fatalf("pre-expiry digests diverge:\nburst=1:\n%s\nburst=32:\n%s", pre1, pre32)
+		}
+		if post1 != post32 {
+			t.Fatalf("post-expiry digests diverge:\nburst=1:\n%s\nburst=32:\n%s", post1, post32)
+		}
+	})
 }
 
 // TestExpiryRefreshKeepsActiveFlows checks the other half of the TTL

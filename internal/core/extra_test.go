@@ -355,12 +355,11 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // TestConfigSurface makes the next Config knob a conscious decision: the
-// struct holds these 15 fields and nothing else, so neither a retired switch
+// struct holds these 12 fields and nothing else, so neither a retired switch
 // nor a new one gets in without editing this list.
 func TestConfigSurface(t *testing.T) {
 	allowed := strings.Fields(`F NumMB Partitions Workers Burst QueueCap PropagateEvery
-		RepairEvery RepairDeadline NewStore FlowTTL ExpiryClock PiggybackBudget Groups
-		CarrierCapacity`)
+		RepairEvery RepairDeadline FlowTTL ExpiryClock PiggybackBudget`)
 	typ := reflect.TypeOf(Config{})
 	for i := 0; i < typ.NumField(); i++ {
 		if name := typ.Field(i).Name; !slices.Contains(allowed, name) {

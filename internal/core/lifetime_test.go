@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -266,6 +267,22 @@ func TestBufferedLogLifetimes(t *testing.T) {
 		return len(bufs), len(helds)
 	}
 
+	// ingressDrained waits, with a bound, until every frame sent so far has
+	// left the head's ingress queues. Sending never blocks the test
+	// goroutine, so with one P it would otherwise send and sample before
+	// the chain's workers ever ran.
+	ingressDrained := func() {
+		for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); runtime.Gosched() {
+			queued := 0
+			for q := 0; q < r0.sim.NumQueues(); q++ {
+				queued += r0.sim.QueueLen(q)
+			}
+			if queued == 0 {
+				return
+			}
+		}
+	}
+
 	rng := rand.New(rand.NewSource(11))
 	const rounds, perRound = 300, 32
 	checks, logsSeen, heldSeen := 0, 0, 0
@@ -285,6 +302,7 @@ func TestBufferedLogLifetimes(t *testing.T) {
 			}
 		}
 		if rng.Intn(6) == 0 {
+			ingressDrained()
 			l, hd := check()
 			checks, logsSeen, heldSeen = checks+1, logsSeen+l, heldSeen+hd
 		}
@@ -293,6 +311,7 @@ func TestBufferedLogLifetimes(t *testing.T) {
 	}
 	// Let the chain settle (lost packets never egress, so wait on the
 	// buffer, not on a count), then look once more.
+	ingressDrained()
 	deadline := time.Now().Add(20 * time.Second)
 	for r1.HeldPackets() > 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)

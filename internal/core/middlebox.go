@@ -57,12 +57,3 @@ type FlowTTLer interface {
 type DeltaPrefixer interface {
 	DeltaPrefixes() []string
 }
-
-// CarrierCoster is the optional middlebox extension that estimates the
-// middlebox's per-packet piggyback byte cost (how much update state a
-// typical packet makes this middlebox attach). The cost-aware placement
-// planner (Config.CarrierCapacity) uses it to give the costliest states the
-// shortest replication rides. Middleboxes without it cost 1.
-type CarrierCoster interface {
-	CarrierCost() float64
-}

@@ -171,7 +171,8 @@ func TestQuickCommitNeverExceedsHead(t *testing.T) {
 
 // TestQuickRingGroupsCoverAllFailures: for every ring shape and every set
 // of up to F failed nodes, each middlebox's group retains at least one
-// alive member — the structural property that makes recovery possible.
+// alive member — the structural property that makes recovery possible —
+// and TailOf inverts Tail.
 func TestQuickRingGroupsCoverAllFailures(t *testing.T) {
 	f := func(n, fTol uint8, failSeed int64) bool {
 		N := int(n%6) + 1
@@ -193,6 +194,23 @@ func TestQuickRingGroupsCoverAllFailures(t *testing.T) {
 			}
 			if alive == 0 {
 				return false // F+1 members minus ≤F failures must leave ≥1
+			}
+		}
+		// The consecutive layout gives a node at most one group to tail, and
+		// TailOf names it: the one-index tail duty in the pipeline relies on it.
+		tailed := make([]int, m)
+		for i := range tailed {
+			tailed[i] = -1
+		}
+		for j := 0; j < N; j++ {
+			if tailed[r.Tail(j)] != -1 {
+				return false
+			}
+			tailed[r.Tail(j)] = j
+		}
+		for i := range tailed {
+			if r.TailOf(i) != tailed[i] {
+				return false
 			}
 		}
 		return true

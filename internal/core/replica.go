@@ -90,7 +90,7 @@ type Replica struct {
 	fwd *forwarder    // non-nil on ring node 0
 	buf *egressBuffer // non-nil on the last ring node
 
-	tails []int // middleboxes whose group tail sits at this node (precomputed)
+	tail int // middlebox whose group tail sits at this node, or -1 (precomputed)
 
 	wrapOnce sync.Once
 	wrapped  []uint16 // middleboxes with wrapped groups (buffer bookkeeping)
@@ -171,7 +171,7 @@ func NewReplica(cfg Config, spec ReplicaSpec) *Replica {
 		pruneTick:  make(map[uint16]int),
 	}
 	r.life, r.halt = context.WithCancel(context.Background())
-	r.tails = ring.TailsOf(spec.Index)
+	r.tail = ring.TailOf(spec.Index)
 	ttlFor := func(mb int) []string {
 		if cfg.FlowTTL <= 0 || spec.TTLPrefixes == nil {
 			return nil
@@ -186,7 +186,7 @@ func NewReplica(cfg Config, spec ReplicaSpec) *Replica {
 		})
 	}
 	if spec.MB != nil {
-		r.head = NewHead(uint16(spec.Index), cfg.NewStore(cfg.Partitions))
+		r.head = NewHead(uint16(spec.Index), state.New(cfg.Partitions))
 		if pre := ttlFor(spec.Index); len(pre) > 0 {
 			armTTL(r.head.Store(), pre)
 			r.expiryOn = true
@@ -201,7 +201,7 @@ func NewReplica(cfg Config, spec ReplicaSpec) *Replica {
 		}
 	}
 	for _, j := range ring.FollowerOf(spec.Index) {
-		f := NewFollower(uint16(j), cfg.NewStore(cfg.Partitions))
+		f := NewFollower(uint16(j), state.New(cfg.Partitions))
 		// Followers arm the same TTL prefixes so restored/recovered stores
 		// keep aging, but they never expire keys themselves: deletions only
 		// arrive as replicated updates from the head.

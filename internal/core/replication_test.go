@@ -405,3 +405,63 @@ func BenchmarkFollowerApply(b *testing.B) {
 		}
 	}
 }
+
+// TestHeadRestoreInstallsPartialRun: a follower that received a coalesced
+// run before an earlier log of one of its partitions installs the run's
+// other partition at once and leaves this one behind. It keeps the run in
+// its buffer for repair. A head recovered from that follower must install
+// the behind partition itself: it resends the run from that buffer, and a
+// head lacking a write its followers install diverges from them (chaos
+// seed 53's divergent-stores and lost-committed-state).
+func TestHeadRestoreInstallsPartialRun(t *testing.T) {
+	st := state.New(8)
+	kp, kq := "", ""
+	for i := 0; kp == "" || kq == ""; i++ {
+		k := fmt.Sprintf("k%d", i)
+		switch st.PartitionOf(k) {
+		case 1:
+			kp = k
+		case 2:
+			kq = k
+		}
+	}
+	src := NewFollower(0, st)
+	run := Log{
+		MB:    0,
+		Flags: LogCoalesced,
+		Vec:   NewSparseVec(VecEntry{Part: 1, Seq: 0}, VecEntry{Part: 2, Seq: 1}),
+		Base:  NewSparseVec(VecEntry{Part: 1, Seq: 0}, VecEntry{Part: 2, Seq: 1}),
+		Updates: []state.Update{
+			{Key: kp, Value: []byte("p0"), Partition: 1},
+			{Key: kq, Value: []byte("q1"), Partition: 2},
+		},
+	}
+	earlier := Log{MB: 0, Vec: NewSparseVec(VecEntry{Part: 2, Seq: 0}),
+		Updates: []state.Update{{Key: kq, Value: []byte("q0"), Partition: 2}}}
+	if got := src.Apply(run); got != Applied {
+		t.Fatalf("run ahead of partition 2: %v, want Applied (partition 1 installs)", got)
+	}
+	if got := src.Apply(earlier); got != Applied {
+		t.Fatalf("earlier log: %v", got)
+	}
+	if v, _ := st.Get(kq); string(v) != "q0" {
+		t.Fatalf("source partition 2 holds %q, want the earlier q0 (run left behind)", v)
+	}
+
+	fs := &FetchState{MB: 0}
+	fs.Vector, fs.Logs, fs.Snapshot = src.Fetch()
+	h := NewHead(0, state.New(8))
+	h.restoreFrom(fs)
+	if v, _ := h.Store().Get(kq); string(v) != "q1" {
+		t.Fatalf("restored head holds %q for the run's partition-2 write, want q1", v)
+	}
+	if v, _ := h.Store().Get(kp); string(v) != "p0" {
+		t.Fatalf("restored head holds %q for the run's partition-1 write, want p0", v)
+	}
+	if vec := h.Vector(); vec[1] != 1 || vec[2] != 2 {
+		t.Fatalf("restored head vector %v, want partition 1 at 1 and 2 at 2", vec)
+	}
+	if len(h.Buffer().all()) != 2 {
+		t.Fatalf("restored head buffer holds %d logs, want the source's 2", len(h.Buffer().all()))
+	}
+}

@@ -2,19 +2,12 @@ package core
 
 // Ring models the chain's logical ring (§5): N middleboxes hosted on ring
 // positions 0..N-1, plus extension replicas when the chain is shorter than
-// f+1 (§5.1), for a total of M = max(N, F+1) ring nodes. With Groups nil,
-// the replication group of middlebox j is the F+1 consecutive ring nodes
-// starting at j — the paper's default layout.
+// f+1 (§5.1), for a total of M = max(N, F+1) ring nodes. The replication
+// group of middlebox j is the F+1 consecutive ring nodes starting at j, so
+// a ring node is the tail of at most one middlebox.
 type Ring struct {
 	N int // number of middleboxes
 	F int // failures tolerated
-	// Groups, when non-nil, overrides the consecutive-successors layout with
-	// an explicit placement: Groups[j] lists the F+1 ring positions of
-	// middlebox j's replication group, head (position j) first, then the
-	// followers in packet-traversal order from the head. Cost-aware carrier
-	// placement produces such tables; a nil Groups is bit-identical to the
-	// arithmetic rule.
-	Groups [][]int
 }
 
 // M reports the ring size: chain nodes plus extension replicas.
@@ -28,9 +21,6 @@ func (r Ring) M() int {
 // Members lists the ring nodes in middlebox j's replication group, head
 // first.
 func (r Ring) Members(j int) []int {
-	if r.Groups != nil {
-		return append([]int(nil), r.Groups[j]...)
-	}
 	m := r.M()
 	out := make([]int, r.F+1)
 	for k := 0; k <= r.F; k++ {
@@ -43,24 +33,10 @@ func (r Ring) Members(j int) []int {
 func (r Ring) Head(j int) int { return j }
 
 // Tail returns middlebox j's tail node.
-func (r Ring) Tail(j int) int {
-	if r.Groups != nil {
-		g := r.Groups[j]
-		return g[len(g)-1]
-	}
-	return (j + r.F) % r.M()
-}
+func (r Ring) Tail(j int) int { return (j + r.F) % r.M() }
 
 // IsMember reports whether ring node i is in middlebox j's group.
 func (r Ring) IsMember(i, j int) bool {
-	if r.Groups != nil {
-		for _, n := range r.Groups[j] {
-			if n == i {
-				return true
-			}
-		}
-		return false
-	}
 	m := r.M()
 	d := ((i-j)%m + m) % m
 	return d <= r.F
@@ -70,17 +46,6 @@ func (r Ring) IsMember(i, j int) bool {
 // member of).
 func (r Ring) FollowerOf(i int) []int {
 	var out []int
-	if r.Groups != nil {
-		for j := 0; j < r.N; j++ {
-			for _, n := range r.Groups[j][1:] {
-				if n == i {
-					out = append(out, j)
-					break
-				}
-			}
-		}
-		return out
-	}
 	m := r.M()
 	for k := 1; k <= r.F; k++ {
 		j := ((i-k)%m + m) % m
@@ -91,36 +56,14 @@ func (r Ring) FollowerOf(i int) []int {
 	return out
 }
 
-// TailOf returns the middlebox ring node i is the tail of, or -1. With an
-// explicit placement several groups can share a tail node; TailOf then
-// returns the lowest such middlebox — callers that must see every group use
-// TailsOf.
+// TailOf returns the middlebox ring node i is the tail of, or -1.
 func (r Ring) TailOf(i int) int {
-	if r.Groups != nil {
-		for j := 0; j < r.N; j++ {
-			if r.Tail(j) == i {
-				return j
-			}
-		}
-		return -1
-	}
 	m := r.M()
 	j := ((i-r.F)%m + m) % m
 	if j < r.N {
 		return j
 	}
 	return -1
-}
-
-// TailsOf lists every middlebox whose group tail sits at ring node i.
-func (r Ring) TailsOf(i int) []int {
-	var out []int
-	for j := 0; j < r.N; j++ {
-		if r.Tail(j) == i {
-			out = append(out, j)
-		}
-	}
-	return out
 }
 
 // IsTail reports whether ring node i is middlebox j's group tail.
@@ -134,15 +77,6 @@ func (r Ring) PredecessorInGroup(i, j int) int {
 	if !r.IsMember(i, j) || i == j {
 		return -1
 	}
-	if r.Groups != nil {
-		g := r.Groups[j]
-		for k := 1; k < len(g); k++ {
-			if g[k] == i {
-				return g[k-1]
-			}
-		}
-		return -1
-	}
 	m := r.M()
 	return ((i-1)%m + m) % m
 }
@@ -153,15 +87,6 @@ func (r Ring) SuccessorInGroup(i, j int) int {
 	if !r.IsMember(i, j) || i == r.Tail(j) {
 		return -1
 	}
-	if r.Groups != nil {
-		g := r.Groups[j]
-		for k := 0; k < len(g)-1; k++ {
-			if g[k] == i {
-				return g[k+1]
-			}
-		}
-		return -1
-	}
 	return (i + 1) % r.M()
 }
 
@@ -169,9 +94,4 @@ func (r Ring) SuccessorInGroup(i, j int) int {
 // after the packet has already left node j — its tail sits at or before the
 // head's chain position — so the buffer must hold packets until j's commit
 // vector confirms replication (§5.1).
-func (r Ring) Wrapped(j int) bool {
-	if r.Groups != nil {
-		return r.F > 0 && r.Tail(j) <= j
-	}
-	return j+r.F >= r.M()
-}
+func (r Ring) Wrapped(j int) bool { return j+r.F >= r.M() }

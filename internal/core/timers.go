@@ -189,7 +189,7 @@ func (r *Replica) expireOnce(now int64) int {
 	}
 	deleted := 0
 	log, err := r.head.Transaction(func(tx state.Txn) error {
-		deleted = 0 // reset on wound-wait/OCC re-execution
+		deleted = 0 // reset on wound-wait re-execution
 		et, _ := tx.(state.ExpiryTxn)
 		for _, k := range keys {
 			if et != nil {

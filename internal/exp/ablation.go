@@ -205,53 +205,3 @@ func runParallel(workers, iters int, f func(w, i int)) {
 		<-done
 	}
 }
-
-// AblationEngines compares the two state engines (§3.2): pessimistic
-// wound-wait 2PL vs optimistic validate-at-commit (the software analogue of
-// the paper's hardware-transactional-memory adaptation), on the two
-// archetypal workloads — read-heavy uncontended (NAT-like) and write-heavy
-// contended (Monitor, sharing level = workers).
-func AblationEngines(iters, workers int) *Table {
-	if workers <= 0 {
-		workers = 8
-	}
-	run := func(b state.Backend, contended bool) time.Duration {
-		start := time.Now()
-		runParallel(workers, iters, func(w, i int) {
-			key := fmt.Sprintf("flow-%d", w)
-			if contended {
-				key = "shared"
-			}
-			b.Exec(func(tx state.Txn) error {
-				v, _, err := tx.Get(key)
-				if err != nil {
-					return err
-				}
-				if !contended && i%16 != 0 && v != nil {
-					return nil // read-mostly: 15/16 packets only read
-				}
-				return tx.Put(key, append(v[:0:0], byte(i)))
-			})
-		})
-		return time.Since(start)
-	}
-	n := time.Duration(iters * workers)
-	t := &Table{
-		ID:     "Ablation A5",
-		Title:  fmt.Sprintf("State engines: wound-wait 2PL vs optimistic (%d workers)", workers),
-		Header: []string{"Workload", "2PL per-txn", "OCC per-txn"},
-	}
-	t.AddRow("read-heavy, per-flow keys",
-		(run(state.New(64), false) / n).String(),
-		(run(state.NewOCC(64), false) / n).String())
-	t.AddRow("write-heavy, one shared key",
-		(run(state.New(64), true) / n).String(),
-		(run(state.NewOCC(64), true) / n).String())
-	t.Notes = append(t.Notes,
-		"OCC avoids lock traffic on reads but wastes re-executions under write contention; "+
-			"both engines run the full FTC protocol unchanged (core.Config.NewStore)")
-	if runtime.GOMAXPROCS(0) == 1 {
-		t.Notes = append(t.Notes, "GOMAXPROCS=1 on this host: contention effects are muted")
-	}
-	return t
-}

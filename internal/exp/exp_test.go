@@ -141,9 +141,6 @@ func TestAblations(t *testing.T) {
 	if tb := AblationTransactions(500, 4); len(tb.Rows) != 2 {
 		t.Fatal("txn ablation")
 	}
-	if tb := AblationEngines(500, 4); len(tb.Rows) != 2 {
-		t.Fatal("engines ablation")
-	}
 }
 
 func TestTableRendering(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package hashx provides allocation-free FNV-1a hashing shared by every
 // layer that hashes per packet or per key: state partitioning
-// (state.Store/OCCStore.PartitionOf), the RSS flow hash (wire.RSSHash), and
+// (state.Store.PartitionOf), the RSS flow hash (wire.RSSHash), and
 // the five-tuple hash (wire.FiveTuple.Hash).
 //
 // The standard library's hash/fnv forces a heap allocation per hasher

@@ -48,10 +48,6 @@ type Batch interface {
 // already committed when it runs.
 const MaxBatchTxns = 64
 
-// ---------------------------------------------------------------------------
-// Wound-wait 2PL engine
-// ---------------------------------------------------------------------------
-
 // lockBatch is the Store's batch: a long-lived holder transaction keeps the
 // partition locks acquired by the burst's transactions, and each Exec runs
 // against a view that reuses already-held locks. The holder participates in
@@ -347,150 +343,10 @@ func (v *batchView) commit(onCommit func(Result)) Result {
 	return res
 }
 
-// ---------------------------------------------------------------------------
-// Optimistic (OCC) engine
-// ---------------------------------------------------------------------------
-
-// occBatch is the OCCStore's batch: the partition mutexes taken at the last
-// commit stay held across transactions, so a burst of commits touching the
-// same partitions validates and installs without re-locking. Whenever the
-// touched set changes, every held mutex is released before the new set is
-// acquired in ascending order — acquisition always starts from zero, so two
-// batches can never hold-and-wait on each other.
-type occBatch struct {
-	store *OCCStore
-	held  []uint16 // partitions whose mu is currently held, ascending
-	execs int      // commits since the last flush (MaxBatchTxns cap)
-}
-
-// NewBatch returns a batch context for one worker's bursts of transactions.
-func (s *OCCStore) NewBatch() Batch {
-	return &occBatch{store: s}
-}
-
-func (b *occBatch) holds(p uint16) bool {
-	for _, h := range b.held {
-		if h == p {
-			return true
-		}
-	}
-	return false
-}
-
-// Exec implements Batch.
-func (b *occBatch) Exec(fn func(tx Txn) error) (Result, error) {
-	return b.ExecWithHook(fn, nil)
-}
-
-// ExecWithHook implements Batch: Exec's optimistic retry loop with
-// batch-aware reads and commit.
-func (b *occBatch) ExecWithHook(fn func(tx Txn) error, onCommit func(Result)) (Result, error) {
-	retries := 0
-	for {
-		tx := newOCCTxn(b.store)
-		tx.batch = b
-		if err := fn(tx); err != nil {
-			if errors.Is(err, ErrConflict) {
-				retries++
-				continue
-			}
-			return Result{}, err
-		}
-		res, err := tx.commitBatch(b, onCommit)
-		if errors.Is(err, ErrConflict) {
-			retries++
-			continue
-		}
-		res.Retries = retries
-		if err == nil {
-			b.execs++
-			if b.execs >= MaxBatchTxns {
-				b.Flush()
-			}
-		}
-		return res, err
-	}
-}
-
-// Flush implements Batch: release the partition mutexes held since the last
-// commit.
-func (b *occBatch) Flush() {
-	b.execs = 0
-	for i := len(b.held) - 1; i >= 0; i-- {
-		b.store.parts[b.held[i]].mu.Unlock()
-	}
-	b.held = b.held[:0]
-}
-
-// commitBatch validates and installs like occTxn.commit, but reuses the
-// mutexes the batch already holds when the touched set allows it, and keeps
-// the touched set's mutexes held for the next transaction in the burst.
-func (t *occTxn) commitBatch(b *occBatch, onCommit func(Result)) (Result, error) {
-	parts := make([]uint16, 0, len(t.touched))
-	for p := range t.touched {
-		parts = append(parts, p)
-	}
-	sortU16(parts)
-
-	same := len(parts) <= len(b.held)
-	if same {
-		for _, p := range parts {
-			if !b.holds(p) {
-				same = false
-				break
-			}
-		}
-	}
-	if !same {
-		// Touched set changed: release everything, then acquire the new set
-		// ascending from zero. Reads made before the acquisition are still
-		// guarded by the validation below.
-		b.Flush()
-		for _, p := range parts {
-			t.store.parts[p].mu.Lock()
-		}
-		b.held = append(b.held[:0], parts...)
-	}
-
-	// Validate: every read key must still be at the observed version.
-	for key, ver := range t.reads {
-		p := &t.store.parts[t.store.PartitionOf(key)]
-		cur := uint64(0)
-		if si := p.tab.getSlot(key); si >= 0 {
-			cur = p.tab.slots[si].ver
-		}
-		if cur != ver {
-			// Locks stay with the batch: the retry re-reads under the same
-			// held set and validates again.
-			return Result{}, ErrConflict
-		}
-	}
-	res := Result{ReadOnly: len(t.writeLog) == 0, Touched: parts}
-	now := t.store.exp.nowTick()
-	for _, u := range t.writeLog {
-		p := &t.store.parts[u.Partition]
-		if u.Value == nil {
-			p.tab.del(u.Key)
-		} else {
-			// The old value is still installed here: classify before put.
-			classifyDelta(t.store.delta, &p.tab, u)
-			si := p.tab.put(u.Key, u.Value, now)
-			p.tab.slots[si].ver++
-		}
-		p.version++
-		res.Updates = append(res.Updates, *u)
-	}
-	if onCommit != nil {
-		onCommit(res)
-	}
-	return res, nil
-}
-
-// compile-time checks: both engines provide batches, and the views satisfy
+// compile-time checks: the store provides batches, and the views satisfy
 // the transaction interface plus the ExpiryTxn extension.
 var (
 	_ Batch     = (*lockBatch)(nil)
-	_ Batch     = (*occBatch)(nil)
 	_ Txn       = (*batchView)(nil)
 	_ ExpiryTxn = (*batchView)(nil)
 )

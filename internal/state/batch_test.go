@@ -11,14 +11,11 @@ import (
 	"time"
 )
 
-// batchBackends returns both engines, since Batch semantics must be
-// identical behind the Backend interface.
+// batchBackends returns the stores Batch semantics are checked on, keyed
+// by subtest name.
 func batchBackends(t *testing.T) map[string]Backend {
 	t.Helper()
-	return map[string]Backend{
-		"2pl": New(8),
-		"occ": NewOCC(8),
-	}
+	return map[string]Backend{"2pl": New(8)}
 }
 
 // cloneResult deep-copies a Result while it is still valid.
@@ -37,16 +34,11 @@ func cloneResult(r Result) Result {
 // final stores agree. A batch Result is backed by the batch's own arrays
 // and is valid only until the next Exec on that batch (reading it later is
 // a bug), so each one is copied the moment it is returned; the copies must
-// equal the plain engine's caller-owned results.
+// equal plain Exec's caller-owned results.
 func TestBatchMatchesExec(t *testing.T) {
 	for name := range batchBackends(t) {
 		t.Run(name, func(t *testing.T) {
-			mk := func() Backend {
-				if name == "occ" {
-					return NewOCC(8)
-				}
-				return New(8)
-			}
+			mk := func() Backend { return New(8) }
 			run := func(exec func(fn func(tx Txn) error) (Result, error), flush func()) []Result {
 				var results []Result
 				for i := 0; i < 64; i++ {
@@ -158,7 +150,7 @@ func TestBatchResultShape(t *testing.T) {
 
 // TestBatchHookAtomicity checks the commit hook observes the store with the
 // transaction's writes already applied (the serialization point), same as
-// ExecWithHook on the plain engines.
+// plain ExecWithHook.
 func TestBatchHookAtomicity(t *testing.T) {
 	for name, s := range batchBackends(t) {
 		t.Run(name, func(t *testing.T) {

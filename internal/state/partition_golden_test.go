@@ -26,7 +26,7 @@ func TestPartitionOfGolden(t *testing.T) {
 		h.Write([]byte(key))
 		return uint16(h.Sum32() % uint32(parts))
 	}
-	s64, o64 := New(64), NewOCC(64)
+	s64 := New(64)
 	for key, want := range golden {
 		if got := ref(key, 64); got != want {
 			t.Fatalf("golden table wrong for %q: stdlib says %d, table says %d", key, got, want)
@@ -34,26 +34,17 @@ func TestPartitionOfGolden(t *testing.T) {
 		if got := s64.PartitionOf(key); got != want {
 			t.Errorf("Store.PartitionOf(%q) = %d, want %d", key, got, want)
 		}
-		if got := o64.PartitionOf(key); got != want {
-			t.Errorf("OCCStore.PartitionOf(%q) = %d, want %d", key, got, want)
-		}
 	}
 	// Broad sweep: the inlined hash must agree with hash/fnv on arbitrary
-	// keys for both engines and multiple partition counts.
-	s256, o256 := New(256), NewOCC(256)
+	// keys and multiple partition counts.
+	s256 := New(256)
 	for i := 0; i < 5000; i++ {
 		key := fmt.Sprintf("key-%d/%x", i, i*2654435761)
 		if got, want := s64.PartitionOf(key), ref(key, 64); got != want {
 			t.Fatalf("Store.PartitionOf(%q) = %d, want %d", key, got, want)
 		}
-		if got, want := o64.PartitionOf(key), ref(key, 64); got != want {
-			t.Fatalf("OCCStore.PartitionOf(%q) = %d, want %d", key, got, want)
-		}
 		if got, want := s256.PartitionOf(key), ref(key, 256); got != want {
 			t.Fatalf("Store(256).PartitionOf(%q) = %d, want %d", key, got, want)
-		}
-		if got, want := o256.PartitionOf(key), ref(key, 256); got != want {
-			t.Fatalf("OCCStore(256).PartitionOf(%q) = %d, want %d", key, got, want)
 		}
 	}
 }

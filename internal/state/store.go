@@ -50,10 +50,10 @@ var (
 )
 
 // Txn is the state-access interface a packet transaction sees. Middlebox
-// code is written against it, so the same middlebox runs unmodified on any
-// concurrency engine — the pessimistic two-phase-locking Store, the
-// optimistic OCCStore, or a future hardware-transactional-memory backend
-// (the adaptability §3.2 of the paper calls out).
+// code is written against it rather than the wound-wait Store, so a
+// different concurrency engine — such as the hardware-transactional-memory
+// backend §3.2 of the paper calls out — would run the same middleboxes
+// unmodified.
 type Txn interface {
 	// Get reads a key; the bool reports presence.
 	Get(key string) ([]byte, bool, error)
@@ -73,7 +73,7 @@ type Txn interface {
 }
 
 // ExpiryTxn is the optional transaction extension for TTL-driven deletion.
-// Both engines' transactions implement it. DeleteExpired buffers a deletion
+// The Store's transactions implement it. DeleteExpired buffers a deletion
 // of key only if the key is still present with a TTL deadline at or before
 // now (nanoseconds on the store's expiry clock); a concurrent refresh or
 // earlier deletion makes it a no-op. The expiry driver re-validates through
@@ -84,7 +84,7 @@ type ExpiryTxn interface {
 }
 
 // Backend is the store interface the FTC replication roles run against.
-// Both the locking Store and the optimistic OCCStore implement it.
+// The wound-wait Store implements it.
 type Backend interface {
 	NumPartitions() int
 	PartitionOf(key string) uint16

@@ -15,7 +15,7 @@ import (
 //     hash bits of a full slot), scanned 8 at a time with SWAR word matches.
 //     A lookup touches the control word first and only compares keys on
 //     candidate slots, so misses rarely dereference a key.
-//   - Flat slot array: keys, values, OCC versions, and TTL deadlines live in
+//   - Flat slot array: keys, values, and TTL deadlines live in
 //     one slot struct per entry. Values are copied into slot-owned buffers
 //     whose capacity is recycled across overwrites and delete/reinsert
 //     cycles — steady-state churn performs zero allocations.
@@ -48,7 +48,6 @@ type slot struct {
 	key   string
 	val   []byte
 	exp   int64  // expiry deadline in wheel ticks; 0 = no TTL
-	ver   uint64 // per-key OCC version (unused by the 2PL engine)
 	gen   uint32 // lifecycle counter validating wheel entries
 	sched bool   // a wheel entry exists for this lifecycle
 }
@@ -173,11 +172,6 @@ func (t *table) get(key string) ([]byte, bool) {
 	return t.slots[si].val, true
 }
 
-// getSlot returns the slot index of key, or -1.
-func (t *table) getSlot(key string) int {
-	return t.find(key, hashx.Sum64String(key))
-}
-
 // getRefresh is get plus the transactional read-path TTL refresh: an armed
 // entry read at nowTick lives another TTL. nowTick == 0 (expiry off, or an
 // observer read) skips the refresh.
@@ -195,8 +189,8 @@ func (t *table) getRefresh(key string, nowTick int64) ([]byte, bool) {
 // put inserts or overwrites key with a copy of val, recycling the slot's
 // value capacity. nowTick arms/refreshes the TTL when the table has an
 // expiry config and the key matches a TTL prefix (pass 0 when expiry is
-// off). Returns the slot index.
-func (t *table) put(key string, val []byte, nowTick int64) int {
+// off).
+func (t *table) put(key string, val []byte, nowTick int64) {
 	h := hashx.Sum64String(key)
 	si, found := t.findForInsert(key, h)
 	if !found {
@@ -214,7 +208,6 @@ func (t *table) put(key string, val []byte, nowTick int64) int {
 		s.key = key
 		s.gen++
 		s.sched = false
-		s.ver = 0
 		s.exp = 0
 	}
 	s := &t.slots[si]
@@ -222,7 +215,6 @@ func (t *table) put(key string, val []byte, nowTick int64) int {
 	if t.exp != nil && nowTick > 0 && t.exp.matches(key) {
 		t.arm(si, nowTick)
 	}
-	return si
 }
 
 // arm sets the slot's TTL deadline to now+TTL and ensures a wheel entry
@@ -263,7 +255,6 @@ func (t *table) delSlot(si int) {
 	s.key = ""        // release the key string to GC
 	s.val = s.val[:0] // keep capacity for the next tenant
 	s.exp = 0
-	s.ver = 0
 	s.gen++ // invalidate any wheel entry for the old lifecycle
 	s.sched = false
 	t.live--
@@ -301,7 +292,6 @@ func (t *table) rehash() {
 		s.key = os.key
 		s.val = os.val // move the buffer; the old slot array is dropped
 		s.exp = os.exp
-		s.ver = os.ver
 		if s.exp != 0 {
 			s.sched = true
 			t.wheel.add(wheelEntry{slot: int32(si), gen: s.gen}, s.exp)

@@ -1,7 +1,7 @@
 package state
 
 // White-box tests for the swiss-table partition maps (table.go), the TTL
-// wheels (wheel.go), and the expiry surface of both store engines.
+// wheels (wheel.go), and the store's expiry surface.
 
 import (
 	"bytes"
@@ -12,7 +12,7 @@ import (
 	"time"
 )
 
-// expiryBackends builds both engines with few partitions so probe chains and
+// expiryBackends builds the store with few partitions so probe chains and
 // wheel buckets actually fill.
 func expiryBackends() []struct {
 	name string
@@ -23,7 +23,6 @@ func expiryBackends() []struct {
 		mk   func() Backend
 	}{
 		{"2pl", func() Backend { return New(4) }},
-		{"occ", func() Backend { return NewOCC(4) }},
 	}
 }
 
@@ -162,7 +161,7 @@ func TestCollectExpiredLimit(t *testing.T) {
 
 // Property: a random interleaving of transactional puts/gets/deletes, clock
 // advances, and collect+replicated-delete cycles matches a plain map model
-// with explicit deadlines — on both engines.
+// with explicit deadlines.
 func TestQuickExpiryMatchesModel(t *testing.T) {
 	const (
 		tick     = int64(time.Millisecond)

@@ -11,7 +11,7 @@ import (
 )
 
 // writeRig runs packet transactions one way — plain Exec or a batch — on
-// one engine in the tree.
+// the wound-wait store.
 type writeRig struct {
 	Backend
 	exec  func(fn func(tx Txn) error, onCommit func(Result)) (Result, error)
@@ -43,14 +43,12 @@ func writeEngines() []writeEngine {
 	return []writeEngine{
 		{"exec-2pl", func() writeRig { return plain(New(8)) }},
 		{"batch-2pl", func() writeRig { return batched(New(8)) }},
-		{"exec-occ", func() writeRig { return plain(NewOCC(8)) }},
-		{"batch-occ", func() writeRig { return batched(NewOCC(8)) }},
 	}
 }
 
 // TestWriteCommitsCallerBytes: the bytes in Write's buffer when the body
 // returns are what commits — to the store and to the replicated update —
-// on every engine, and they are visible to the transaction's own reads.
+// both ways, and they are visible to the transaction's own reads.
 func TestWriteCommitsCallerBytes(t *testing.T) {
 	for _, e := range writeEngines() {
 		t.Run(e.name, func(t *testing.T) {
@@ -219,45 +217,6 @@ func woundedTxn(tx Txn) bool {
 		return x.batch.hold.isWounded()
 	}
 	return false
-}
-
-// TestWriteConflictedCommitsNothing is the optimistic engine's version: an
-// attempt whose read set changed before commit re-executes, and only the
-// retry's Write buffer commits.
-func TestWriteConflictedCommitsNothing(t *testing.T) {
-	for _, e := range writeEngines()[2:] {
-		t.Run(e.name, func(t *testing.T) {
-			r := e.new()
-			if _, err := r.Exec(func(tx Txn) error { return tx.Put("in", []byte("v0")) }); err != nil {
-				t.Fatal(err)
-			}
-			attempts := 0
-			_, err := r.exec(func(tx Txn) error {
-				attempts++
-				if _, _, err := tx.Get("in"); err != nil {
-					return err
-				}
-				buf, err := tx.Write("out", 4)
-				if err != nil {
-					return err
-				}
-				if attempts == 1 {
-					copy(buf, "lost")
-					// A concurrent commit invalidates the read.
-					_, err := r.Exec(func(tx Txn) error { return tx.Put("in", []byte("v1")) })
-					return err
-				}
-				copy(buf, "kept")
-				return nil
-			}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := r.committed(t, "out"); attempts != 2 || got != "kept" {
-				t.Fatalf("committed %q after %d attempts, want \"kept\" after 2", got, attempts)
-			}
-		})
-	}
 }
 
 // TestGetKeyMatchesGet: GetKey finds exactly what Get finds for the same
