@@ -66,14 +66,15 @@ race:
 # -race, to shake out claim-migration races that a single run can miss.
 # Beside them, the path that has no queue to claim: concurrent ingests into
 # one replica (per-flow order, convergence) and its start/stop rules, in the
-# fabric and over real sockets; the pending set that holds out-of-order
-# frames (flow order, logs never behind frames, the fetch gate, deadlines);
-# and the Fig 6 shape, whose collapse was workers parked on logs queued
+# fabric and over real sockets; per-flow order out of the chain, where the
+# egress buffer holds packets in flow FIFOs, on ingest and on two queue
+# workers; the pending set that holds out-of-order frames (flow order, logs
+# never behind frames, the fetch gate, deadlines); and the Fig 6 shape, whose collapse was workers parked on logs queued
 # behind themselves (without -race, which it skips under).
 stress:
 	$(GO) test -race -count=3 -run 'TestBurstEquivalence|TestStealEquivalence' ./internal/core/
 	$(GO) test -race -count=3 -run 'TestQueueSchedPerQueueFIFO|TestQueueSchedSteal|TestQueueSchedReleaseRings' ./internal/netsim/
-	$(GO) test -race -count=3 -run 'TestIngestConcurrentFlowsFIFO|TestIngestLifecycle|TestPending' ./internal/core/
+	$(GO) test -race -count=3 -run 'TestIngestConcurrentFlowsFIFO|TestChainEgressKeepsFlowOrder|TestIngestLifecycle|TestPending' ./internal/core/
 	$(GO) test -race -count=3 -run 'TestMultiSocketPerFlowFIFO|TestStopAndCloseUnderIngestLoad' ./internal/trans/
 	$(GO) test -count=5 -run TestFig6ShapeFTCBeatsFTMB ./internal/exp/
 

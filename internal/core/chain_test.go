@@ -599,3 +599,32 @@ func TestChainBurstWithWrappedBacklog(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
+
+// TestChainEgressKeepsFlowOrder sends eight interleaved flows through a
+// one-middlebox chain on two workers, where the buffer node is the
+// middlebox's tail: most packets are held until a commit riding a later one
+// releases them. Each flow must leave the chain in the order it entered —
+// a packet its own commit releases must not overtake its held flow-mates.
+func TestChainEgressKeepsFlowOrder(t *testing.T) {
+	h := newHarness(t, testConfig(), []Middlebox{newGenMB(16)}, netsim.Config{})
+	const flows, perFlow = 8, 400
+	for seq := 0; seq < perFlow; seq++ {
+		for g := 0; g < flows; g++ {
+			if err := h.gen.Send(h.chain.IngressID(), flowFrame(t, g, seq, rigFrame)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	last := make([]int, flows)
+	reordered := 0
+	for _, p := range h.collect(t, flows*perFlow, 30*time.Second) {
+		g, seq := flowOf(p.Payload())
+		if seq < last[g] {
+			reordered++ // the packet before it overtook it
+		}
+		last[g] = seq
+	}
+	if reordered > 0 {
+		t.Fatalf("%d of %d packets left the chain right after a later packet of their flow", reordered, flows*perFlow)
+	}
+}

@@ -285,8 +285,7 @@ func TestMergeSparseMax(t *testing.T) {
 }
 
 func TestReleasableAgainst(t *testing.T) {
-	commit := map[uint16][]uint64{3: {0, 10}}
-	lookup := func(mb uint16) []uint64 { return commit[mb] }
+	lookup := map[uint16][]uint64{3: {0, 10}}
 	write := Log{MB: 3, Vec: NewSparseVec(VecEntry{Part: 1, Seq: 9})}
 	if !releasableAgainst([]Log{write}, lookup) {
 		t.Fatal("committed write not releasable")

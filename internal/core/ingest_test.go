@@ -461,16 +461,15 @@ func (rig *bridgedRig) rxLoops(tb testing.TB, onEgress func(frame []byte)) (stop
 // the transfers back: every replica runs several ingests at once, beside
 // its timers. Each flow must reach the buffer node in the order it entered
 // (ingest has no queue claim to keep it), every packet must leave the chain
-// exactly once, and the ring must converge. Order out of the chain is not
-// asserted: the buffer releases a held packet when its commit arrives, and
-// the packet carrying that commit leaves ahead of it, on either ingress path.
+// exactly once and in its flow's order, and the ring must converge.
 func TestIngestConcurrentFlowsFIFO(t *testing.T) {
 	cfg := Config{PropagateEvery: time.Millisecond, RepairDeadline: 3 * time.Second}
 	rig := newBridgedRig(t, cfg, newGenMB(16))
 	rig.fwdLanes = 2
 	const injectors, perFlow, burst = 4, 1500, 20
 	var seen [injectors][perFlow]bool // egress goroutine only
-	var delivered atomic.Int64
+	var last [injectors]int           // egress goroutine only: the flow's last packet out
+	var delivered, reordered atomic.Int64
 	stopRx := rig.rxLoops(t, func(fr []byte) {
 		p, err := wire.Parse(fr)
 		if err != nil {
@@ -482,6 +481,10 @@ func TestIngestConcurrentFlowsFIFO(t *testing.T) {
 			t.Errorf("flow %d: packet %d left the chain twice", g, seq)
 		}
 		seen[g][seq] = true
+		if seq < last[g] {
+			reordered.Add(1) // the packet before it overtook it
+		}
+		last[g] = seq
 		delivered.Add(1)
 	})
 	rig.r[0].Start()
@@ -511,6 +514,9 @@ func TestIngestConcurrentFlowsFIFO(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d of %d packets left the chain", delivered.Load(), injectors*perFlow)
 		}
+	}
+	if n := reordered.Load(); n > 0 {
+		t.Errorf("%d of %d packets left the chain right after a later packet of their flow", n, injectors*perFlow)
 	}
 	if err := rig.chain.WaitQuiescent(5 * time.Second); err != nil {
 		t.Fatal(err)

@@ -193,42 +193,46 @@ func TestBufferedLogLifetimes(t *testing.T) {
 			}
 		}
 		type heldCopy struct {
-			id   int
-			logs []Log
+			frame []byte
+			logs  []Log
 		}
+		// Copied under each FIFO's lock, checked after it.
 		var helds []heldCopy
-		r1.buf.mu.Lock()
-		for _, hp := range r1.buf.held {
-			p, err := wire.Parse(append([]byte(nil), hp.frame...))
-			if err != nil {
-				r1.buf.mu.Unlock()
-				t.Fatalf("held frame unparseable: %v", err)
+		for i := range r1.buf.parts {
+			p := &r1.buf.parts[i]
+			p.mu.Lock()
+			for _, hp := range p.fifo() {
+				c := heldCopy{frame: append([]byte(nil), hp.frame...)}
+				for _, l := range hp.logs {
+					c.logs = append(c.logs, Log{MB: l.MB, Flags: l.Flags, Vec: l.Vec.Clone()})
+				}
+				helds = append(helds, c)
 			}
-			c := heldCopy{id: payloadID(t, p)}
-			for _, l := range hp.logs {
-				c.logs = append(c.logs, Log{MB: l.MB, Flags: l.Flags, Vec: l.Vec.Clone()})
-			}
-			helds = append(helds, c)
+			p.mu.Unlock()
 		}
-		r1.buf.mu.Unlock()
 
 		models := []*journalModel{mbs[0].model(partitionOf), mbs[1].model(partitionOf)}
 		for _, b := range bufs {
 			checkRun(t, b.where, models[b.mb], b.log)
 		}
 		for _, hc := range helds {
+			p, err := wire.Parse(hc.frame)
+			if err != nil {
+				t.Fatalf("held frame unparseable: %v", err)
+			}
+			id := payloadID(t, p)
 			for _, l := range hc.logs {
 				jm := models[l.MB]
-				k, ok := jm.byID[hc.id]
+				k, ok := jm.byID[id]
 				if !ok || !sortedVec(l.Vec) {
-					t.Fatalf("held packet %d: log %+v for a transaction the journal lacks", hc.id, l)
+					t.Fatalf("held packet %d: log %+v for a transaction the journal lacks", id, l)
 				}
 				own := VecEntry{Part: jm.part[k], Seq: jm.seq[k]}
 				switch {
 				case l.Elided():
 					// The marker of the packet's own transaction, exactly.
 					if !reflect.DeepEqual(l.Vec, SparseVec{own}) {
-						t.Fatalf("held packet %d: marker vec %v, journal gives %v", hc.id, l.Vec, SparseVec{own})
+						t.Fatalf("held packet %d: marker vec %v, journal gives %v", id, l.Vec, SparseVec{own})
 					}
 				case l.Coalesced():
 					// The run that closed on this packet: it covers the
@@ -247,20 +251,20 @@ func TestBufferedLogLifetimes(t *testing.T) {
 						return o.Coalesced() && o.MB == l.MB && got != DontCare && got >= own.Seq
 					}
 					if !slices.ContainsFunc(hc.logs, ownWrite) {
-						t.Fatalf("held packet %d: run vec %v does not cover its own write %v", hc.id, l.Vec, own)
+						t.Fatalf("held packet %d: run vec %v does not cover its own write %v", id, l.Vec, own)
 					}
 					for _, e := range l.Vec {
 						if e.Seq >= jm.count[e.Part] {
-							t.Fatalf("held packet %d: run vec %v names writes the middlebox never made", hc.id, l.Vec)
+							t.Fatalf("held packet %d: run vec %v names writes the middlebox never made", id, l.Vec)
 						}
 					}
 					for _, b := range bufs {
 						if b.mb == int(l.MB) && b.log.Vec[0] == l.Vec[0] && !reflect.DeepEqual(b.log.Vec, l.Vec) {
-							t.Fatalf("held packet %d: run vec %v, buffered run has %v", hc.id, l.Vec, b.log.Vec)
+							t.Fatalf("held packet %d: run vec %v, buffered run has %v", id, l.Vec, b.log.Vec)
 						}
 					}
 				default:
-					t.Fatalf("held packet %d: unexpected log %+v", hc.id, l)
+					t.Fatalf("held packet %d: unexpected log %+v", id, l)
 				}
 			}
 		}

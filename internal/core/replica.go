@@ -92,14 +92,11 @@ type Replica struct {
 
 	tail int // middlebox whose group tail sits at this node, or -1 (precomputed)
 
-	wrapOnce sync.Once
-	wrapped  []uint16 // middleboxes with wrapped groups (buffer bookkeeping)
-
 	tailTick     atomic.Uint32 // commit dissemination throttle (§4.1 "periodically")
 	lastCommit   atomic.Int64  // unix nanos of the last disseminated commit
 	carrierOnce  sync.Once
 	carrier      []byte      // prebuilt carrier frame template
-	releaseDirty atomic.Bool // new wrapped-group commits since last release scan
+	releaseDirty atomic.Bool // new commits (or committed holds) since the last release
 
 	expiryOn   bool         // head store has TTL prefixes armed
 	lastExpiry atomic.Int64 // expiry-clock nanos of the last wheel scan
@@ -217,7 +214,12 @@ func NewReplica(cfg Config, spec ReplicaSpec) *Replica {
 		r.fwd = newForwarder()
 	}
 	if spec.Index == ring.M()-1 {
-		r.buf = newEgressBuffer()
+		r.buf = &egressBuffer{}
+		for j := 0; j < cfg.NumMB; j++ {
+			if ring.Wrapped(j) {
+				r.buf.wrapped = append(r.buf.wrapped, uint16(j))
+			}
+		}
 	}
 	// Attached before the node can see traffic, so external ingress never has
 	// two paths live: until Start an injected burst is dropped and counted
@@ -255,13 +257,11 @@ func (r *Replica) Gen() uint32 { return r.gen.Load() }
 // (§4.1) — are dropped, because the new lineage resumes log sequencing
 // from a fetched vector and its commits cannot vouch for their state.
 func (r *Replica) SetGen(g uint32) {
-	if r.buf != nil && r.gen.Load() != g {
-		r.tryRelease() // release what the old lineage committed
+	if r.buf == nil || r.gen.Load() == g {
+		r.gen.Store(g)
+		return
 	}
-	old := r.gen.Swap(g)
-	if r.buf != nil && old != g {
-		r.tryRelease() // drop the fenced remainder
-	}
+	r.fence(g)
 }
 
 // Start launches the worker threads, the maintenance tick and, on the
@@ -335,10 +335,11 @@ func (r *Replica) SetRoute(i int, id netsim.NodeID) {
 // HeldPackets reports how many packets the buffer currently holds (last
 // node only; 0 elsewhere).
 func (r *Replica) HeldPackets() int {
-	if r.buf == nil {
-		return 0
+	n := 0
+	if r.buf != nil {
+		r.buf.each(func(_ int, p *flowPart[heldPacket]) { n += len(p.fifo()) })
 	}
-	return r.buf.len()
+	return n
 }
 
 // ForwarderPending reports the forwarder's pending log count (first node).

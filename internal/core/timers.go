@@ -84,6 +84,8 @@ func (r *Replica) maintain() {
 					r.repair(mb, r.followers[mb])
 				}
 				r.kick()
+			} else if r.releaseDirty.Load() {
+				r.kick() // a release another bracket held up
 			}
 			if r.head == nil || now.Before(next) {
 				continue

@@ -109,18 +109,21 @@ type worker struct {
 	last      bool      // processing the burst's final frame (flush boundary)
 	dissemDue bool      // a commitEvery tick fired; disseminate at the boundary
 
-	// The pending set's view of this worker (pending.go): blocked is
-	// applyLogs' scratch; wake says an apply advanced a MAX, so the flush
-	// drains; claims are the partitions it resumed frames from, released at
-	// the end of the flush; flushes counts finished flushes; relook is
-	// another drain asking it to drain again after its flush.
-	blocked   []int
-	wake      bool
-	claims    []*pendPart
-	resumed   int64
-	flushes   atomic.Uint64
-	relook    atomic.Bool
-	relooking bool
+	// The pending set's and the egress buffer's view of this worker
+	// (pending.go): blocked is applyLogs' scratch; wake says an apply
+	// advanced a MAX, so the flush drains; claims and heldClaims mask the
+	// partitions it resumed frames from or released held packets from,
+	// unclaimed once the flush has sent them on; flushes counts finished
+	// flushes; relook is another drain or release asking it to look again
+	// after its flush.
+	blocked    []int
+	wake       bool
+	claims     uint64
+	heldClaims uint64
+	resumed    int64
+	flushes    atomic.Uint64
+	relook     atomic.Bool
+	relooking  bool
 }
 
 // newQueueWorker builds the state of one run loop or one ingest worker: the
@@ -249,9 +252,10 @@ func (r *Replica) beginBurst(w *worker) {
 }
 
 // flushBurst drains the worker's deferred queues: one burst send per
-// destination, one lock acquisition per retransmission buffer, one state
-// batch flush, one buffer-release scan. Frames recycle only after the burst
-// sends have copied them into the fabric.
+// destination (held packets a commit released ride the egress one, behind
+// the bracket's own), one lock acquisition per retransmission buffer, one
+// state batch flush. Frames recycle only after the burst sends have copied
+// them into the fabric.
 func (r *Replica) flushBurst(w *worker) {
 	if w.wake {
 		r.drain(w) // resumed frames join the burst's deferred work
@@ -288,9 +292,18 @@ func (r *Replica) flushBurst(w *worker) {
 		}
 		reset(&w.out)
 	}
+	if r.buf != nil {
+		r.releaseHeld(w)
+	}
 	if len(w.egr) > 0 {
-		r.egressBurst(w.egr)
+		// Counted and discarded when the chain has no egress node.
+		if r.egress == "" || r.sim.SendBurstBlocking(r.egress, w.egr) == nil {
+			r.stats.Egress.Add(uint64(len(w.egr)))
+		}
 		reset(&w.egr)
+	}
+	if w.heldClaims != 0 {
+		r.buf.unclaim(&w.heldClaims)
 	}
 	if len(w.headLogs) > 0 {
 		r.head.Buffer().addAll(w.headLogs)
@@ -317,14 +330,11 @@ func (r *Replica) flushBurst(w *worker) {
 		r.spillLogs(w.spill)
 		reset(&w.spill)
 	}
-	if r.buf != nil {
-		r.maybeRelease()
-	}
 	for _, fr := range w.rel {
 		netsim.ReleaseFrame(fr)
 	}
 	reset(&w.rel)
-	if len(w.claims) > 0 {
+	if w.claims != 0 {
 		r.release(w)
 	}
 	w.flushes.Add(1)
