@@ -69,13 +69,17 @@ race:
 # fabric and over real sockets; per-flow order out of the chain, where the
 # egress buffer holds packets in flow FIFOs, on ingest and on two queue
 # workers; the pending set that holds out-of-order frames (flow order, logs
-# never behind frames, the fetch gate, deadlines); and the Fig 6 shape, whose collapse was workers parked on logs queued
+# never behind frames, the fetch gate, deadlines); wound-wait's hand-off to
+# the wounder (three white-box cases) and two batches bumping MazuNAT's
+# shared counters, whose retries per flow setup must stay near zero; and
+# the Fig 6 shape, whose collapse was workers parked on logs queued
 # behind themselves (without -race, which it skips under).
 stress:
 	$(GO) test -race -count=3 -run 'TestBurstEquivalence|TestStealEquivalence' ./internal/core/
 	$(GO) test -race -count=3 -run 'TestQueueSchedPerQueueFIFO|TestQueueSchedSteal|TestQueueSchedReleaseRings' ./internal/netsim/
 	$(GO) test -race -count=3 -run 'TestIngestConcurrentFlowsFIFO|TestChainEgressKeepsFlowOrder|TestIngestLifecycle|TestPending' ./internal/core/
 	$(GO) test -race -count=3 -run 'TestMultiSocketPerFlowFIFO|TestStopAndCloseUnderIngestLoad' ./internal/trans/
+	$(GO) test -race -count=3 -run 'TestHandoff|TestBatchFlowSetupContention' ./internal/state/
 	$(GO) test -count=5 -run TestFig6ShapeFTCBeatsFTMB ./internal/exp/
 
 # Decoder fuzz gate: replays the piggyback codec's seed corpus (every update

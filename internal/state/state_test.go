@@ -333,12 +333,19 @@ func TestWoundWaitRetries(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				res, err := s.Exec(func(tx Txn) error {
 					// Touch several partitions to force conflicts.
+					var n uint64
 					for j := 0; j < 4; j++ {
-						if _, _, err := tx.Get(fmt.Sprintf("k%d", j)); err != nil {
+						v, _, err := tx.Get(fmt.Sprintf("k%d", j))
+						if err != nil {
 							return err
 						}
+						if j == 0 && v != nil {
+							n = binary.BigEndian.Uint64(v)
+						}
 					}
-					return tx.Put("k0", []byte("x"))
+					var b [8]byte
+					binary.BigEndian.PutUint64(b[:], n+1)
+					return tx.Put("k0", b[:])
 				})
 				if err != nil {
 					t.Error(err)
@@ -352,6 +359,10 @@ func TestWoundWaitRetries(t *testing.T) {
 	}
 	wg.Wait()
 	t.Logf("total retries under contention: %d", retries)
+	v, _ := s.Get("k0")
+	if got := binary.BigEndian.Uint64(v); got != 8*200 {
+		t.Fatalf("k0 = %d, want %d: a retried transaction committed other than once", got, 8*200)
+	}
 }
 
 // TestSerializabilityBankTransfer checks the classic invariant: concurrent

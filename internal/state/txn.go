@@ -12,15 +12,25 @@ import (
 //     operation (or immediately if it is waiting) and T waits for release;
 //   - if T is younger, T waits.
 //
-// Priorities never change, so the waits-for graph is acyclic and deadlock is
-// impossible; wounded transactions retry with their original timestamp, so
-// they eventually become oldest and win (no starvation).
+// A wound also makes T the lock's heir: once U lets go, the free lock goes
+// only to T or to a transaction older than T, so U's retry cannot take it
+// back before T has woken (the re-take, wound, re-take livelock). T drops
+// the reservation on every way out of acquire.
+//
+// Every wait, on an owner or on a heir, is on an older transaction, and a
+// timestamp changes only while its transaction holds no lock and waits on
+// none (a batch refreshes it at Flush), so the waits-for graph is acyclic
+// and deadlock is impossible; wounded transactions retry with their
+// original timestamp, so they eventually become oldest and win (no
+// starvation).
 type plock struct {
 	mu    sync.Mutex
 	owner *lockTxn
+	heir  *lockTxn // reserved by a wound; set only while heir is in acquire
 	// release is what waiters park on: created under mu by the first waiter,
-	// closed and cleared by the release that wakes it. nil while nobody
-	// waits, so an uncontended lock/unlock pair allocates nothing.
+	// closed and cleared by whatever may let one of them in (an unlock, a
+	// dropped reservation). nil while nobody waits, so an uncontended
+	// lock/unlock pair allocates nothing.
 	release chan struct{}
 }
 
@@ -28,21 +38,34 @@ type plock struct {
 // was wounded while waiting.
 func (l *plock) acquire(t *lockTxn) error {
 	for {
-		if t.isWounded() {
-			return ErrWounded
-		}
 		l.mu.Lock()
-		if l.owner == nil {
-			l.owner = t
+		if t.isWounded() {
+			if l.heir == t {
+				l.heir = nil
+				if l.owner == nil {
+					l.wake() // waiters held back by the reservation
+				}
+			}
 			l.mu.Unlock()
-			return nil
+			return ErrWounded
 		}
 		if l.owner == t {
 			l.mu.Unlock()
 			return nil
 		}
-		if t.ts < l.owner.ts {
+		if l.owner == nil && (l.heir == nil || t.ts <= l.heir.ts) {
+			l.owner = t
+			if l.heir == t {
+				l.heir = nil
+			}
+			l.mu.Unlock()
+			return nil
+		}
+		if l.owner != nil && t.ts < l.owner.ts {
 			l.owner.wound()
+			if l.heir == nil || t.ts < l.heir.ts {
+				l.heir = t
+			}
 		}
 		if l.release == nil {
 			l.release = make(chan struct{})
@@ -51,8 +74,7 @@ func (l *plock) acquire(t *lockTxn) error {
 		l.mu.Unlock()
 		select {
 		case <-ch:
-		case <-t.woundChan():
-			return ErrWounded
+		case <-t.woundChan(): // the loop top drops t's reservation
 		}
 	}
 }
@@ -62,12 +84,18 @@ func (l *plock) unlock(t *lockTxn) {
 	l.mu.Lock()
 	if l.owner == t {
 		l.owner = nil
-		if l.release != nil {
-			close(l.release)
-			l.release = nil
-		}
+		l.wake()
 	}
 	l.mu.Unlock()
+}
+
+// wake releases every parked waiter to re-check the lock. Called with mu
+// held.
+func (l *plock) wake() {
+	if l.release != nil {
+		close(l.release)
+		l.release = nil
+	}
 }
 
 // lockTxn is an in-flight two-phase-locking packet transaction. Not safe
