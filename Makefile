@@ -71,7 +71,9 @@ race:
 # workers; the pending set that holds out-of-order frames (flow order, logs
 # never behind frames, the fetch gate, deadlines); wound-wait's hand-off to
 # the wounder (three white-box cases) and two batches bumping MazuNAT's
-# shared counters, whose retries per flow setup must stay near zero; and
+# shared counters, whose retries per flow setup must stay near zero;
+# nat-mt's flow setup on a chain, which must need next to no repair (behind
+# the stress build tag, so the plain suite does not run it); and
 # the Fig 6 shape, whose collapse was workers parked on logs queued
 # behind themselves (without -race, which it skips under).
 stress:
@@ -80,6 +82,7 @@ stress:
 	$(GO) test -race -count=3 -run 'TestIngestConcurrentFlowsFIFO|TestChainEgressKeepsFlowOrder|TestIngestLifecycle|TestPending' ./internal/core/
 	$(GO) test -race -count=3 -run 'TestMultiSocketPerFlowFIFO|TestStopAndCloseUnderIngestLoad' ./internal/trans/
 	$(GO) test -race -count=3 -run 'TestHandoff|TestBatchFlowSetupContention' ./internal/state/
+	$(GO) test -race -count=3 -tags stress -run TestFlowSetupNeedsNoRepair .
 	$(GO) test -count=5 -run TestFig6ShapeFTCBeatsFTMB ./internal/exp/
 
 # Decoder fuzz gate: replays the piggyback codec's seed corpus (every update

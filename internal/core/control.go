@@ -102,9 +102,10 @@ func (r *Replica) handleRepair(_ netsim.NodeID, req []byte) ([]byte, error) {
 
 // handleSpill applies logs whose updates were too big for their packet's
 // byte budget and were pushed over RPC instead of the piggyback trailer.
-// Nothing waits: a Blocked log is dropped, and the sender's resend loop
-// re-pushes it once commits stall. An apply that advanced a MAX resumes the
-// parked frames it unblocked.
+// Nothing waits: a Blocked log, or the rest of a Partial run, is dropped,
+// and the sender's resend loop re-pushes it once commits stall. An apply
+// that advanced a MAX (Applied or Partial) resumes the parked frames it
+// unblocked.
 func (r *Replica) handleSpill(_ netsim.NodeID, req []byte) ([]byte, error) {
 	m, err := DecodeMessage(req)
 	if err != nil {
@@ -116,7 +117,7 @@ func (r *Replica) handleSpill(_ netsim.NodeID, req []byte) ([]byte, error) {
 	}
 	advanced := false
 	for _, l := range m.Logs {
-		if f := r.followers[l.MB]; f != nil && f.Apply(l) == Applied {
+		if f := r.followers[l.MB]; f != nil && f.Apply(l).took() {
 			advanced = true
 		}
 	}
@@ -278,11 +279,11 @@ func (r *Replica) Recover(ctx context.Context, peerID func(ringIdx int) netsim.N
 }
 
 // restoreFrom installs a follower's fetched state as the head's own. The
-// source may hold a coalesced run it applied only in part
-// (Follower.applyCoalescedLocked): the run is in its buffer, but its MAX
-// and snapshot lack the partitions left behind. The head installs those
-// itself; otherwise it would resend writes its own store lacks, and whose
-// packets may already have left the chain.
+// source may hold a coalesced run it installed only in part (Partial, in
+// Follower.applyCoalescedLocked): the run is in its buffer, but its MAX and
+// snapshot lack the partitions left behind. The head installs those
+// itself, replaying the buffer while an apply advances a MAX; otherwise it
+// would resend writes its own store lacks.
 func (h *Head) restoreFrom(fs *FetchState) {
 	h.Store().Restore(fs.Snapshot)
 	f := NewFollower(h.MB(), h.Store())
@@ -290,7 +291,7 @@ func (h *Head) restoreFrom(fs *FetchState) {
 	for progress := true; progress; {
 		progress = false
 		for _, l := range fs.Logs {
-			progress = f.Apply(l) == Applied || progress
+			progress = f.Apply(l).took() || progress
 		}
 	}
 	h.RestoreVector(f.max)

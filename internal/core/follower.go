@@ -36,7 +36,15 @@ const (
 	// Blocked: prior logs are missing; the caller parks the log (the
 	// replica's pending set) or drops it, and repair fills the gap.
 	Blocked
+	// Partial: a coalesced run installed some partitions, and MAX advanced
+	// there, but is behind on others. The caller holds the log as if
+	// Blocked; a retry installs only what is left.
+	Partial
 )
+
+// took reports whether the apply took the log, whole or in part: a caller
+// that resumes or replays on progress counts both.
+func (o ApplyOutcome) took() bool { return o == Applied || o == Partial }
 
 // NewFollower creates a follower replica for middlebox mb.
 func NewFollower(mb uint16, store state.Backend) *Follower {
@@ -129,8 +137,11 @@ func (f *Follower) apply(l Log, sink *[]Log) ApplyOutcome {
 // deadlocks: two workers' concurrently open runs can interleave on
 // different partitions in opposite orders (run A covers part p before run
 // C but part q after it), leaving each run waiting on the other's base.
-// Per-partition application makes progress on every delivery; partitions
-// left behind complete on a later resend or repair retransmission.
+// Per-partition application makes progress on every delivery. A run left
+// behind on some partition returns Partial, and its frame waits until a
+// retry installs the rest: a partition already past the run is skipped,
+// so the retry is idempotent. The run enters the retransmission buffer
+// once, on the apply that installs its first partition.
 //
 // A partition whose MAX lands strictly inside the run (a recovery snapshot
 // already holds a prefix of the run's writes — the head's vector advances
@@ -140,14 +151,15 @@ func (f *Follower) apply(l Log, sink *[]Log) ApplyOutcome {
 // form that repair serves from the predecessor's buffer.
 func (f *Follower) applyCoalescedLocked(l Log, sink *[]Log) ApplyOutcome {
 	var upds []state.Update
-	applied, behind := false, false
+	applied, behind, past := false, false, false
 	for i := range l.Vec {
 		p, end, base := l.Vec[i].Part, l.Vec[i].Seq, l.Base[i].Seq
 		switch {
 		case f.max[p] > end:
-			continue // this partition already past the run
+			past = true // this partition already past the run
+			continue
 		case f.max[p] < base:
-			behind = true // earlier logs missing; leave for repair/resend
+			behind = true // earlier logs missing; a retry installs it
 			continue
 		case f.max[p] > base:
 			// Mid-run: only idempotent full values may re-install.
@@ -179,10 +191,15 @@ func (f *Follower) applyCoalescedLocked(l Log, sink *[]Log) ApplyOutcome {
 		return Duplicate
 	}
 	f.store.ApplyOwned(upds)
-	if sink != nil {
-		*sink = append(*sink, l.Retain())
-	} else {
-		f.buf.add(l.Retain())
+	if !past { // the run's first install; a retry's run is buffered already
+		if sink != nil {
+			*sink = append(*sink, l.Retain())
+		} else {
+			f.buf.add(l.Retain())
+		}
+	}
+	if behind {
+		return Partial
 	}
 	return Applied
 }

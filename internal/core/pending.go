@@ -85,10 +85,11 @@ func (s *flowFIFOs[E]) unclaim(claims *uint64) {
 
 // pendingSet holds the frames a replica cannot finish yet: the paper's
 // follower holds an out-of-order log, not a thread (§4–5; DESIGN.md §3). A
-// frame parks when a follower log of it comes back Blocked, or behind an
-// earlier frame of its flow partition, a FIFO; its logs that can apply
-// were applied on arrival. Frames resume at the end of a bracket whose
-// applies advanced a MAX (drain), and from the maintenance tick.
+// frame parks when a follower log of it comes back Blocked or Partial, or
+// behind an earlier frame of its flow partition, a FIFO; its logs that can
+// apply were applied on arrival, runs in part. Frames resume at the end
+// of a bracket whose applies advanced a MAX (drain), and from the
+// maintenance tick.
 // Stats.Pending counts the parked frames plus those resumed in a bracket
 // that has not flushed: while it reads zero the in-order path touches
 // nothing else.
@@ -98,7 +99,7 @@ type pendingSet = flowFIFOs[parked]
 type parked struct {
 	frame []byte   // pooled copy of the packet
 	msg   *Message // retained copy of its piggyback message, commits merged
-	wait  []int    // indexes into msg.Logs of the follower logs still Blocked
+	wait  []int    // indexes into msg.Logs of the follower logs not yet whole
 	since time.Time
 	// origin is the worker whose bracket parked the frame, at flush count
 	// epoch: another worker may finish the frame only once that bracket has
@@ -108,7 +109,7 @@ type parked struct {
 }
 
 // park holds a frame whose onward work must wait: a follower log of it is
-// Blocked (wait is non-empty), or its flow partition is not empty. It
+// Blocked or Partial (wait is non-empty), or its flow partition is not empty. It
 // reports false when neither holds and the frame goes on now. A frame that
 // finds the set full (Config.QueueCap) is dropped and counted.
 func (r *Replica) park(pkt *wire.Packet, msg *Message, wait []int, w *worker) bool {
@@ -156,7 +157,7 @@ func (r *Replica) drain(w *worker) {
 }
 
 // drainPart works through p with p.mu held. First the logs: every parked
-// frame's Blocked logs are tried wherever it stands, for a log never waits
+// frame's waiting logs are tried wherever it stands, for a log never waits
 // behind frames — one behind the front may be what the front waits for.
 // Past RepairDeadline they are passed on. Then the frames: the front
 // resumes while it can go on, with p.mu released around it (its head

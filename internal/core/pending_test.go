@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -135,6 +136,66 @@ func TestPendingLogBehindItsWaiter(t *testing.T) {
 	rig.inject(t, 1, [][]byte{ftcFrame(t, otherFlow(t, 0), 4, &Message{Logs: logs[2:3]})})
 	if got := egressSeqs(t, rig); !slices.Equal(got, []int{4, 2, 3}) {
 		t.Fatalf("%v left the chain, want 4 2 3", got)
+	}
+	if s := rig.r[1].Stats(); s.Repairs.Load() != 0 || s.Pending.Load() != 0 {
+		t.Fatalf("%d repairs, %d frames parked; want 0 and 0", s.Repairs.Load(), s.Pending.Load())
+	}
+	if err := rig.chain.CheckConvergence(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPendingHoldsPartialRun sends flow A's frame with a coalesced run of
+// ring node 0's head that is in order on partition p and ahead on
+// partition q. The tail installs p and holds A until q's earlier log comes,
+// while a frame of flow B leaves; the earlier log arrives on flow C's frame,
+// and A's run completes in that bracket and A leaves after C, with no
+// repair. (Mutation-checked: taking Partial for Applied lets A leave at
+// once, without the run's write to q.)
+func TestPendingHoldsPartialRun(t *testing.T) {
+	rig := newBridgedRig(t, Config{}, newGenMB(16))
+	openIngest(rig.r[1])
+	h := rig.r[0].Head()
+	kp, kq := "", ""
+	for i := 0; kp == "" || kq == "" || kp == kq; i++ {
+		k := fmt.Sprintf("k%d", i)
+		switch {
+		case kp == "":
+			kp = k
+		case h.Store().PartitionOf(k) != h.Store().PartitionOf(kp):
+			kq = k
+		}
+	}
+	put := func(k, v string) Log {
+		l, err := h.Transaction(func(tx state.Txn) error { return tx.Put(k, []byte(v)) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	earlier := put(kq, "q0")
+	var c coalescer
+	for _, l := range []Log{put(kp, "p0"), put(kq, "q1")} {
+		if !c.absorb(&l) {
+			t.Fatal("the run's second write did not extend it")
+		}
+	}
+	run := c.finalize()
+	a, b := 0, otherFlow(t, 0)
+	cf := otherFlow(t, b)
+	for partOf(ftcFrame(t, cf, 0, &Message{})) == partOf(ftcFrame(t, a, 0, &Message{})) {
+		cf = otherFlow(t, cf)
+	}
+	rig.inject(t, 1, [][]byte{
+		ftcFrame(t, a, 0, &Message{Logs: []Log{run}}),
+		ftcFrame(t, b, 10, &Message{}),
+	})
+	if got := egressSeqs(t, rig); !slices.Equal(got, []int{10}) {
+		t.Fatalf("%v left the chain, want flow B's 10 while A's run waits on q", got)
+	}
+	rig.inject(t, 1, [][]byte{ftcFrame(t, cf, 20, &Message{Logs: []Log{earlier}})})
+	if got := egressSeqs(t, rig); !slices.Equal(got, []int{20, 0}) {
+		t.Fatalf("%v left the chain, want flow C's 20, then A's 0", got)
 	}
 	if s := rig.r[1].Stats(); s.Repairs.Load() != 0 || s.Pending.Load() != 0 {
 		t.Fatalf("%d repairs, %d frames parked; want 0 and 0", s.Repairs.Load(), s.Pending.Load())

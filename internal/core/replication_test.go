@@ -406,16 +406,10 @@ func BenchmarkFollowerApply(b *testing.B) {
 	}
 }
 
-// TestHeadRestoreInstallsPartialRun: a follower that received a coalesced
-// run before an earlier log of one of its partitions installs the run's
-// other partition at once and leaves this one behind. It keeps the run in
-// its buffer for repair. A head recovered from that follower must install
-// the behind partition itself: it resends the run from that buffer, and a
-// head lacking a write its followers install diverges from them (chaos
-// seed 53's divergent-stores and lost-committed-state).
-func TestHeadRestoreInstallsPartialRun(t *testing.T) {
-	st := state.New(8)
-	kp, kq := "", ""
+// partialRun builds a coalesced run ahead on partition 2 (sequence 1, its
+// base) and in order on partition 1 (sequence 0), and the earlier
+// partition-2 log it waits for; kp and kq are keys of partitions 1 and 2.
+func partialRun(st state.Backend) (run, earlier Log, kp, kq string) {
 	for i := 0; kp == "" || kq == ""; i++ {
 		k := fmt.Sprintf("k%d", i)
 		switch st.PartitionOf(k) {
@@ -425,8 +419,7 @@ func TestHeadRestoreInstallsPartialRun(t *testing.T) {
 			kq = k
 		}
 	}
-	src := NewFollower(0, st)
-	run := Log{
+	run = Log{
 		MB:    0,
 		Flags: LogCoalesced,
 		Vec:   NewSparseVec(VecEntry{Part: 1, Seq: 0}, VecEntry{Part: 2, Seq: 1}),
@@ -436,10 +429,24 @@ func TestHeadRestoreInstallsPartialRun(t *testing.T) {
 			{Key: kq, Value: []byte("q1"), Partition: 2},
 		},
 	}
-	earlier := Log{MB: 0, Vec: NewSparseVec(VecEntry{Part: 2, Seq: 0}),
+	earlier = Log{MB: 0, Vec: NewSparseVec(VecEntry{Part: 2, Seq: 0}),
 		Updates: []state.Update{{Key: kq, Value: []byte("q0"), Partition: 2}}}
-	if got := src.Apply(run); got != Applied {
-		t.Fatalf("run ahead of partition 2: %v, want Applied (partition 1 installs)", got)
+	return run, earlier, kp, kq
+}
+
+// TestHeadRestoreInstallsPartialRun: a follower that received a coalesced
+// run before an earlier log of one of its partitions installs the run's
+// other partition at once and leaves this one behind (Partial). It keeps
+// the run in its buffer for repair. A head recovered from that follower
+// must install the behind partition itself: it resends the run from that
+// buffer, and a head lacking a write its followers install diverges from
+// them (chaos seed 53's divergent-stores and lost-committed-state).
+func TestHeadRestoreInstallsPartialRun(t *testing.T) {
+	st := state.New(8)
+	run, earlier, kp, kq := partialRun(st)
+	src := NewFollower(0, st)
+	if got := src.Apply(run); got != Partial {
+		t.Fatalf("run ahead of partition 2: %v, want Partial (partition 1 installs)", got)
 	}
 	if got := src.Apply(earlier); got != Applied {
 		t.Fatalf("earlier log: %v", got)
@@ -463,5 +470,48 @@ func TestHeadRestoreInstallsPartialRun(t *testing.T) {
 	}
 	if len(h.Buffer().all()) != 2 {
 		t.Fatalf("restored head buffer holds %d logs, want the source's 2", len(h.Buffer().all()))
+	}
+}
+
+// TestFollowerPartialRunBuffersOnce: a run ahead on one partition installs
+// the other (Partial) and enters the buffer; once the earlier log is in, a
+// retry of the run installs the rest and reports Applied, and the buffer
+// still holds the run once.
+func TestFollowerPartialRunBuffersOnce(t *testing.T) {
+	st := state.New(8)
+	run, earlier, kp, kq := partialRun(st)
+	f := NewFollower(0, st)
+	if got := f.Apply(run); got != Partial || len(f.Buffer().all()) != 1 {
+		t.Fatalf("run ahead of partition 2: %v with %d buffered, want Partial and 1", got, len(f.Buffer().all()))
+	}
+	if got := f.Apply(run); got != Blocked {
+		t.Fatalf("retry before the earlier log: %v, want Blocked", got)
+	}
+	if got := f.Apply(earlier); got != Applied {
+		t.Fatalf("earlier log: %v", got)
+	}
+	if got := f.Apply(run); got != Applied {
+		t.Fatalf("retry after the earlier log: %v, want Applied", got)
+	}
+	if v, _ := st.Get(kq); string(v) != "q1" {
+		t.Fatalf("partition 2 holds %q, want the run's q1", v)
+	}
+	if v, _ := st.Get(kp); string(v) != "p0" {
+		t.Fatalf("partition 1 holds %q, want the run's p0", v)
+	}
+	if max := f.Max(); max[1] != 1 || max[2] != 2 {
+		t.Fatalf("MAX %v, want partition 1 at 1 and 2 at 2", max)
+	}
+	runs := 0
+	for _, l := range f.Buffer().all() {
+		if l.Coalesced() {
+			runs++
+		}
+	}
+	if runs != 1 {
+		t.Fatalf("the run is buffered %d times, want 1", runs)
+	}
+	if got := f.Apply(run); got != Duplicate {
+		t.Fatalf("a third apply: %v, want Duplicate", got)
 	}
 }
