@@ -73,9 +73,11 @@ race:
 # the wounder (three white-box cases) and two batches bumping MazuNAT's
 # shared counters, whose retries per flow setup must stay near zero;
 # nat-mt's flow setup on a chain, which must need next to no repair (behind
-# the stress build tag, so the plain suite does not run it); and
-# the Fig 6 shape, whose collapse was workers parked on logs queued
-# behind themselves (without -race, which it skips under).
+# the stress build tag, so the plain suite does not run it); the piggyback
+# diet's goodput floor, a ratio that depends on the host's load (also
+# behind the stress tag); and the Fig 6 shape, whose collapse was workers
+# parked on logs queued behind themselves (the last two without -race,
+# which the Fig 6 test skips under).
 stress:
 	$(GO) test -race -count=3 -run 'TestBurstEquivalence|TestStealEquivalence' ./internal/core/
 	$(GO) test -race -count=3 -run 'TestQueueSchedPerQueueFIFO|TestQueueSchedSteal|TestQueueSchedReleaseRings' ./internal/netsim/
@@ -83,6 +85,7 @@ stress:
 	$(GO) test -race -count=3 -run 'TestMultiSocketPerFlowFIFO|TestStopAndCloseUnderIngestLoad' ./internal/trans/
 	$(GO) test -race -count=3 -run 'TestHandoff|TestBatchFlowSetupContention' ./internal/state/
 	$(GO) test -race -count=3 -tags stress -run TestFlowSetupNeedsNoRepair .
+	$(GO) test -count=3 -tags stress -run TestDietGoodput ./internal/core/
 	$(GO) test -count=5 -run TestFig6ShapeFTCBeatsFTMB ./internal/exp/
 
 # Decoder fuzz gate: replays the piggyback codec's seed corpus (every update

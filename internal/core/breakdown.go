@@ -101,7 +101,7 @@ func MeasureBreakdown(mb Middlebox, pktFrame []byte, iters int) (Breakdown, erro
 	start = time.Now()
 	for i := 0; i < iters; i++ {
 		fwd.addTransfer(transfer)
-		fwd.take(now, time.Millisecond, 0, nil, nil)
+		fwd.take(now, time.Millisecond, nil, nil)
 	}
 	bd.Forwarder = time.Since(start) / time.Duration(iters)
 

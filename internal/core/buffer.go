@@ -64,7 +64,7 @@ func (r *Replica) bufferStage(pkt *wire.Packet, msg *Message, w *worker) bool {
 		}
 	}
 	// Elided vec-only markers exist to gate this packet's release; their
-	// substance (a coalesced run or a spillover push) replicates separately,
+	// substance (a coalesced run) replicates separately,
 	// so markers die here rather than recirculating around the ring.
 	xferLogs := msg.Logs
 	for i := range msg.Logs {

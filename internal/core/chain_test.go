@@ -555,6 +555,17 @@ func TestChainNeedsJumboFramesForLargeState(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 		}
+		if got == 20 {
+			// Every packet left, so the 2 kB value rode the piggyback
+			// trailer all the way to mb 0's tail follower.
+			if err := ch.WaitQuiescent(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			v, ok := ch.Replica(ch.Ring().Tail(0)).Follower(0).Store().Get("big")
+			if !ok || len(v) != 2000 {
+				t.Fatalf("state at mb 0's tail follower = %d bytes, ok=%v, want 2000", len(v), ok)
+			}
+		}
 		return got
 	}
 	if got := run(1500); got != 0 {
@@ -576,8 +587,8 @@ func (b *bigStateMB) Process(_ *wire.Packet, tx state.Txn) (Verdict, error) {
 
 // TestChainBurstWithWrappedBacklog pins the forwarder's bounded-batch
 // draining: a burst at high replication factor leaves thousands of wrapped
-// logs pending at once, which must ride packets in batches (a single
-// trailer cannot exceed 64 KiB) until the backlog drains and every held
+// logs pending at once, which must ride packets in batches (a trailer body
+// holds at most 0xffff bytes) until the backlog drains and every held
 // packet releases.
 func TestChainBurstWithWrappedBacklog(t *testing.T) {
 	cfg := testConfig()

@@ -57,13 +57,6 @@ type Config struct {
 	// positive). Nil means wall clock. Tests and the chaos harness inject a
 	// manual clock to force or forbid expiry deterministically.
 	ExpiryClock func() int64
-	// PiggybackBudget caps the piggyback trailer bytes attached to one data
-	// packet. A log that would push the trailer past the budget is elided
-	// from the packet (its dependency vector still rides, gating release at
-	// the egress buffer) and its updates spill to the group followers over
-	// the background spillover RPC. Zero means unlimited — the pre-budget
-	// behavior, where oversized state can overflow the MTU and drop frames.
-	PiggybackBudget int
 }
 
 // WithDefaults fills zero fields with production defaults.

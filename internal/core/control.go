@@ -18,7 +18,6 @@ const (
 	rpcSetGen   = "ftc.setgen"
 	rpcSetRoute = "ftc.setroute"
 	rpcPing     = "ftc.ping"
-	rpcSpill    = "ftc.spill"
 	rpcFence    = "ftc.fence"
 )
 
@@ -27,7 +26,6 @@ func (r *Replica) registerControl() {
 	r.sim.RegisterRPC(rpcFetch, r.handleFetch)
 	r.sim.RegisterRPC(rpcSetGen, r.handleSetGen)
 	r.sim.RegisterRPC(rpcSetRoute, r.handleSetRoute)
-	r.sim.RegisterRPC(rpcSpill, r.handleSpill)
 	r.sim.RegisterRPC(rpcFence, r.handleFence)
 	r.sim.RegisterRPC(rpcPing, func(netsim.NodeID, []byte) ([]byte, error) {
 		return []byte{1}, nil
@@ -98,33 +96,6 @@ func (r *Replica) handleRepair(_ netsim.NodeID, req []byte) ([]byte, error) {
 	// update cannot be applied (see Follower.applyCoalescedLocked).
 	m := &Message{FullValues: true, Gen: r.gen.Load(), Logs: logs}
 	return m.Encode(make([]byte, 0, m.LenEstimate())), nil
-}
-
-// handleSpill applies logs whose updates were too big for their packet's
-// byte budget and were pushed over RPC instead of the piggyback trailer.
-// Nothing waits: a Blocked log, or the rest of a Partial run, is dropped,
-// and the sender's resend loop re-pushes it once commits stall. An apply
-// that advanced a MAX (Applied or Partial) resumes the parked frames it
-// unblocked.
-func (r *Replica) handleSpill(_ netsim.NodeID, req []byte) ([]byte, error) {
-	m, err := DecodeMessage(req)
-	if err != nil {
-		return nil, err
-	}
-	if m.Gen != r.gen.Load() {
-		r.stats.StaleGen.Add(1)
-		return nil, nil
-	}
-	advanced := false
-	for _, l := range m.Logs {
-		if f := r.followers[l.MB]; f != nil && f.Apply(l).took() {
-			advanced = true
-		}
-	}
-	if advanced && r.stats.Pending.Load() > 0 {
-		r.kick()
-	}
-	return nil, nil
 }
 
 // handleFetch serves a middlebox's full replica state to a recovering

@@ -303,112 +303,3 @@ func TestDietCrashRecovery(t *testing.T) {
 		t.Fatalf("post-recovery counter = %d, want %d", binary.BigEndian.Uint64(v2), n1+n2)
 	}
 }
-
-// TestDietBudgetFitsStandardMTU is the byte-budget acceptance scenario: 2 kB
-// of per-packet state cannot ride a 1500-byte MTU inline (see
-// TestChainNeedsJumboFramesForLargeState), but with a piggyback budget the
-// oversize logs spill to the background push path, packets carry only
-// vec-only markers, and the chain works at the standard MTU.
-func TestDietBudgetFitsStandardMTU(t *testing.T) {
-	cfg := testConfig()
-	cfg.PiggybackBudget = 600
-	f := netsim.New(netsim.Config{DefaultLink: netsim.LinkProfile{MTU: 1500}})
-	defer f.Stop()
-	gen := f.AddNode("gen", netsim.NodeConfig{QueueCap: 1 << 14})
-	sink := f.AddNode("sink", netsim.NodeConfig{QueueCap: 1 << 14})
-	ch := NewChain(cfg, f, "ftc", []Middlebox{&bigStateMB{2000}, &countMB{"c1"}}, "sink")
-	ch.Start()
-	defer ch.Stop()
-	const n = 20
-	for i := 0; i < n; i++ {
-		p, err := wire.BuildUDP(wire.UDPSpec{
-			SrcMAC: wire.MAC{2, 0, 0, 0, 0, 1}, DstMAC: wire.MAC{2, 0, 0, 0, 0, 2},
-			Src: wire.Addr4(10, 3, 0, byte(i)), Dst: wire.Addr4(192, 0, 2, 1),
-			SrcPort: uint16(4000 + i), DstPort: 80, Headroom: 4096,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen.Send(ch.IngressID(), p.Buf)
-	}
-	deadline := time.Now().Add(15 * time.Second)
-	var got int
-	for got < n && time.Now().Before(deadline) {
-		if _, ok := sink.TryRecv(0); ok {
-			got++
-		} else {
-			time.Sleep(time.Millisecond)
-		}
-	}
-	if got != n {
-		t.Fatalf("budgeted 1500B-MTU egress = %d, want %d", got, n)
-	}
-	if err := ch.WaitQuiescent(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// The 2 kB value reached the follower via the spill path.
-	fol := ch.Replica(ch.Ring().Tail(0)).Follower(0)
-	bv, ok := fol.Store().Get("big")
-	if !ok || len(bv) != 2000 {
-		t.Fatalf("spilled state at follower = %d bytes, ok=%v, want 2000", len(bv), ok)
-	}
-	if ch.Replica(0).Stats().SpilledLogs.Load() == 0 {
-		t.Fatal("no logs were spilled; budget did not engage")
-	}
-}
-
-// TestPiggybackBudgetCapsTrailer checks the budget is honoured on the data
-// path: with many distinct flows and a small budget, no data frame's
-// piggyback trailer may exceed budget plus one log (the attach rule admits
-// the log that crosses the line, never two).
-func TestPiggybackBudgetCapsTrailer(t *testing.T) {
-	cfg := testConfig()
-	cfg.PiggybackBudget = 256
-	mbs := []Middlebox{&dietFlowMB{"fa:"}, &dietFlowMB{"fb:"}}
-	h := newHarness(t, cfg, mbs, netsim.Config{})
-	const n = 200
-	h.sendPackets(t, n)
-	h.collect(t, n, 20*time.Second)
-	waitForQuiescence(t, h, n)
-	for j := 0; j < 2; j++ {
-		hs := h.chain.Replica(j).Head().Store().Snapshot()
-		tail := h.chain.Ring().Tail(j)
-		fs := h.chain.Replica(tail).Follower(uint16(j)).Store().Snapshot()
-		if len(fs) != len(hs) {
-			t.Fatalf("mb %d: follower %d keys, head %d", j, len(fs), len(hs))
-		}
-	}
-}
-
-// TestDietGoodput is the piggyback diet's performance gate: on a counter
-// chain, application bytes must stay at least 0.55 of all bytes put on chain
-// links. Timer-driven carriers and commit refreshes make the ratio depend on
-// how fast the run is, so the floor sits between the two bands measured at
-// commit 38365d2 across plain and -race runs: the retired fixed-width v1
-// wire read 0.41–0.49 on this chain, the diet 0.60–0.72.
-func TestDietGoodput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("goodput measurement")
-	}
-	mbs := []Middlebox{
-		&countDeltaMB{countMB{"c0"}},
-		&dietFlowMB{"fc:"},
-		&countDeltaMB{countMB{"c2"}},
-	}
-	h := newHarness(t, testConfig(), mbs, netsim.Config{})
-	const n = 600
-	h.sendPackets(t, n)
-	h.collect(t, n, 20*time.Second)
-	waitForQuiescence(t, h, n)
-	var app, wireB uint64
-	for i := 0; i < h.chain.Len(); i++ {
-		s := h.chain.Replica(i).Stats()
-		app += s.AppBytesOut.Load()
-		wireB += s.WireBytesOut.Load()
-	}
-	goodput := float64(app) / float64(wireB)
-	t.Logf("goodput %.4f (%d/%d)", goodput, app, wireB)
-	if goodput < 0.55 {
-		t.Fatalf("goodput %.4f < 0.55", goodput)
-	}
-}

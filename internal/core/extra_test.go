@@ -203,16 +203,16 @@ func TestForwarderUnit(t *testing.T) {
 	// First take attaches the log; an immediate second take must not
 	// (resend interval unexpired).
 	now := time.Now()
-	logs, _ := fwd.take(now, time.Second, 0, nil, nil)
+	logs, _ := fwd.take(now, time.Second, nil, nil)
 	if len(logs) != 1 {
 		t.Fatalf("take1 = %d logs", len(logs))
 	}
-	logs, _ = fwd.take(now.Add(time.Millisecond), time.Second, 0, nil, nil)
+	logs, _ = fwd.take(now.Add(time.Millisecond), time.Second, nil, nil)
 	if len(logs) != 0 {
 		t.Fatal("unexpired log re-attached")
 	}
 	// After the resend interval it is attached again.
-	logs, _ = fwd.take(now.Add(2*time.Second), time.Second, 0, nil, nil)
+	logs, _ = fwd.take(now.Add(2*time.Second), time.Second, nil, nil)
 	if len(logs) != 1 {
 		t.Fatal("overdue log not resent")
 	}
@@ -222,11 +222,11 @@ func TestForwarderUnit(t *testing.T) {
 		t.Fatalf("pending after commit = %d", fwd.pendingLen())
 	}
 	// The stored commit is handed out exactly once.
-	_, commits := fwd.take(now.Add(3*time.Second), time.Second, 0, nil, nil)
+	_, commits := fwd.take(now.Add(3*time.Second), time.Second, nil, nil)
 	if len(commits) != 1 {
 		t.Fatalf("commits = %d", len(commits))
 	}
-	_, commits = fwd.take(now.Add(4*time.Second), time.Second, 0, nil, nil)
+	_, commits = fwd.take(now.Add(4*time.Second), time.Second, nil, nil)
 	if len(commits) != 0 {
 		t.Fatal("commit re-injected twice")
 	}
@@ -236,7 +236,7 @@ func TestForwarderUnit(t *testing.T) {
 	sent := NewSparseVec(VecEntry{Part: 1, Seq: 7})
 	fwd.addTransfer(&Message{Commits: []Commit{{MB: 2, Vec: sent}}})
 	fwd.addTransfer(&Message{Commits: []Commit{{MB: 2, Vec: NewSparseVec(VecEntry{Part: 3, Seq: 1}, VecEntry{Part: 1, Seq: 8})}}})
-	_, commits = fwd.take(now.Add(5*time.Second), time.Second, 0, nil, nil)
+	_, commits = fwd.take(now.Add(5*time.Second), time.Second, nil, nil)
 	if len(commits) != 1 || !reflect.DeepEqual(commits[0].Vec, SparseVec{{1, 8}, {3, 1}}) {
 		t.Fatalf("merged commit = %v", commits)
 	}
@@ -354,11 +354,11 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // TestConfigSurface makes the next Config knob a conscious decision: the
-// struct holds these 12 fields and nothing else, so neither a retired switch
+// struct holds these 11 fields and nothing else, so neither a retired switch
 // nor a new one gets in without editing this list.
 func TestConfigSurface(t *testing.T) {
 	allowed := strings.Fields(`F NumMB Partitions Workers Burst QueueCap PropagateEvery
-		RepairEvery RepairDeadline FlowTTL ExpiryClock PiggybackBudget`)
+		RepairEvery RepairDeadline FlowTTL ExpiryClock`)
 	typ := reflect.TypeOf(Config{})
 	for i := 0; i < typ.NumField(); i++ {
 		if name := typ.Field(i).Name; !slices.Contains(allowed, name) {

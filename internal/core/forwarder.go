@@ -128,30 +128,26 @@ func (f *forwarder) prune() {
 }
 
 // takeBatch bounds how many pending logs ride one packet: a burst can leave
-// thousands pending, and a single trailer tops out at 64 KiB. The backlog
-// drains across subsequent packets and propagating ticks.
+// thousands pending, while a trailer body holds at most 0xffff bytes
+// (AppendRawTrailer) and, on sockets, the whole frame within trans.MaxFrame
+// (16 KiB). The backlog drains across subsequent packets and propagating
+// ticks.
 const takeBatch = 64
 
 // take returns the piggyback content to attach to the next packet entering
-// the chain: pending logs never attached (or overdue for resend, oldest
-// first, at most takeBatch of them, and at most budget estimated bytes when
-// budget > 0 — always at least one log, so a single oversize log still
-// drains) and every commit vector received since the last take. Both are
-// appended to the caller's logs and commits, which must come in empty.
-func (f *forwarder) take(now time.Time, resendAfter time.Duration, budget int, logs []Log, commits []Commit) ([]Log, []Commit) {
+// the chain: pending logs never attached (or overdue for resend), oldest
+// first and at most takeBatch of them, and every commit vector received
+// since the last take. Both are appended to the caller's logs and commits,
+// which must come in empty.
+func (f *forwarder) take(now time.Time, resendAfter time.Duration, logs []Log, commits []Commit) ([]Log, []Commit) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	bytes := 0
 	for i := range f.pending {
 		if len(logs) >= takeBatch {
 			break
 		}
 		p := &f.pending[i]
 		if p.sentAt.IsZero() || now.Sub(p.sentAt) >= resendAfter {
-			if budget > 0 && len(logs) > 0 && bytes+logLenEstimate(&p.log) > budget {
-				break
-			}
-			bytes += logLenEstimate(&p.log)
 			p.sentAt = now
 			logs = append(logs, p.log)
 		}

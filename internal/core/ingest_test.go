@@ -197,7 +197,7 @@ func flowOf(payload []byte) (g, seq int) {
 func (rig *bridgedRig) idleTick() {
 	r, w := rig.r[0], &worker{}
 	r.beginBurst(w)
-	logs, commits := r.fwd.take(w.now, r.cfg.resendAfter(), r.cfg.PiggybackBudget, nil, nil)
+	logs, commits := r.fwd.take(w.now, r.cfg.resendAfter(), nil, nil)
 	msg := &Message{Gen: r.Gen(), Flags: FlagPropagating, Logs: logs, Commits: commits}
 	pkt := r.carrierFrom(msg.LenEstimate())
 	r.processPacket(pkt, msg, w)

@@ -28,11 +28,11 @@ const (
 	// release) but no state updates and no sequence advance.
 	LogNoop = 1 << 0
 	// LogElided marks a per-transaction log whose updates were folded into a
-	// burst-coalesced log (or diverted to a spillover RPC): it carries the
-	// transaction's dependency vector so the egress buffer can gate release,
-	// but no updates. Followers skip elided logs entirely — the substance
-	// arrives in the coalesced or spilled log — and they die at the buffer,
-	// never entering any log buffer or transfer message.
+	// burst-coalesced log: it carries the transaction's dependency vector so
+	// the egress buffer can gate release, but no updates. Followers skip
+	// elided logs entirely — the substance arrives in the coalesced log —
+	// and they die at the buffer, never entering any log buffer or transfer
+	// message.
 	LogElided = 1 << 1
 	// LogCoalesced marks a log that subsumes a run of per-partition
 	// consecutive transactions: Vec holds the last (maximum) sequence per
@@ -66,8 +66,8 @@ type Log struct {
 // Noop reports whether this is a read-only transaction's log.
 func (l *Log) Noop() bool { return l.Flags&LogNoop != 0 }
 
-// Elided reports whether the log's updates ride elsewhere (coalesced or
-// spilled); only its dependency vector matters, and only to the buffer.
+// Elided reports whether the log's updates ride elsewhere (in a coalesced
+// run); only its dependency vector matters, and only to the buffer.
 func (l *Log) Elided() bool { return l.Flags&LogElided != 0 }
 
 // Coalesced reports whether the log subsumes a run of transactions.
@@ -102,9 +102,9 @@ type Message struct {
 	Ver   uint8
 	Flags uint8
 	// FullValues forces encoding to ship delta-classified updates as full
-	// values when the sender still holds them. Control-plane messages (repair
-	// responses, spillover pushes) set it so a freshly recovered replica can
-	// apply logs that partially overlap its fetched snapshot.
+	// values when the sender still holds them. Repair responses set it so a
+	// freshly recovered replica can apply logs that partially overlap its
+	// fetched snapshot.
 	FullValues bool
 	Gen        uint32
 	Logs       []Log
@@ -127,8 +127,7 @@ func (m *Message) LenEstimate() int {
 	return n
 }
 
-// logLenEstimate bounds one log's encoded size (never underestimates; the
-// byte-budget check uses it to decide when a log must spill).
+// logLenEstimate bounds one log's encoded size (never underestimates).
 func logLenEstimate(l *Log) int {
 	n := 8 + len(l.Vec)*10
 	if l.Coalesced() {

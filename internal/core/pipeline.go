@@ -50,10 +50,10 @@ func (r *Replica) applyLogs(msg *Message, w *worker, retry []int, force bool) []
 	kept := msg.Logs[:0]
 	for i, l := range msg.Logs {
 		if l.Elided() {
-			// Vector-only marker: the substance travels on another packet (a
-			// coalesced run or the spillover RPC). Nothing to apply and never
-			// stripped — the marker rides to the egress buffer, gates the
-			// packet's release against the commit vector, and dies there.
+			// Vector-only marker: the substance travels on another packet's
+			// coalesced run. Nothing to apply and never stripped — the
+			// marker rides to the egress buffer, gates the packet's release
+			// against the commit vector, and dies there.
 			kept = append(kept, l)
 			continue
 		}
@@ -184,9 +184,9 @@ func (r *Replica) forward(pkt *wire.Packet, msg *Message, w *worker) {
 
 // attachLog routes a transaction's log onto the wire: write logs feed the
 // worker's coalescer and ride the packet as elided vector-only markers; the
-// coalesced run closes onto the burst's last data packet, onto the current
-// packet when another worker interleaves a transaction on a shared
-// partition, or onto the spillover path when the byte budget is hit.
+// coalesced run closes onto the burst's last data packet, or onto the
+// current packet when another worker interleaves a transaction on a shared
+// partition.
 // closing forces the run out now — the burst's final frame, or a Drop
 // verdict about to divert the message onto a propagating carrier.
 func (r *Replica) attachLog(msg *Message, log Log, w *worker, closing bool) {
@@ -215,20 +215,13 @@ func (r *Replica) attachLog(msg *Message, log Log, w *worker, closing bool) {
 	msg.Logs = append(msg.Logs, Log{MB: log.MB, Flags: LogElided, Vec: log.Vec})
 }
 
-// closeRun finalizes the worker's open coalesced run onto msg — or, when it
-// would blow the packet's byte budget, onto the spillover path with only an
-// elided marker left on the packet to gate its release.
+// closeRun finalizes the worker's open coalesced run onto msg.
 func (r *Replica) closeRun(msg *Message, w *worker) {
 	if !w.co.active {
 		return
 	}
 	run := w.co.finalize()
 	w.headLogs = append(w.headLogs, run)
-	if r.overBudget(msg, &run) {
-		msg.Logs = append(msg.Logs, Log{MB: run.MB, Flags: LogElided, Vec: run.Vec})
-		w.spill = append(w.spill, run)
-		return
-	}
 	msg.Logs = append(msg.Logs, run)
 }
 
@@ -242,46 +235,7 @@ func (r *Replica) flushRun(w *worker) {
 	}
 	run := w.co.finalize()
 	w.headLogs = append(w.headLogs, run)
-	if b := r.cfg.PiggybackBudget; b > 0 && 16+logLenEstimate(&run) > b {
-		w.spill = append(w.spill, run) // too big even for a carrier frame
-		return
-	}
 	r.emitPropagating(&Message{Gen: r.gen.Load(), Logs: []Log{run}}, w)
-}
-
-// overBudget reports whether attaching l would push the packet's piggyback
-// trailer past Config.PiggybackBudget.
-func (r *Replica) overBudget(msg *Message, l *Log) bool {
-	b := r.cfg.PiggybackBudget
-	if b <= 0 {
-		return false
-	}
-	return msg.LenEstimate()+logLenEstimate(l) > b
-}
-
-// spillLogs pushes over-budget logs of this node's own middlebox to its
-// group followers over the spillover RPC, full values forced (a spilled
-// delta would need receiver context the RPC path does not guarantee).
-// Failures are ignored: the logs sit in the head's retransmission buffer,
-// and the resend loop re-pushes anything whose commits stall.
-func (r *Replica) spillLogs(logs []Log) {
-	if r.head == nil || len(logs) == 0 {
-		return
-	}
-	mb := int(r.head.MB())
-	msg := &Message{FullValues: true, Gen: r.gen.Load(), Logs: logs}
-	body := msg.Encode(nil)
-	r.stats.SpilledLogs.Add(uint64(len(logs)))
-	members := r.ring.Members(mb)
-	for _, m := range members[1:] {
-		ctx, cancel := context.WithTimeout(r.life, time.Second)
-		_, err := r.fabric.Call(ctx, r.sim.ID(), r.ringID(m), rpcSpill, body)
-		cancel()
-		if err == nil {
-			r.stats.WireBytesOut.Add(uint64(len(body)))
-			r.stats.PiggybackBytesOut.Add(uint64(len(body)))
-		}
-	}
 }
 
 // repair fetches missing logs for middlebox mb from this replica's group

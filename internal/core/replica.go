@@ -31,13 +31,14 @@ type Stats struct {
 	// Goodput accounting on the inter-replica hops (bytes). AppBytesOut is
 	// the application frame (headers + payload) before the trailer went on;
 	// PiggybackBytesOut is everything added for replication — trailers,
-	// carrier and transfer frames, spillover RPC bodies; WireBytesOut is
-	// their sum, the total bytes put on chain links. Goodput is
-	// AppBytesOut/WireBytesOut.
+	// carrier and transfer frames; WireBytesOut is their sum, the total
+	// bytes put on chain links. Goodput is AppBytesOut/WireBytesOut.
 	AppBytesOut       atomic.Uint64
 	PiggybackBytesOut atomic.Uint64
 	WireBytesOut      atomic.Uint64
-	SpilledLogs       atomic.Uint64 // logs diverted to the spillover RPC by the byte budget
+	// SpilledLogs has no writer and always reads 0. It is kept only
+	// because the benchmark harness (bench/) reads it.
+	SpilledLogs atomic.Uint64
 
 	Pending      atomic.Int64  // gauge: frames in the pending set (pending.go)
 	PendingDrops atomic.Uint64 // frames dropped because the pending set was full

@@ -31,7 +31,7 @@ func (r *Replica) propagateLoop() {
 			// traffic burst's worth of wrapped logs replicates promptly.
 			r.beginBurst(w)
 			for {
-				logs, commits := r.fwd.take(w.now, r.cfg.resendAfter(), r.cfg.PiggybackBudget, nil, nil)
+				logs, commits := r.fwd.take(w.now, r.cfg.resendAfter(), nil, nil)
 				if len(logs) == 0 && len(commits) == 0 {
 					break
 				}
@@ -124,21 +124,6 @@ func (r *Replica) maintain() {
 			logs := r.head.Buffer().Missing(commit)
 			if len(logs) > takeBatch {
 				logs = logs[:takeBatch]
-			}
-			if b := r.cfg.PiggybackBudget; b > 0 {
-				// Oversize logs cannot ride a carrier frame (it is a data
-				// frame, MTU applies); re-push those over the spillover RPC.
-				carry := logs[:0]
-				var oversize []Log
-				for _, l := range logs {
-					if 16+logLenEstimate(&l) > b {
-						oversize = append(oversize, l)
-					} else {
-						carry = append(carry, l)
-					}
-				}
-				logs = carry
-				r.spillLogs(oversize)
 			}
 			if len(logs) > 0 {
 				r.beginBurst(w)

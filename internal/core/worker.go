@@ -91,9 +91,8 @@ type worker struct {
 	pendF    []*Follower
 	pendL    []Log // follower appends; pendF[i] buffers pendL[i]
 
-	co    coalescer // open coalesced run; never spans a flush
-	spill []Log     // over-budget logs awaiting the spillover RPC at the flush
-	xfer  []Log     // buffer-transfer scratch: logs minus elided markers
+	co   coalescer // open coalesced run; never spans a flush
+	xfer []Log     // buffer-transfer scratch: logs minus elided markers
 
 	// Held packets keep a vec-only copy of their logs until a commit
 	// releases them; the egress buffer carves those from here.
@@ -326,10 +325,6 @@ func (r *Replica) flushBurst(w *worker) {
 		w.batch.Flush()
 		r.head.fetchMu.RUnlock() // end of the fetch gate (see beginBurst)
 	}
-	if len(w.spill) > 0 {
-		r.spillLogs(w.spill)
-		reset(&w.spill)
-	}
 	for _, fr := range w.rel {
 		netsim.ReleaseFrame(fr)
 	}
@@ -393,7 +388,7 @@ func (r *Replica) handleFrame(in netsim.Inbound, w *worker) bool {
 		msg.Gen = gen
 		// Straight into the reused ingress arrays, so neither take nor the
 		// head-log append below reallocates per packet.
-		msg.Logs, msg.Commits = r.fwd.take(w.now, r.cfg.resendAfter(), r.cfg.PiggybackBudget, msg.Logs[:0], msg.Commits[:0])
+		msg.Logs, msg.Commits = r.fwd.take(w.now, r.cfg.resendAfter(), msg.Logs[:0], msg.Commits[:0])
 		if err := pkt.InsertFTCOption(); err != nil {
 			r.stats.ParseErrors.Add(1)
 			return false

@@ -118,7 +118,7 @@ type SUT struct {
 // Goodput reports the FTC chain's app-bytes/wire-bytes ratio summed over all
 // inter-replica hops since deployment: the fraction of replica egress that is
 // application payload rather than piggyback overhead (trailers, carrier and
-// transfer frames, spillover RPC bodies). It returns 0 for non-FTC systems
+// transfer frames). It returns 0 for non-FTC systems
 // and before any packet has been forwarded.
 func (s *SUT) Goodput() float64 {
 	if s.chain == nil {
