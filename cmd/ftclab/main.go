@@ -101,7 +101,8 @@ func replayChaos(seed int64) int {
 }
 
 // replayFleet runs one scenario file through the chain broker, prints the
-// fleet tables, and returns the process exit code (1 on any violation).
+// fleet tables, and returns the process exit code (1 on any violation or
+// SLA miss).
 func replayFleet(path string, trace bool) int {
 	scn, err := fleet.LoadScenario(path)
 	if err != nil {
@@ -122,10 +123,14 @@ func replayFleet(path string, trace bool) int {
 	for _, t := range exp.FleetTables(rep) {
 		fmt.Println(t)
 	}
-	if v := rep.Violations(); len(v) > 0 {
-		for _, msg := range v {
-			fmt.Fprintf(os.Stderr, "ftclab: fleet: VIOLATION: %s\n", msg)
-		}
+	v := rep.Violations()
+	for _, msg := range v {
+		fmt.Fprintf(os.Stderr, "ftclab: fleet: VIOLATION: %s\n", msg)
+	}
+	if rep.SLAViolations > 0 {
+		fmt.Fprintf(os.Stderr, "ftclab: fleet: SLA: %d chains over their p99 latency SLA\n", rep.SLAViolations)
+	}
+	if len(v) > 0 || rep.SLAViolations > 0 {
 		return 1
 	}
 	return 0

@@ -47,11 +47,11 @@ func runExpiryWorkload(t *testing.T, burst, n int) (int, string, string) {
 	}
 
 	// Two hours pass: every flow entry is due. The deletions must replicate
-	// through the normal log machinery before the chain re-quiesces.
+	// through the normal log machinery before the chain re-quiesces. The
+	// head's resend tick may expire some keys before TriggerExpiry does, so
+	// the check is on what left the stores, not on who deleted it.
 	offset.Add(int64(2 * time.Hour))
-	if deleted := h.chain.TriggerExpiry(); deleted == 0 {
-		t.Fatal("TriggerExpiry deleted nothing")
-	}
+	h.chain.TriggerExpiry()
 	waitForQuiescence(t, h, 0)
 	if err := h.chain.CheckConvergence(); err != nil {
 		t.Fatalf("after expiry: %v", err)
@@ -124,13 +124,17 @@ func TestExpiryRefreshKeepsActiveFlows(t *testing.T) {
 		t.Fatalf("flow keys missing before their TTL:\n%s", pre)
 	}
 
-	// A full idle TTL finally ages them out.
+	// A full idle TTL finally ages them out, through TriggerExpiry or the
+	// head's own resend tick, whichever runs first.
 	offset.Add(int64(2 * time.Hour))
-	if deleted := h.chain.TriggerExpiry(); deleted == 0 {
-		t.Fatal("idle flows never expired")
-	}
+	h.chain.TriggerExpiry()
 	waitForQuiescence(t, h, 0)
 	if err := h.chain.CheckConvergence(); err != nil {
 		t.Fatal(err)
+	}
+	for _, line := range strings.Split(storeDigest(h), "\n") {
+		if strings.HasPrefix(line, "a-") {
+			t.Fatalf("idle flow survived expiry: %q", line)
+		}
 	}
 }

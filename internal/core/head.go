@@ -99,7 +99,7 @@ func (h *Head) Transaction(fn func(tx state.Txn) error) (Log, error) {
 // a state batch: the batch itself plus the dependency vector the commit
 // hook stamps, which the worker owns and every transaction overwrites.
 type HeadBatch struct {
-	state.Batch
+	*state.Batch
 	vec   SparseVec
 	stamp func(state.Result) // bound once: stamps the head's vector into vec
 }

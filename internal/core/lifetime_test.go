@@ -328,9 +328,9 @@ func TestBufferedLogLifetimes(t *testing.T) {
 }
 
 // TestTransactionResultsCallerOwned pins the other half of the lifetime
-// rule: Head.Transaction logs and Backend.Exec results (the non-batch path
-// bench/replay.go and the expiry driver use) are the caller's. Retain 64,
-// run 64 more, and the first 64 are untouched.
+// rule: Head.Transaction logs and Store.Exec results (a pooled batch of
+// one, which bench/replay.go and the expiry driver use) are the caller's.
+// Retain 64, run 64 more, and the first 64 are untouched.
 func TestTransactionResultsCallerOwned(t *testing.T) {
 	st := state.New(8)
 	h := NewHead(0, st)

@@ -177,20 +177,13 @@ func (r *Replica) expireOnce(now int64) int {
 	deleted := 0
 	log, err := r.head.Transaction(func(tx state.Txn) error {
 		deleted = 0 // reset on wound-wait re-execution
-		et, _ := tx.(state.ExpiryTxn)
+		et := tx.(state.ExpiryTxn)
 		for _, k := range keys {
-			if et != nil {
-				ok, err := et.DeleteExpired(k, now)
-				if err != nil {
-					return err
-				}
-				if ok {
-					deleted++
-				}
-			} else {
-				if err := tx.Delete(k); err != nil {
-					return err
-				}
+			ok, err := et.DeleteExpired(k, now)
+			if err != nil {
+				return err
+			}
+			if ok {
 				deleted++
 			}
 		}

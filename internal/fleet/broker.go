@@ -354,13 +354,17 @@ func (f *Fleet) expire(rec *chainRec) {
 
 	// Workload drained through the ring first, then the forced-expiry epoch:
 	// jump the manual clock past the TTL so every surviving flow entry exits
-	// through a replicated deletion, keeping store digests equal.
+	// through a replicated deletion, keeping store digests equal. The heads'
+	// resend ticks may expire entries before TriggerExpiry does, so the
+	// count is what left the head stores.
 	rec.quiesceErr = rec.chain.WaitQuiescent(5 * time.Second)
+	before := headEntries(rec.chain)
 	rec.expOffset.Add(int64(10 * ms(f.scn.Traffic.FlowTTLMs)))
-	rec.deletions = rec.chain.TriggerExpiry()
+	rec.chain.TriggerExpiry()
 	if err := rec.chain.WaitQuiescent(5 * time.Second); err != nil && rec.quiesceErr == nil {
 		rec.quiesceErr = err
 	}
+	rec.deletions = before - headEntries(rec.chain)
 	rec.convErr = rec.chain.CheckConvergence()
 
 	rec.o.Stop()
@@ -378,6 +382,15 @@ func (f *Fleet) expire(rec *chainRec) {
 	f.trace("chain %s reclaimed: sent=%d delivered=%d expired=%d p99=%v conv=%v",
 		rec.spec.Name, rec.sent, rec.delivered, rec.deletions,
 		rec.latencyP99.Round(time.Microsecond), rec.convErr == nil)
+}
+
+// headEntries counts the entries in c's head stores.
+func headEntries(c *core.Chain) int {
+	n := 0
+	for j := 0; j < c.Ring().N; j++ {
+		n += c.Replica(j).Head().Store().Len()
+	}
+	return n
 }
 
 // mostSharedServer picks the up server hosting ring replicas of the most

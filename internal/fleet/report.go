@@ -7,8 +7,8 @@ import (
 
 // Report is the outcome of one fleet run: the acceptance/SLA headline
 // numbers, one row per chain in arrival order, and one row per pool
-// server. The exp package renders it into tables; Violations flattens
-// everything that should fail a CI gate.
+// server. The exp package renders it into tables; Violations flattens the
+// protocol failures.
 type Report struct {
 	// Scenario echoes the scenario name.
 	Scenario string
@@ -63,8 +63,8 @@ type ChainReport struct {
 	RingSize int
 	// Sent and Delivered count workload packets offered and received.
 	Sent, Delivered uint64
-	// Deletions is how many flow entries teardown drained through the
-	// replicated TTL-expiry path.
+	// Deletions is how many head-store entries left during teardown's
+	// forced-expiry epoch, through the replicated TTL-expiry path.
 	Deletions int
 	// Recoveries and RecoveryFailures count this chain's restored and
 	// unrestorable ring positions.
@@ -184,11 +184,12 @@ func (f *Fleet) report(timedOut bool) *Report {
 	return rep
 }
 
-// Violations flattens everything that should fail a CI gate: wedged runs,
-// convergence or quiescence failures, unrestored ring positions, downtime
-// overruns, SLA misses, and any admitted chain that did not end Reclaimed.
-// Rejections are not violations — an over-committed scenario is allowed to
-// reject; the acceptance ratio records it.
+// Violations flattens the protocol failures: wedged runs, convergence or
+// quiescence failures, unrestored ring positions, downtime overruns, and
+// any admitted chain that did not end Reclaimed. Rejections are not
+// violations — an over-committed scenario is allowed to reject; the
+// acceptance ratio records it. Nor are SLA misses: a p99 latency depends on
+// the host's load, so they are counted apart (SLAViolations).
 func (r *Report) Violations() []string {
 	var out []string
 	if r.TimedOut {
@@ -209,9 +210,6 @@ func (r *Report) Violations() []string {
 		}
 		if c.DowntimeBudget > 0 && c.Downtime > c.DowntimeBudget {
 			out = append(out, fmt.Sprintf("chain %s: downtime %v exceeds budget %v", c.Name, c.Downtime, c.DowntimeBudget))
-		}
-		if c.SLAViolated {
-			out = append(out, fmt.Sprintf("chain %s: p99 latency %v exceeds SLA %v", c.Name, c.LatencyP99, c.MaxLatency))
 		}
 	}
 	return out

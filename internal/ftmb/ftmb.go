@@ -312,7 +312,7 @@ func (st *stage) ilHandle(frame []byte) {
 // collect its PAL from the state accesses, send the PAL then the packet to
 // the OL. Transactions run through the worker's state batch, which retains
 // partition locks across a burst; the caller flushes it at burst boundaries.
-func (st *stage) masterHandle(frame []byte, batch state.Batch) {
+func (st *stage) masterHandle(frame []byte, batch *state.Batch) {
 	st.stallMu.RLock()
 	defer st.stallMu.RUnlock()
 

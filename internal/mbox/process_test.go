@@ -17,7 +17,7 @@ import (
 // reused frame would come back as a different flow.
 type procRig struct {
 	mb      core.Middlebox
-	batch   state.Batch
+	batch   *state.Batch
 	tmpl    []byte
 	frame   []byte
 	pkt     wire.Packet

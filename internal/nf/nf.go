@@ -175,7 +175,7 @@ type queueWorker struct {
 	process func(tx state.Txn) error // runs the middlebox on pkt, sets verdict
 }
 
-func (n *Node) handle(frame []byte, batch state.Batch, w *queueWorker, out *[][]byte) {
+func (n *Node) handle(frame []byte, batch *state.Batch, w *queueWorker, out *[][]byte) {
 	if err := wire.ParseInto(&w.pkt, frame); err != nil {
 		n.errs.Add(1)
 		return

@@ -6,37 +6,35 @@ import (
 	"github.com/ftsfc/ftc/internal/slab"
 )
 
-// Batch amortizes transaction begin/commit cost across a burst of packet
-// transactions executed by one worker goroutine (vector packet processing,
-// DPDK-style). Transactions run through a batch have exactly the semantics
-// of Backend.Exec — serializable, atomically committed, automatically
-// re-executed on conflicts — but the engine may retain partition-level
-// locks between consecutive transactions, so a burst of packets hitting
-// the same partitions pays one acquisition instead of one per packet.
+// Batch runs packet transactions for one worker goroutine and amortizes
+// transaction begin/commit across a burst (vector packet processing,
+// DPDK-style). Each transaction is serializable, atomically committed and
+// re-executed when wounded, but the batch may keep partition locks between
+// consecutive transactions, so a burst of packets hitting the same
+// partitions pays one acquisition instead of one per packet. Store.Exec is
+// a batch of one.
 //
-// A batch is owned by a single goroutine and is not safe for concurrent
-// use. Flush MUST be called at every burst boundary: it releases any locks
-// held across transactions so other workers (and non-transactional readers)
-// are never starved between bursts. The batch remains usable after Flush.
-// A batch that only ever sees Exec → Flush → Exec (burst size 1) behaves
-// identically to calling Backend.Exec directly — except for who owns the
-// result.
+// A batch is not safe for concurrent use. Flush MUST be called at every
+// burst boundary: it releases any locks held across transactions so other
+// workers (and non-transactional readers) are never starved between
+// bursts. The batch remains usable after Flush.
+//
+// The holder takes part in wound-wait like any transaction: if an older
+// transaction wounds it, the next acquisition (or the next Exec) releases
+// everything and retries, so deadlock freedom is preserved.
 //
 // Result lifetime: the Touched and Updates slices of a Result returned by
-// (or passed to the commit hook of) a batch transaction may be backed by
-// the batch's own arrays. They are valid until the next Exec on this batch;
+// (or passed to the commit hook of) a batch transaction are backed by the
+// batch's own arrays. They are valid until the next Exec on this batch;
 // reading them after that is a bug. Consumers copy what they keep (the
-// coalescer copies entries, the codec encodes at once). Update values are
-// not part of the scratch: they are immutable and live as long as anything
-// references them. Backend.Exec results, by contrast, are caller-owned.
-type Batch interface {
-	// Exec runs fn as a packet transaction within the batch.
-	Exec(fn func(tx Txn) error) (Result, error)
-	// ExecWithHook is Exec with a commit hook at the serialization point.
-	ExecWithHook(fn func(tx Txn) error, onCommit func(Result)) (Result, error)
-	// Flush releases partition locks retained across transactions. Called
-	// at burst boundaries; the batch remains usable afterwards.
-	Flush()
+// coalescer copies entries, the codec encodes at once, Store.Exec copies
+// both out). Update values are not part of the scratch: they are immutable
+// and live as long as anything references them.
+type Batch struct {
+	store *Store
+	hold  *lockTxn  // lock holder persisting across Execs within a burst
+	view  batchView // per-Exec scratch, reused
+	execs int       // commits since the last flush (MaxBatchTxns cap)
 }
 
 // MaxBatchTxns bounds how many transactions a batch may commit before it
@@ -48,43 +46,31 @@ type Batch interface {
 // already committed when it runs.
 const MaxBatchTxns = 64
 
-// lockBatch is the Store's batch: a long-lived holder transaction keeps the
-// partition locks acquired by the burst's transactions, and each Exec runs
-// against a view that reuses already-held locks. The holder participates in
-// wound-wait like any transaction — if an older transaction wounds it, the
-// next acquisition (or the next Exec) releases everything and retries, so
-// deadlock freedom is preserved.
-type lockBatch struct {
-	store *Store
-	hold  *lockTxn  // lock holder persisting across Execs within a burst
-	view  batchView // per-Exec scratch, reused
-	execs int       // commits since the last flush (MaxBatchTxns cap)
-}
-
 // NewBatch returns a batch context for one worker's bursts of transactions.
-func (s *Store) NewBatch() Batch {
-	b := &lockBatch{store: s}
+func (s *Store) NewBatch() *Batch {
+	b := &Batch{store: s}
 	b.hold = newTxn(s, s.tsCtr.Add(1))
 	b.view.batch = b
 	return b
 }
 
-// Exec implements Batch.
-func (b *lockBatch) Exec(fn func(tx Txn) error) (Result, error) {
+// Exec runs fn as a packet transaction within the batch.
+func (b *Batch) Exec(fn func(tx Txn) error) (Result, error) {
 	return b.ExecWithHook(fn, nil)
 }
 
-// ExecWithHook implements Batch.
-func (b *lockBatch) ExecWithHook(fn func(tx Txn) error, onCommit func(Result)) (Result, error) {
+// ExecWithHook is Exec with a commit hook that runs after the writes are
+// applied, at the transaction's serialization point. If fn returns an error
+// other than ErrWounded, nothing commits and ExecWithHook returns it.
+func (b *Batch) ExecWithHook(fn func(tx Txn) error, onCommit func(Result)) (Result, error) {
 	retries := 0
 	for {
 		// A wound that landed while the holder sat on locks between packets
-		// is honoured here: release everything and retry, exactly as Exec's
-		// retry loop does, keeping the original timestamp so the wounded
-		// holder eventually becomes oldest and wins.
+		// is honoured here: release everything and retry, keeping the
+		// original timestamp so the wounded holder eventually becomes oldest
+		// and wins.
 		if b.hold.isWounded() {
-			b.releaseHeld()
-			b.clearWound()
+			b.hold.release()
 		}
 		v := &b.view
 		v.reset()
@@ -99,8 +85,7 @@ func (b *lockBatch) ExecWithHook(fn func(tx Txn) error, onCommit func(Result)) (
 			return res, nil
 		}
 		if errors.Is(err, ErrWounded) {
-			b.releaseHeld()
-			b.clearWound()
+			b.hold.release()
 			retries++
 			continue
 		}
@@ -111,40 +96,20 @@ func (b *lockBatch) ExecWithHook(fn func(tx Txn) error, onCommit func(Result)) (
 	}
 }
 
-// Flush implements Batch: release every held partition lock and start the
-// next burst as a fresh wound-wait participant.
-func (b *lockBatch) Flush() {
+// Flush releases every held partition lock and starts the next burst as a
+// fresh wound-wait participant.
+func (b *Batch) Flush() {
 	b.execs = 0
 	if len(b.hold.held) == 0 {
 		return
 	}
-	b.releaseHeld()
-	b.clearWound()
+	b.hold.release()
 	// A fresh timestamp per burst keeps the holder from aging into a
 	// permanent wound-everyone priority across bursts.
 	b.hold.ts = b.store.tsCtr.Add(1)
 }
 
-// releaseHeld unlocks every partition the holder owns. After it returns no
-// in-flight acquire can wound the holder (wounds happen under the plock
-// mutex that unlock also takes), so the wound state can be reset safely.
-func (b *lockBatch) releaseHeld() {
-	h := b.hold
-	for _, p := range h.held {
-		b.store.parts[p].lock.unlock(h)
-	}
-	h.held = h.heldArr[:0]
-}
-
-func (b *lockBatch) clearWound() {
-	h := b.hold
-	h.woundMu.Lock()
-	h.wounded = false
-	h.woundCh = nil
-	h.woundMu.Unlock()
-}
-
-// batchView is one transaction's state inside a lockBatch: its own touched
+// batchView is one transaction's state inside a Batch: its own touched
 // set, read-your-writes buffer, and write log, while lock ownership lives
 // with the batch holder. Reused across Execs by the owning worker, and the
 // Result it commits is backed by these same arrays (see Batch).
@@ -155,7 +120,7 @@ func (b *lockBatch) clearWound() {
 // the transaction inside the replication log for a time nobody can
 // predict, so they are carved from a slab the garbage collector reclaims.
 type batchView struct {
-	batch    *lockBatch
+	batch    *Batch
 	touched  []uint16       // backs Result.Touched
 	writes   map[string]int // key → index of its write in writeLog (lazy)
 	writeLog []Update       // program order, deduplicated by key; backs Result.Updates
@@ -195,19 +160,8 @@ func (v *batchView) lockPartition(p uint16) error {
 			return nil
 		}
 	}
-	h := v.batch.hold
-	held := false
-	for _, hp := range h.held {
-		if hp == p {
-			held = true
-			break
-		}
-	}
-	if !held {
-		if err := v.batch.store.parts[p].lock.acquire(h); err != nil {
-			return err
-		}
-		h.held = append(h.held, p)
+	if err := v.batch.hold.lock(p); err != nil {
+		return err
 	}
 	v.touched = append(v.touched, p)
 	return nil
@@ -291,8 +245,9 @@ func (v *batchView) Delete(key string) error {
 	return nil
 }
 
-// DeleteExpired implements ExpiryTxn for batched transactions (see
-// lockTxn.DeleteExpired).
+// DeleteExpired implements ExpiryTxn: it buffers a deletion only if key is
+// still present with an elapsed TTL at now, so a refresh that raced the
+// expiry collection wins.
 func (v *batchView) DeleteExpired(key string, now int64) (bool, error) {
 	cfg := v.batch.store.exp
 	if cfg == nil {
@@ -343,10 +298,9 @@ func (v *batchView) commit(onCommit func(Result)) Result {
 	return res
 }
 
-// compile-time checks: the store provides batches, and the views satisfy
-// the transaction interface plus the ExpiryTxn extension.
+// compile-time checks: the views satisfy the transaction interface plus
+// the ExpiryTxn extension.
 var (
-	_ Batch     = (*lockBatch)(nil)
 	_ Txn       = (*batchView)(nil)
 	_ ExpiryTxn = (*batchView)(nil)
 )

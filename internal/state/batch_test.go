@@ -28,13 +28,12 @@ func cloneResult(r Result) Result {
 	return out
 }
 
-// TestBatchMatchesExec runs the same transaction stream — writes, two-key
-// writes and read-only lookups — through plain Exec and through a batch
-// (flushing every 4 transactions) and checks that every Result and the
-// final stores agree. A batch Result is backed by the batch's own arrays
-// and is valid only until the next Exec on that batch (reading it later is
-// a bug), so each one is copied the moment it is returned; the copies must
-// equal plain Exec's caller-owned results.
+// TestBatchMatchesExec: a batch flushed per transaction (Store.Exec) equals
+// one held across a burst (flushed every 4 transactions). The same stream
+// of writes, two-key writes and read-only lookups runs both ways, and every
+// Result and the final stores must agree. A held batch's Result is valid
+// only until its next Exec, so each one is copied the moment it is
+// returned.
 func TestBatchMatchesExec(t *testing.T) {
 	for name := range batchBackends(t) {
 		t.Run(name, func(t *testing.T) {
@@ -99,6 +98,45 @@ func TestBatchMatchesExec(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestExecResultsCallerOwned: Store.Exec copies its Result out of the
+// pooled batch, so a later Exec, here or on another goroutine, leaves an
+// earlier Result's Touched and Updates as they were.
+func TestExecResultsCallerOwned(t *testing.T) {
+	s := New(8)
+	put := func(w, i int) func(tx Txn) error {
+		return func(tx Txn) error {
+			if err := tx.Put(fmt.Sprintf("w%d-a%d", w, i%5), []byte{byte(w), byte(i)}); err != nil {
+				return err
+			}
+			return tx.Put(fmt.Sprintf("w%d-b%d", w, i%3), []byte{byte(i)})
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				first, err := s.Exec(put(w, i))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				want := cloneResult(first)
+				if _, err := s.Exec(put(w, i+1)); err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(cloneResult(first), want) {
+					t.Errorf("worker %d: first Result changed to %+v, want %+v", w, first, want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // TestBatchResultShape checks Updates/Touched/ReadOnly match plain Exec's
@@ -239,7 +277,7 @@ func TestBatchConcurrent(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					useBatch := w%2 == 0
-					var b Batch
+					var b *Batch
 					if useBatch {
 						b = s.NewBatch()
 					}

@@ -45,8 +45,6 @@ var (
 	// ErrAbort lets transaction bodies abort voluntarily; Exec does not
 	// retry and reports the abort to the caller.
 	ErrAbort = errors.New("state: transaction aborted by caller")
-	// ErrTxnDone is returned by operations on a committed or aborted txn.
-	ErrTxnDone = errors.New("state: transaction finished")
 )
 
 // Txn is the state-access interface a packet transaction sees. Middlebox
@@ -55,7 +53,8 @@ var (
 // backend §3.2 of the paper calls out — would run the same middleboxes
 // unmodified.
 type Txn interface {
-	// Get reads a key; the bool reports presence.
+	// Get reads a key; the bool reports presence. The returned slice is
+	// valid only until the transaction's next operation.
 	Get(key string) ([]byte, bool, error)
 	// GetKey is Get for a key held by value. Looking up an inline Key
 	// builds no heap string.
@@ -102,7 +101,7 @@ type Backend interface {
 	ExecWithHook(fn func(tx Txn) error, onCommit func(Result)) (Result, error)
 	// NewBatch returns a single-goroutine batch context that amortizes
 	// transaction begin/commit across a burst of Execs (see Batch).
-	NewBatch() Batch
+	NewBatch() *Batch
 	// ConfigureExpiry arms flow-state aging (see Expiry). Call once, before
 	// the store sees traffic; a zero-TTL config disables expiry.
 	ConfigureExpiry(e Expiry)
@@ -289,10 +288,11 @@ type partition struct {
 // Store is a partitioned key-value store. A store instance holds the state
 // of one middlebox on one replica. The zero value is not usable; call New.
 type Store struct {
-	parts []partition
-	exp   *expiryCfg
-	delta *deltaCfg
-	tsCtr atomic.Uint64
+	parts   []partition
+	exp     *expiryCfg
+	delta   *deltaCfg
+	tsCtr   atomic.Uint64
+	batches sync.Pool // *Batch for Exec: keeps its slab chunk across calls
 }
 
 // New creates a store with n partitions (DefaultPartitions if n <= 0).
@@ -546,7 +546,8 @@ type Result struct {
 //
 // Exec is the paper's "packet transaction" (§3.2, §4.2): the runtime starts
 // the transaction when a packet arrives and completes it when the middlebox
-// releases the packet.
+// releases the packet. It is a Batch of one, and unlike a batch's, its
+// Result is the caller's.
 func (s *Store) Exec(fn func(tx Txn) error) (Result, error) {
 	return s.ExecWithHook(fn, nil)
 }
@@ -554,26 +555,18 @@ func (s *Store) Exec(fn func(tx Txn) error) (Result, error) {
 // ExecWithHook is Exec with a commit hook that runs after the writes are
 // applied but before the partition locks release. The head uses it to
 // update its dependency vector at the transaction's serialization point.
+// The hook's Result is valid only during the call.
 func (s *Store) ExecWithHook(fn func(tx Txn) error, onCommit func(Result)) (Result, error) {
-	ts := s.tsCtr.Add(1) // wound-wait priority: kept across retries
-	retries := 0
-	for {
-		tx := newTxn(s, ts)
-		err := fn(tx)
-		if err == nil {
-			res, cerr := tx.commit(onCommit)
-			if cerr == ErrWounded {
-				retries++
-				continue
-			}
-			res.Retries = retries
-			return res, cerr
-		}
-		tx.abort()
-		if errors.Is(err, ErrWounded) {
-			retries++
-			continue
-		}
-		return Result{}, err
+	b, _ := s.batches.Get().(*Batch)
+	if b == nil {
+		b = s.NewBatch()
 	}
+	res, err := b.ExecWithHook(fn, onCommit)
+	b.Flush()
+	// Copy out of the batch's scratch before another caller reuses it; the
+	// values are immutable slab carves and stay shared.
+	res.Touched = append([]uint16(nil), res.Touched...)
+	res.Updates = append([]Update(nil), res.Updates...)
+	s.batches.Put(b)
+	return res, err
 }

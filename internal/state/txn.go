@@ -98,27 +98,23 @@ func (l *plock) wake() {
 	}
 }
 
-// lockTxn is an in-flight two-phase-locking packet transaction. Not safe
-// for concurrent use by multiple goroutines — a packet is processed by one
-// thread.
+// lockTxn is a wound-wait lock holder: the identity under which a Batch
+// takes partition locks. It carries the timestamp that orders it against
+// other holders, its wound state, and the partitions it holds. Not safe for
+// concurrent use by multiple goroutines: a batch belongs to one worker.
 //
-// The bookkeeping is sized for the data plane: packet transactions touch a
-// handful of partitions, so the held set is a small slice (linear scan beats
-// a map allocation), the write map is created on the first write, and the
-// wound channel only materializes when a waiter or wounder needs it —
-// an uncontended read-write transaction allocates just the txn itself.
+// Transactions hold only a handful of partitions, so the held set is a
+// small slice (a linear scan beats a map), and the wound channel only
+// materializes when a waiter or wounder needs it.
 type lockTxn struct {
 	store *Store
 	ts    uint64
 
-	woundMu  sync.Mutex
-	wounded  bool
-	woundCh  chan struct{} // lazy: created by the first waiter or wound
-	done     bool
-	held     []uint16           // partitions locked (== partitions touched)
-	heldArr  [4]uint16          // inline backing for held
-	writes   map[string]*Update // latest write per key (lazy)
-	writeLog []*Update          // program order, deduplicated by key
+	woundMu sync.Mutex
+	wounded bool
+	woundCh chan struct{} // lazy: created by the first waiter or wound
+	held    []uint16      // partitions locked
+	heldArr [4]uint16     // inline backing for held
 }
 
 func newTxn(s *Store, ts uint64) *lockTxn {
@@ -159,11 +155,8 @@ func (t *lockTxn) woundChan() chan struct{} {
 	return ch
 }
 
-// lockPartition acquires the partition's transaction lock (idempotent).
-func (t *lockTxn) lockPartition(p uint16) error {
-	if t.done {
-		return ErrTxnDone
-	}
+// lock acquires partition p unless t already holds it.
+func (t *lockTxn) lock(p uint16) error {
 	for _, h := range t.held {
 		if h == p {
 			return nil
@@ -176,160 +169,18 @@ func (t *lockTxn) lockPartition(p uint16) error {
 	return nil
 }
 
-// Get reads a key within the transaction. The bool reports presence.
-func (t *lockTxn) Get(key string) ([]byte, bool, error) {
-	p := t.store.PartitionOf(key)
-	if err := t.lockPartition(p); err != nil {
-		return nil, false, err
-	}
-	if w, ok := t.writes[key]; ok { // read-your-writes
-		if w.Value == nil {
-			return nil, false, nil
-		}
-		out := make([]byte, len(w.Value))
-		copy(out, w.Value)
-		return out, true, nil
-	}
-	part := &t.store.parts[p]
-	part.mu.Lock()
-	v, ok := part.tab.getRefresh(key, t.store.exp.nowTick())
-	var out []byte
-	if ok {
-		out = make([]byte, len(v))
-		copy(out, v) // copy out before releasing the partition mutex
-	}
-	part.mu.Unlock()
-	return out, ok, nil
-}
-
-// DeleteExpired implements ExpiryTxn: it buffers a deletion only if key is
-// still present with an elapsed TTL at now, so a refresh that raced the
-// expiry collection wins.
-func (t *lockTxn) DeleteExpired(key string, now int64) (bool, error) {
-	cfg := t.store.exp
-	if cfg == nil {
-		return false, nil
-	}
-	p := t.store.PartitionOf(key)
-	if err := t.lockPartition(p); err != nil {
-		return false, err
-	}
-	if _, ok := t.writes[key]; ok {
-		return false, nil // a buffered write in this txn supersedes expiry
-	}
-	part := &t.store.parts[p]
-	part.mu.Lock()
-	due := part.tab.expiredAt(key, cfg.ticksAt(now))
-	part.mu.Unlock()
-	if !due {
-		return false, nil
-	}
-	return true, t.Delete(key)
-}
-
-// GetKey implements Txn.
-func (t *lockTxn) GetKey(k Key) ([]byte, bool, error) {
-	if k.long != "" {
-		return t.Get(k.long)
-	}
-	return t.Get(string(k.b[:k.n]))
-}
-
-// Put buffers a write; it becomes visible (and replicable) at commit.
-func (t *lockTxn) Put(key string, val []byte) error {
-	buf, err := t.Write(key, len(val))
-	if err != nil {
-		return err
-	}
-	copy(buf, val)
-	return nil
-}
-
-// Write implements Txn: the returned buffer is the update's value.
-func (t *lockTxn) Write(key string, n int) ([]byte, error) {
-	v := make([]byte, n)
-	if err := t.bufferWrite(key, v); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-// Delete buffers a deletion of key.
-func (t *lockTxn) Delete(key string) error {
-	return t.bufferWrite(key, nil)
-}
-
-// bufferWrite locks key's partition and records a write of val (nil
-// deletes), deduplicating by key.
-func (t *lockTxn) bufferWrite(key string, val []byte) error {
-	p := t.store.PartitionOf(key)
-	if err := t.lockPartition(p); err != nil {
-		return err
-	}
-	if w, ok := t.writes[key]; ok {
-		w.Value = val
-		return nil
-	}
-	u := &Update{Key: key, Value: val, Partition: p}
-	if t.writes == nil {
-		t.writes = make(map[string]*Update, 4)
-	}
-	t.writes[key] = u
-	t.writeLog = append(t.writeLog, u)
-	return nil
-}
-
-func (t *lockTxn) releaseAll() {
+// release unlocks every partition t holds and clears its wound. Once the
+// locks are gone no acquire can wound t (wounds happen under the plock
+// mutex that unlock also takes), so the reset cannot lose one.
+func (t *lockTxn) release() {
 	for _, p := range t.held {
 		t.store.parts[p].lock.unlock(t)
 	}
-	t.held = nil
-	t.done = true
-}
-
-// commit applies buffered writes while locks are held, invokes the hook at
-// the serialization point, then releases the locks.
-func (t *lockTxn) commit(onCommit func(Result)) (Result, error) {
-	if t.done {
-		return Result{}, ErrTxnDone
-	}
-	// A wound that lands after the last lock acquisition is ignored: commit
-	// never blocks, so completing cannot create a deadlock, and 2PL already
-	// guarantees serializability. Only acquiring/waiting transactions abort.
-	res := Result{ReadOnly: len(t.writeLog) == 0}
-	now := t.store.exp.nowTick()
-	for _, u := range t.writeLog {
-		part := &t.store.parts[u.Partition]
-		part.mu.Lock()
-		if u.Value == nil {
-			part.tab.del(u.Key)
-		} else {
-			// The old value is still installed here: classify before put.
-			classifyDelta(t.store.delta, &part.tab, u)
-			// u.Value stays exclusively the piggybacked update's: the table
-			// copies it into a slot-owned buffer, so a later in-place
-			// overwrite can never corrupt a retained log.
-			part.tab.put(u.Key, u.Value, now)
-		}
-		part.mu.Unlock()
-		res.Updates = append(res.Updates, *u)
-	}
-	// Every touch path locks its partition first, so held IS the touched set.
-	res.Touched = make([]uint16, len(t.held))
-	copy(res.Touched, t.held)
-	sortU16(res.Touched)
-	if onCommit != nil {
-		onCommit(res)
-	}
-	t.releaseAll()
-	return res, nil
-}
-
-func (t *lockTxn) abort() {
-	if t.done {
-		return
-	}
-	t.releaseAll()
+	t.held = t.heldArr[:0]
+	t.woundMu.Lock()
+	t.wounded = false
+	t.woundCh = nil
+	t.woundMu.Unlock()
 }
 
 func sortU16(s []uint16) {

@@ -208,16 +208,8 @@ func TestWriteWoundedCommitsNothing(t *testing.T) {
 	}
 }
 
-// woundedTxn reports whether a locking-engine transaction has been wounded.
-func woundedTxn(tx Txn) bool {
-	switch x := tx.(type) {
-	case *lockTxn:
-		return x.isWounded()
-	case *batchView:
-		return x.batch.hold.isWounded()
-	}
-	return false
-}
+// woundedTxn reports whether a transaction's lock holder has been wounded.
+func woundedTxn(tx Txn) bool { return tx.(*batchView).batch.hold.isWounded() }
 
 // TestGetKeyMatchesGet: GetKey finds exactly what Get finds for the same
 // key, inline or past the inline capacity (a Key never truncates), and
