@@ -76,9 +76,11 @@ race:
 # the stress build tag, so the plain suite does not run it); the piggyback
 # diet's goodput floor and the fleet smoke scenario's p99 latency SLA,
 # both of which depend on the host's load (also behind the stress tag);
-# and the Fig 6 shape, whose collapse was workers parked on logs queued
+# the Fig 6 shape, whose collapse was workers parked on logs queued
 # behind themselves (the last three without -race, which the Fig 6 test
-# skips under).
+# skips under); and failure suspicion, where a dead data link must cost
+# its successor a replacement and a slow link's suspicions must all be
+# refuted, with no recovery.
 stress:
 	$(GO) test -race -count=3 -run 'TestBurstEquivalence|TestStealEquivalence' ./internal/core/
 	$(GO) test -race -count=3 -run 'TestQueueSchedPerQueueFIFO|TestQueueSchedSteal|TestQueueSchedReleaseRings' ./internal/netsim/
@@ -89,6 +91,7 @@ stress:
 	$(GO) test -count=3 -tags stress -run TestDietGoodput ./internal/core/
 	$(GO) test -count=3 -tags stress -run TestSmokeMeetsSLA ./internal/fleet/
 	$(GO) test -count=5 -run TestFig6ShapeFTCBeatsFTMB ./internal/exp/
+	$(GO) test -race -count=3 -run 'TestDeadDataLinkIsRecovered|TestSlowLinkSuspicionsAreRefuted' ./internal/orch/
 
 # Decoder fuzz gate: replays the piggyback codec's seed corpus (every update
 # kind, coalesced/elided logs, truncations, and a retired-v1 blob that must
@@ -126,7 +129,8 @@ bench-pairs:
 
 # Deterministic chaos campaigns under -race: CHAOS_COUNT consecutive seeds
 # (any 2 cover f=1..2; 56 also run FlowTTL on and off and the leader kill at
-# each recovery phase), and
+# each recovery phase; every one audits that no recovery replaced a node
+# the campaign neither crashed nor cut off, and logs refuted suspicions), and
 # SOAK_SECONDS keeps extending the sweep for the nightly soak lane. Every
 # failure prints a copy-pasteable single-seed repro command.
 #   make chaos                       # pre-merge: 56 seeds, ~5 min
@@ -143,7 +147,8 @@ chaos:
 # Control-plane chaos gate: the orchestrator-crash campaign matrix under
 # -race — six curated seeds covering a leader kill at every replicated
 # recovery phase (spawned/fetched/adopted), with and without also killing
-# the successor mid-takeover (DESIGN.md §14). Each failure prints the same
+# the successor mid-takeover (DESIGN.md §14), with the same false-recovery
+# audit as the main sweep. Each failure prints the same
 # copy-pasteable -chaos.seed repro as the main sweep. Fast enough (<2 min)
 # to gate every PR.
 control-chaos:

@@ -52,9 +52,14 @@ type Result struct {
 	// Retries counts recovery attempts that failed or adopted a dead
 	// replacement and were retried (expected under crash-during-recovery).
 	Retries int
-	// Detected is how many failures the heartbeat detector declared on its
-	// own (the runner usually beats it to the recovery).
+	// Detected is how many failures the orchestrator declared on its own,
+	// from heartbeats or confirmed suspicions (the runner usually beats it
+	// to the recovery).
 	Detected uint64
+	// Refuted is how many data-plane suspicions the leader's probes
+	// refuted: link delay, loss and short partitions raise them, and none
+	// may cost a replica.
+	Refuted uint64
 	// LeaderKills counts orchestrator leaders fail-stopped by the OrchKill
 	// rider (1, or 2 with KillSuccessor).
 	LeaderKills int
@@ -80,9 +85,9 @@ func (r *Result) Failed() bool { return len(r.Violations) > 0 }
 // OneLine renders the result as a single log line.
 func (r *Result) OneLine() string {
 	return fmt.Sprintf(
-		"seed=%-6d f=%d ttl=%-5v sent=%d delivered=%d crashes=%d recoveries=%d retries=%d detected=%d leaderkills=%d takeovers=%d resumed=%d rec_p99=%v violations=%d elapsed=%v",
+		"seed=%-6d f=%d ttl=%-5v sent=%d delivered=%d crashes=%d recoveries=%d retries=%d detected=%d refuted=%d leaderkills=%d takeovers=%d resumed=%d rec_p99=%v violations=%d elapsed=%v",
 		r.Campaign.Seed, r.Campaign.F, r.Campaign.FlowTTL,
-		r.Sent, r.Delivered, r.Crashes, r.Recoveries, r.Retries, r.Detected,
+		r.Sent, r.Delivered, r.Crashes, r.Recoveries, r.Retries, r.Detected, r.Refuted,
 		r.LeaderKills, r.Takeovers, r.Resumed,
 		r.Recovery.P99.Round(time.Microsecond), len(r.Violations),
 		r.Elapsed.Round(time.Millisecond))
@@ -172,6 +177,17 @@ func Run(c Campaign, opt Options) *Result {
 		ElectionAfter:    250 * time.Millisecond,
 	}, fab, "chaos-orch", chain)
 	var crashes, retries atomic.Int64
+	// What the campaign fail-stopped or cut off, by fabric node: the only
+	// nodes a recovery may replace (CheckRecoveries).
+	var faultMu sync.Mutex
+	crashedNodes, cutNodes := map[netsim.NodeID]bool{}, map[netsim.NodeID]bool{}
+	crash := func(idx int) {
+		faultMu.Lock()
+		crashedNodes[chain.RingID(idx)] = true
+		faultMu.Unlock()
+		chain.Crash(idx)
+		crashes.Add(1)
+	}
 
 	// Orchestrator-kill riders: one-shot, armed for the whole campaign.
 	// The leader dies mid-command at the scheduled phase; with
@@ -213,13 +229,15 @@ func Run(c Campaign, opt Options) *Result {
 		midMu.Unlock()
 		if m.Target == KillReplacement {
 			trace("rider: killing replacement %s of ring %d at phase %v", ev.Replacement, ev.RingIndex, ev.Phase)
+			faultMu.Lock()
+			crashedNodes[ev.Replacement] = true
+			faultMu.Unlock()
 			if n := fab.Node(ev.Replacement); n != nil {
 				n.Crash()
 			}
 		} else {
 			trace("rider: crashing ring %d at phase %v of recovery of %d", m.Target, ev.Phase, ev.RingIndex)
-			chain.Crash(m.Target)
-			crashes.Add(1)
+			crash(m.Target)
 		}
 	}
 	o.Start()
@@ -323,6 +341,11 @@ func Run(c Campaign, opt Options) *Result {
 				src, dst = chain.RingID(fs.Hop), chain.RingID(fs.Hop+1)
 			}
 			trace("link fault hop %d (%s->%s) for %v: %+v", fs.Hop, src, dst, fs.Duration, fs.Profile)
+			if fs.Profile.Down {
+				faultMu.Lock()
+				cutNodes[src], cutNodes[dst] = true, true
+				faultMu.Unlock()
+			}
 			scripts = append(scripts, fab.ScheduleFaults([]netsim.LinkFault{{
 				Src: src, Dst: dst, Both: fs.Both,
 				At: 0, Duration: fs.Duration, During: fs.Profile,
@@ -344,8 +367,7 @@ func Run(c Campaign, opt Options) *Result {
 		}
 		for _, idx := range ep.Crashes {
 			trace("episode %d: crashing ring %d (%s)", ei, idx, chain.RingID(idx))
-			chain.Crash(idx)
-			crashes.Add(1)
+			crash(idx)
 		}
 		for _, idx := range ep.Crashes {
 			recoverPosition(idx)
@@ -424,6 +446,13 @@ func Run(c Campaign, opt Options) *Result {
 		}
 	}
 
+	faultMu.Lock()
+	for _, v := range CheckRecoveries(o.Reports(), crashedNodes, cutNodes) {
+		trace("VIOLATION %s", v)
+		res.Violations = append(res.Violations, v)
+	}
+	faultMu.Unlock()
+
 	// Control-plane audit: replay the ensemble's committed command log and
 	// check that no recovery was orphaned by a leader kill and no ring
 	// position was recovered twice for the same epoch by rival leaders.
@@ -462,6 +491,7 @@ func Run(c Campaign, opt Options) *Result {
 	res.Crashes = int(crashes.Load())
 	res.Retries = int(retries.Load())
 	res.Detected = o.Detected()
+	res.Refuted = o.Refuted()
 	res.LeaderKills = int(leaderKills.Load())
 	res.Takeovers = o.Takeovers()
 	res.Recovery = o.RecoveryHist().Summarize()

@@ -10,6 +10,7 @@ import (
 
 	"github.com/ftsfc/ftc/internal/chaos"
 	"github.com/ftsfc/ftc/internal/core"
+	"github.com/ftsfc/ftc/internal/netsim"
 	"github.com/ftsfc/ftc/internal/orch"
 	"github.com/ftsfc/ftc/internal/state"
 	"github.com/ftsfc/ftc/internal/wire"
@@ -149,6 +150,23 @@ func TestCheckerCatchesDoubleRecovery(t *testing.T) {
 	vs := chaos.CheckControlLog(orch.Replay(entries))
 	if len(vs) != 1 || vs[0].Invariant != chaos.InvDoubleRecovery {
 		t.Fatalf("double recovery not caught: %v", vs)
+	}
+}
+
+// TestCheckerCatchesFalseRecovery is the negative control for suspicions
+// taken for failures: a report replacing a node the campaign neither
+// crashed nor cut off must trip the audit; one replacing a crashed or a
+// cut-off node must not.
+func TestCheckerCatchesFalseRecovery(t *testing.T) {
+	crashed := map[netsim.NodeID]bool{"r1": true}
+	cut := map[netsim.NodeID]bool{"r2": true}
+	reps := []orch.RecoveryReport{{RingIndex: 1, Failed: "r1"}, {RingIndex: 2, Failed: "r2"}}
+	if vs := chaos.CheckRecoveries(reps, crashed, cut); len(vs) != 0 {
+		t.Fatalf("recoveries of a crashed and a cut-off node flagged: %v", vs)
+	}
+	vs := chaos.CheckRecoveries(append(reps, orch.RecoveryReport{RingIndex: 0, Failed: "r0"}), crashed, cut)
+	if len(vs) != 1 || vs[0].Invariant != chaos.InvFalseRecovery {
+		t.Fatalf("recovery of a healthy node not caught: %v", vs)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"github.com/ftsfc/ftc/internal/core"
 	"github.com/ftsfc/ftc/internal/mbox"
+	"github.com/ftsfc/ftc/internal/netsim"
 	"github.com/ftsfc/ftc/internal/orch"
 	"github.com/ftsfc/ftc/internal/state"
 	"github.com/ftsfc/ftc/internal/wire"
@@ -51,6 +52,10 @@ const (
 	// recovery epoch completed successfully more than once — a deposed
 	// leader's commands got through the fence and raced its successor's.
 	InvDoubleRecovery = "double-recovery"
+	// InvFalseRecovery: the orchestrator replaced a node the campaign never
+	// crashed and whose data links it never cut — a suspicion (or a
+	// heartbeat miss) taken for a failure that did not happen.
+	InvFalseRecovery = "false-recovery"
 )
 
 // Violation is one invariant breach found by the post-campaign audit.
@@ -213,6 +218,22 @@ func CheckControlLog(v orch.LogView) []Violation {
 				vs = capped(vs, Violation{InvDoubleRecovery,
 					fmt.Sprintf("ring %d epoch %d completed successfully %d times", ring, ep, n)})
 			}
+		}
+	}
+	return vs
+}
+
+// CheckRecoveries audits every recovery report against the faults the
+// campaign injected: a report's failed node must be one it crashed
+// (crashed) or one whose data link it cut (cut). Anything else replaced a
+// healthy replica.
+func CheckRecoveries(reps []orch.RecoveryReport, crashed, cut map[netsim.NodeID]bool) []Violation {
+	var vs []Violation
+	for _, rep := range reps {
+		if !crashed[rep.Failed] && !cut[rep.Failed] {
+			vs = capped(vs, Violation{InvFalseRecovery,
+				fmt.Sprintf("ring %d replaced %s, which was never crashed nor cut off (term %d)",
+					rep.RingIndex, rep.Failed, rep.Term)})
 		}
 	}
 	return vs

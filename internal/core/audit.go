@@ -66,8 +66,9 @@ func (c *Chain) CheckConvergence() error {
 // Quiescent reports whether the chain has reached replication quiescence
 // right now: every follower's MAX vector has caught up to its head's
 // dependency vector, no replica is holding packets in its egress buffer,
-// and the forwarder has no pending piggyback logs. It is a snapshot; use
-// WaitQuiescent to block until the condition holds.
+// the forwarder has no pending piggyback logs, and no replica has a frame
+// in hand — queued at its node, parked, or inside a bracket. It is a
+// snapshot; use WaitQuiescent to block until the condition holds.
 func (c *Chain) Quiescent() bool {
 	ring := c.Ring()
 	for j := 0; j < ring.N; j++ {
@@ -83,7 +84,7 @@ func (c *Chain) Quiescent() bool {
 	}
 	for i := 0; i < c.Len(); i++ {
 		r := c.Replica(i)
-		if r.HeldPackets() != 0 || r.ForwarderPending() != 0 {
+		if !r.idle() || r.HeldPackets() != 0 || r.ForwarderPending() != 0 {
 			return false
 		}
 	}
@@ -131,6 +132,10 @@ func (c *Chain) quiescenceError() error {
 		}
 		if pnd := r.ForwarderPending(); pnd != 0 {
 			return fmt.Errorf("core: chain did not quiesce: forwarder still has %d pending logs", pnd)
+		}
+		if !r.idle() {
+			return fmt.Errorf("core: chain did not quiesce: replica %d has frames in hand (queued %v, parked %d)",
+				i, r.sim.QueueDepths(nil), r.stats.Pending.Load())
 		}
 	}
 	return fmt.Errorf("core: chain did not quiesce")

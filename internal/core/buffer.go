@@ -163,9 +163,10 @@ func releasableAgainst(logs []Log, commits map[uint16][]uint64) bool {
 }
 
 // releaseHeld runs at w's flush once a commit (or a held packet that was
-// already committed) arrived: it takes each partition's front off its FIFO
-// onto w's egress burst, in order, while the front is committed, so a
-// release costs O(released). A front of a fenced generation is dropped. A
+// already committed) arrived: it takes the front of each partition that
+// holds packets off its FIFO onto w's egress burst, in order, while the
+// front is committed, so a release costs O(released) and visits no empty
+// partition. A front of a fenced generation is dropped. A
 // partition another bracket owns, or whose front a bracket that has not
 // flushed held, is left to that bracket, asked to look again after its
 // flush: it may still have the flow's earlier packets to send.
@@ -176,7 +177,7 @@ func (r *Replica) releaseHeld(w *worker) {
 	r.commitMu.Lock()
 	defer r.commitMu.Unlock()
 	gen := r.gen.Load() // read under commitMu, which a fence holds to swap it
-	r.buf.each(func(i int, p *flowPart[heldPacket]) {
+	r.buf.eachFilled(func(i int, p *flowPart[heldPacket]) {
 		for len(p.fifo()) > 0 {
 			h := &p.fifo()[0]
 			if h.gen == gen && !releasableAgainst(h.logs, r.commitSeen) {
@@ -211,7 +212,7 @@ func (r *Replica) releaseHeld(w *worker) {
 func (r *Replica) fence(g uint32) {
 	r.commitMu.Lock()
 	old := r.gen.Swap(g)
-	r.buf.each(func(_ int, p *flowPart[heldPacket]) {
+	r.buf.eachFilled(func(_ int, p *flowPart[heldPacket]) {
 		for j := range p.fifo() {
 			if h := &p.fifo()[j]; h.gen == old && releasableAgainst(h.logs, r.commitSeen) {
 				h.gen, h.logs = g, nil

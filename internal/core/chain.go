@@ -40,6 +40,7 @@ type Chain struct {
 	// are rejected and counted, so a deposed leader cannot mutate the ring.
 	ctrlTerm atomic.Uint64
 	fencedCt metrics.Counter
+	leader   netsim.NodeID // the fencing leader's node, under mu (suspect.go)
 
 	// Spawned-but-not-adopted replacements, keyed by fabric node ID. A new
 	// orchestrator leader resuming a predecessor's in-flight recovery looks
@@ -297,6 +298,7 @@ func (c *Chain) Adopt(nr *Replica, term uint64) error {
 		c.fencedCt.Inc()
 		return ErrFenced
 	}
+	nr.setLeader(c.leader)
 	nr.Start()
 	c.ringIDs[i] = nr.sim.ID()
 	newGen := c.replicas[i].Gen() + 1
@@ -317,13 +319,16 @@ func (c *Chain) Abort(nr *Replica) {
 	c.fabric.RemoveNode(nr.sim.ID())
 }
 
-// FenceController raises the chain's controller fencing term. It reports
-// whether term is now the (possibly pre-existing) highest: a false return
-// means a newer leader already fenced the chain and the caller is deposed.
-// Raising the fence is what makes a takeover exclusive — every subsequent
-// fenced command from older terms fails with ErrFenced. Taken under the
-// chain lock so a fence cannot interleave with an in-flight Adopt.
-func (c *Chain) FenceController(term uint64) bool {
+// FenceController raises the chain's controller fencing term on behalf of
+// the leader running on node leader. It reports whether term is now the
+// (possibly pre-existing) highest: a false return means a newer leader
+// already fenced the chain and the caller is deposed. Raising the fence is
+// what makes a takeover exclusive — every subsequent fenced command from
+// older terms fails with ErrFenced. The leader's node rides along: every
+// replica, and every replacement adopted later, reports suspicions to it.
+// Taken under the chain lock so a fence cannot interleave with an
+// in-flight Adopt.
+func (c *Chain) FenceController(term uint64, leader netsim.NodeID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
@@ -332,9 +337,31 @@ func (c *Chain) FenceController(term uint64) bool {
 			return false
 		}
 		if term == cur || c.ctrlTerm.CompareAndSwap(cur, term) {
-			return true
+			break
 		}
 	}
+	c.leader = leader
+	for _, r := range c.replicas {
+		r.setLeader(leader)
+	}
+	return true
+}
+
+// FailStop fail-stops ring position i under controller term term if it
+// still runs on node id: a replica its predecessor cannot reach has failed
+// as far as the chain is concerned, and is replaced like a crashed one.
+// Taken under the chain lock, so a concurrent Adopt cannot swap the
+// position between the check and the crash.
+func (c *Chain) FailStop(i int, id netsim.NodeID, term uint64) error {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if err := c.checkFence(term); err != nil {
+		return err
+	}
+	if c.ringIDs[i] == id {
+		c.replicas[i].sim.Crash()
+	}
+	return nil
 }
 
 // ControllerTerm returns the highest controller term that fenced the chain.

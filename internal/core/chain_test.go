@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -265,6 +266,37 @@ func TestChainFiltering(t *testing.T) {
 	fv, ok := fol.Store().Get("seen")
 	if !ok || binary.BigEndian.Uint64(fv) != n {
 		t.Fatalf("filter state not replicated: %v %v", fv, ok)
+	}
+}
+
+// TestQuiescentSeesQueuedFrames is the negative control for the audit's
+// liveness half: frames queued at a replica that has not drained them are
+// work in hand, so the chain is not quiescent, whatever its vectors say.
+// Once the replicas run and drain them, it is.
+func TestQuiescentSeesQueuedFrames(t *testing.T) {
+	f := netsim.New(netsim.Config{})
+	gen := f.AddNode("gen", netsim.NodeConfig{QueueCap: 1 << 14})
+	f.AddNode("sink", netsim.NodeConfig{QueueCap: 1 << 14})
+	ch := NewChain(testConfig(), f, "ftc", []Middlebox{&countMB{"c0"}, &countMB{"c1"}}, "sink")
+	t.Cleanup(func() {
+		ch.Stop()
+		f.Stop()
+	})
+	h := &testHarness{fabric: f, chain: ch, gen: gen}
+	const n = 9
+	h.sendPackets(t, n)
+	if ch.Quiescent() {
+		t.Fatalf("chain quiescent with %d frames queued at ring node 0", n)
+	}
+	if err := ch.quiescenceError(); !strings.Contains(err.Error(), "in hand") {
+		t.Fatalf("quiescence error %q does not name the queued frames", err)
+	}
+	ch.Start()
+	if err := ch.WaitQuiescent(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := ch.Replica(1).Head().Store().Get("c1"); binary.BigEndian.Uint64(v) != n {
+		t.Fatalf("quiescent after mb1 counted %d of %d", binary.BigEndian.Uint64(v), n)
 	}
 }
 

@@ -19,6 +19,7 @@ const (
 	rpcSetRoute = "ftc.setroute"
 	rpcPing     = "ftc.ping"
 	rpcFence    = "ftc.fence"
+	rpcProbe    = "ftc.probe"
 )
 
 func (r *Replica) registerControl() {
@@ -27,6 +28,7 @@ func (r *Replica) registerControl() {
 	r.sim.RegisterRPC(rpcSetGen, r.handleSetGen)
 	r.sim.RegisterRPC(rpcSetRoute, r.handleSetRoute)
 	r.sim.RegisterRPC(rpcFence, r.handleFence)
+	r.sim.RegisterRPC(rpcProbe, r.handleProbe)
 	r.sim.RegisterRPC(rpcPing, func(netsim.NodeID, []byte) ([]byte, error) {
 		return []byte{1}, nil
 	})
@@ -184,6 +186,9 @@ const (
 	RPCSetRoute = rpcSetRoute
 	RPCPing     = rpcPing
 	RPCFence    = rpcFence
+	// RPCSuspect carries a replica's failure suspicion (EncodeSuspicion)
+	// to the orchestrator leader, which serves it.
+	RPCSuspect = "ftc.suspect"
 )
 
 // FetchFrom performs a recovery state fetch from the replica at src for

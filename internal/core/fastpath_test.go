@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"github.com/ftsfc/ftc/internal/netsim"
 	"github.com/ftsfc/ftc/internal/state"
@@ -67,6 +68,33 @@ func newFastPathRig(tb testing.TB) *fastPathRig {
 	return rig
 }
 
+// recvDeadline bounds a test's receive: a frame that never arrives fails
+// the test instead of blocking it, and every other result in the package,
+// until the package timeout.
+const recvDeadline = 10 * time.Second
+
+// recvWithin takes the next frame off queue q of n: false once the node has
+// crashed, and tb fails when no frame comes within recvDeadline. A frame
+// already queued costs no allocation, so the allocation gates use it too.
+func recvWithin(tb testing.TB, n *netsim.Node, q int) (netsim.Inbound, bool) {
+	var deadline time.Time
+	for {
+		if in, ok := n.TryRecv(q); ok {
+			return in, true
+		}
+		switch {
+		case n.Crashed():
+			return netsim.Inbound{}, false
+		case deadline.IsZero():
+			deadline = time.Now().Add(recvDeadline)
+		case time.Now().After(deadline):
+			tb.Errorf("no frame on %s queue %d within %v", n.ID(), q, recvDeadline)
+			return netsim.Inbound{}, false
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // trailerHeadroom leaves room for in-place trailer growth during a hop.
 const trailerHeadroom = 128
 
@@ -82,7 +110,7 @@ func (rig *fastPathRig) forwardOne(tb testing.TB) []byte {
 	if retained {
 		tb.Fatal("pass-through hop retained the frame")
 	}
-	out, ok := rig.next.Recv(0)
+	out, ok := recvWithin(tb, rig.next, 0)
 	if !ok {
 		tb.Fatal("frame was not forwarded")
 	}
@@ -516,7 +544,7 @@ func TestIngressFrameKeepsPooledBuffer(t *testing.T) {
 		if err := rig.gen.Send("r0", rig.ingress[0]); err != nil {
 			t.Fatal(err)
 		}
-		in, ok := rig.n0.Recv(0)
+		in, ok := recvWithin(t, rig.n0, 0)
 		if !ok {
 			t.Fatal("ingress frame not delivered")
 		}
@@ -533,7 +561,7 @@ func TestIngressFrameKeepsPooledBuffer(t *testing.T) {
 			t.Fatalf("%d B frame left its pooled buffer at the head", size)
 		}
 		rig.head.flushBurst(w)
-		fwd, ok := rig.n1.Recv(0)
+		fwd, ok := recvWithin(t, rig.n1, 0)
 		if !ok {
 			t.Fatal("frame was not forwarded")
 		}

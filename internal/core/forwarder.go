@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/ftsfc/ftc/internal/hashx"
@@ -29,6 +30,10 @@ type forwarder struct {
 	// forwarder owns each vector from the addTransfer that stored it until
 	// the take that hands it out, and merges into it in place in between.
 	commits map[uint16]SparseVec
+	// sentAt is when the node first sent frames downstream after the last
+	// transfer came back (unix nanos, 0 once one has): the forwarder-silence
+	// evidence (suspect.go).
+	sentAt atomic.Int64
 }
 
 type pendingLog struct {
@@ -63,6 +68,9 @@ func newForwarder() *forwarder {
 // pending set, commit vectors are stored for re-injection and used to prune
 // pending logs that are already replicated f+1 times.
 func (f *forwarder) addTransfer(m *Message) {
+	if f.sentAt.Load() != 0 {
+		f.sentAt.Store(0)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, c := range m.Commits {

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/ftsfc/ftc/internal/netsim"
@@ -23,6 +24,9 @@ const flowParts = 64
 // from another goroutine's flush.
 type flowFIFOs[E any] struct {
 	parts [flowParts]flowPart[E]
+	// filled has bit i set while partition i's FIFO is non-empty; both
+	// transitions happen under the partition's lock (push, pop).
+	filled atomic.Uint64
 }
 
 type flowPart[E any] struct {
@@ -48,9 +52,39 @@ func (s *flowFIFOs[E]) each(fn func(i int, p *flowPart[E])) {
 	}
 }
 
+// eachFilled calls fn on every partition whose FIFO was non-empty when it
+// looked, with its lock held: a partition that fills meanwhile is left to
+// whoever filled it.
+func (s *flowFIFOs[E]) eachFilled(fn func(i int, p *flowPart[E])) {
+	for m := s.filled.Load(); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		p := &s.parts[i]
+		p.mu.Lock()
+		fn(i, p)
+		p.mu.Unlock()
+	}
+}
+
+// mark sets (on) or clears partition i's bit in filled.
+func (s *flowFIFOs[E]) mark(i int, on bool) {
+	for {
+		old := s.filled.Load()
+		m := old &^ (1 << i)
+		if on {
+			m = old | 1<<i
+		}
+		if s.filled.CompareAndSwap(old, m) {
+			return
+		}
+	}
+}
+
 // push appends e to partition i's FIFO; its lock is held.
 func (s *flowFIFOs[E]) push(i int, e E) {
 	p := &s.parts[i]
+	if len(p.fifo()) == 0 {
+		s.mark(i, true)
+	}
 	if p.head > 0 && len(p.q) == cap(p.q) {
 		n := copy(p.q, p.fifo()) // reuse the popped room before growing
 		clear(p.q[n:])
@@ -66,6 +100,7 @@ func (s *flowFIFOs[E]) pop(i int, w *worker, claims *uint64) {
 	clear(p.q[p.head : p.head+1])
 	if p.head++; p.head == len(p.q) {
 		p.q, p.head = p.q[:0], 0
+		s.mark(i, false)
 	}
 	p.owner = w
 	*claims |= 1 << i
@@ -299,6 +334,7 @@ func (r *Replica) dropPending() {
 		}
 		p.q, p.head = nil, 0
 	})
+	r.pend.filled.Store(0)
 	r.stats.Pending.Store(0)
 }
 

@@ -80,6 +80,9 @@ type Replica struct {
 	// leader term this replica has acknowledged. Routing/generation commands
 	// below it are rejected (stats.FencedCmds).
 	ctrlTerm atomic.Uint64
+	// leader is the orchestrator leader's node, which suspicions go to
+	// (suspect.go); nil until a leader fences the chain.
+	leader atomic.Pointer[netsim.NodeID]
 
 	routeMu sync.RWMutex
 	ringIDs []netsim.NodeID
@@ -114,6 +117,10 @@ type Replica struct {
 	ingFree []*worker
 
 	pend pendingSet
+	// brackets counts the brackets open on the node, and the queue workers
+	// between taking frames off a queue and their bracket: frames there are
+	// in no queue yet (Quiescent).
+	brackets atomic.Int32
 
 	stats    Stats
 	sched    SchedStats
@@ -338,9 +345,22 @@ func (r *Replica) SetRoute(i int, id netsim.NodeID) {
 func (r *Replica) HeldPackets() int {
 	n := 0
 	if r.buf != nil {
-		r.buf.each(func(_ int, p *flowPart[heldPacket]) { n += len(p.fifo()) })
+		r.buf.eachFilled(func(_ int, p *flowPart[heldPacket]) { n += len(p.fifo()) })
 	}
 	return n
+}
+
+// idle reports whether the replica has nothing in hand: no frame queued at
+// its node, parked in its pending set or inside a bracket.
+func (r *Replica) idle() bool {
+	for _, d := range r.sim.QueueDepths(nil) {
+		if d > 0 {
+			return false
+		}
+	}
+	// Read after the queues: a worker counts itself in before it takes
+	// frames off one.
+	return r.stats.Pending.Load() == 0 && r.brackets.Load() == 0
 }
 
 // ForwarderPending reports the forwarder's pending log count (first node).

@@ -63,11 +63,15 @@ func (r *Replica) propagateLoop() {
 // dependency vector for a full resendAfter with no progress, the unpruned
 // uncommitted logs are re-emitted on propagating carriers (followers
 // suppress duplicates via their MAX vectors).
+//
+// Every tick, while an orchestrator leader is known, it also weighs the
+// evidence of a failure on the ring and reports it (suspect).
 func (r *Replica) maintain() {
 	defer r.wg.Done()
 	t := time.NewTicker(r.cfg.RepairEvery)
 	defer t.Stop()
 	w := &worker{}
+	sus := &suspector{}
 	var lastSum uint64
 	stale := false // one full interval of lag must elapse before resending
 	next := time.Now().Add(r.cfg.resendAfter())
@@ -87,6 +91,7 @@ func (r *Replica) maintain() {
 			} else if r.releaseDirty.Load() {
 				r.kick() // a release another bracket held up
 			}
+			r.suspect(now, sus)
 			if r.head == nil || now.Before(next) {
 				continue
 			}
@@ -94,17 +99,7 @@ func (r *Replica) maintain() {
 			if r.expiryOn {
 				r.maybeExpire() // idle chains still age flows out
 			}
-			mb := r.head.MB()
-			commit := r.commitSnapshot(mb)
-			vec := r.head.Vector()
-			var sum uint64
-			lag := false
-			for p := range vec {
-				sum += commit[p]
-				if commit[p] < vec[p] {
-					lag = true
-				}
-			}
+			sum, _, lag := r.commitLag()
 			if !lag || sum > lastSum {
 				// Caught up, or commits still flowing: not wedged.
 				lastSum = sum
@@ -121,7 +116,7 @@ func (r *Replica) maintain() {
 			// resume; if replication is merely slow (a large backlog under
 			// contention), flooding every unpruned log would outrun the
 			// drain and balloon the forwarder's pending set.
-			logs := r.head.Buffer().Missing(commit)
+			logs := r.head.Buffer().Missing(r.commitSnapshot(r.head.MB()))
 			if len(logs) > takeBatch {
 				logs = logs[:takeBatch]
 			}

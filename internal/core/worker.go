@@ -35,10 +35,12 @@ func (r *Replica) run(idx int) {
 		if stolen {
 			r.sched.Steals.Inc()
 		}
+		r.brackets.Add(1)
 		n := r.sim.DrainClaimed(q, w.in[:ctl.Size()])
 		if n > 0 {
 			r.handleBurst(w, n)
 		}
+		r.brackets.Add(-1)
 		depth := r.sim.QueueLen(q)
 		sched.Release(q)
 		ctl.Observe(n, depth)
@@ -236,6 +238,7 @@ func (r *Replica) leave(w *worker) {
 // beginBurst opens the bracket that flushBurst closes; between the two, the
 // pipeline stages queue their sends and buffer appends on w.
 func (r *Replica) beginBurst(w *worker) {
+	r.brackets.Add(1)
 	w.now = time.Now()
 	w.dec.BeginBurst()
 	w.commitVecs = w.commitVecs[:0]
@@ -285,6 +288,9 @@ func (r *Replica) flushBurst(w *worker) {
 		// ingress, never between replicas (which would cost repair round
 		// trips).
 		if next := r.nextHop(); next != "" {
+			if r.fwd != nil && r.fwd.sentAt.Load() == 0 {
+				r.fwd.sentAt.Store(w.now.UnixNano()) // sent or not: what comes back counts
+			}
 			if err := r.sim.SendBurstBlocking(next, w.out); err == nil {
 				r.stats.TxFrames.Add(uint64(len(w.out)))
 			}
@@ -333,6 +339,7 @@ func (r *Replica) flushBurst(w *worker) {
 		r.release(w)
 	}
 	w.flushes.Add(1)
+	r.brackets.Add(-1)
 	if !w.relooking && w.relook.Load() {
 		r.relook(w)
 	}

@@ -61,7 +61,7 @@ func TestInjectRunsAttachedPipeline(t *testing.T) {
 	if calls != 3 || n.QueueLen(0) != len(burst) {
 		t.Fatalf("node-to-node burst: pipeline calls=%d queued=%d, want 3 and %d", calls, n.QueueLen(0), len(burst))
 	}
-	in, _ := n.Recv(0)
+	in, _ := recvWithin(t, n, 0)
 	if &in.Frame[0] == &burst[0][0] {
 		t.Fatal("queue path handed out the sender's own buffer")
 	}

@@ -10,6 +10,33 @@ import (
 	"time"
 )
 
+// recvDeadline bounds a test's receive: a frame that never arrives fails
+// the test instead of blocking it, and every other result in the package,
+// until the package timeout.
+const recvDeadline = 10 * time.Second
+
+// recvWithin is n.Recv(q) with a deadline. It reports false once the node
+// has crashed, and fails tb when neither a frame nor the crash comes within
+// recvDeadline; it does not stop tb, for receivers run on goroutines too.
+func recvWithin(tb testing.TB, n *Node, q int) (Inbound, bool) {
+	select {
+	case in := <-n.queues[q]:
+		return in, true
+	default:
+	}
+	t := time.NewTimer(recvDeadline)
+	defer t.Stop()
+	select {
+	case in := <-n.queues[q]:
+		return in, true
+	case <-n.crashCh:
+		return Inbound{}, false
+	case <-t.C:
+		tb.Errorf("no frame on %s queue %d within %v", n.ID(), q, recvDeadline)
+		return Inbound{}, false
+	}
+}
+
 func twoNodes(t *testing.T, cfg Config) (*Fabric, *Node, *Node) {
 	t.Helper()
 	f := New(cfg)
@@ -24,7 +51,7 @@ func TestSendDeliver(t *testing.T) {
 	if err := a.Send("b", []byte("hi")); err != nil {
 		t.Fatal(err)
 	}
-	in, ok := b.Recv(0)
+	in, ok := recvWithin(t, b, 0)
 	if !ok || string(in.Frame) != "hi" || in.From != "a" {
 		t.Fatalf("recv = %+v ok=%v", in, ok)
 	}
@@ -35,7 +62,7 @@ func TestSendCopiesFrame(t *testing.T) {
 	buf := []byte("orig")
 	a.Send("b", buf)
 	buf[0] = 'X'
-	in, _ := b.Recv(0)
+	in, _ := recvWithin(t, b, 0)
 	if string(in.Frame) != "orig" {
 		t.Fatalf("frame aliases sender buffer: %q", in.Frame)
 	}
@@ -53,7 +80,7 @@ func TestLinkLatency(t *testing.T) {
 	f.SetLink("a", "b", LinkProfile{Latency: 30 * time.Millisecond})
 	start := time.Now()
 	a.Send("b", []byte("x"))
-	_, ok := b.Recv(0)
+	_, ok := recvWithin(t, b, 0)
 	if !ok {
 		t.Fatal("no delivery")
 	}
@@ -115,7 +142,7 @@ func TestBandwidthSerialization(t *testing.T) {
 		a.Send("b", frame)
 	}
 	for i := 0; i < 3; i++ {
-		if _, ok := b.Recv(0); !ok {
+		if _, ok := recvWithin(t, b, 0); !ok {
 			t.Fatal("missing frame")
 		}
 	}
@@ -201,7 +228,7 @@ func TestCrashUnblocksReceivers(t *testing.T) {
 	_, _, b := twoNodes(t, Config{})
 	done := make(chan bool)
 	go func() {
-		_, ok := b.Recv(0)
+		_, ok := recvWithin(t, b, 0)
 		done <- ok
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -358,7 +385,7 @@ func TestReorderingHappens(t *testing.T) {
 	var prev string
 	reordered := false
 	for i := 0; i < n; i++ {
-		in, ok := b.Recv(0)
+		in, ok := recvWithin(t, b, 0)
 		if !ok {
 			t.Fatalf("missing frame %d", i)
 		}
@@ -375,7 +402,7 @@ func TestReorderingHappens(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	f, a, b := twoNodes(t, Config{})
 	a.Send("b", []byte("x"))
-	b.Recv(0)
+	recvWithin(t, b, 0)
 	sent, delivered, dropped, lost := f.Stats()
 	if sent != 1 || delivered != 1 || dropped != 0 || lost != 0 {
 		t.Fatalf("stats = %d %d %d %d", sent, delivered, dropped, lost)
@@ -413,7 +440,7 @@ func BenchmarkSendRecvFastPath(b *testing.B) {
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < b.N; i++ {
-			in, ok := dst.Recv(0)
+			in, ok := recvWithin(b, dst, 0)
 			if !ok {
 				return
 			}

@@ -102,7 +102,7 @@ func TestFramePoolAliasing(t *testing.T) {
 	receive := func(n *Node, got, bad *int) {
 		defer stop.Done()
 		for {
-			in, ok := n.Recv(0)
+			in, ok := recvWithin(t, n, 0)
 			if !ok {
 				return
 			}

@@ -65,6 +65,8 @@ type Command struct {
 	Phase Phase `json:"phase,omitempty"`
 	// Replacement is the spawned replica's fabric node.
 	Replacement netsim.NodeID `json:"replacement,omitempty"`
+	// Failed is the node the recovery replaces (CmdRecoveryStart only).
+	Failed netsim.NodeID `json:"failed,omitempty"`
 	// Note carries an error string on a failed CmdRecoveryDone.
 	Note string `json:"note,omitempty"`
 }
@@ -80,6 +82,8 @@ type Entry struct {
 type InFlight struct {
 	Ring  int
 	Epoch uint64
+	// Failed is the node the recovery replaces.
+	Failed netsim.NodeID
 	// HasPhase reports whether any CmdRecoveryPhase was logged; if not,
 	// the recovery died before the replacement was spawned and the
 	// successor restarts the epoch from scratch.
@@ -132,7 +136,7 @@ func Replay(entries []Entry) LogView {
 			if c.Epoch > v.Epochs[c.Ring] {
 				v.Epochs[c.Ring] = c.Epoch
 			}
-			v.InFlight[c.Ring] = InFlight{Ring: c.Ring, Epoch: c.Epoch}
+			v.InFlight[c.Ring] = InFlight{Ring: c.Ring, Epoch: c.Epoch, Failed: c.Failed}
 		case CmdRecoveryPhase:
 			inf, ok := v.InFlight[c.Ring]
 			if !ok || inf.Epoch != c.Epoch {

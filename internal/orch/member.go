@@ -169,6 +169,7 @@ func (m *Member) register() {
 	m.node.RegisterRPC(RPCAppend, m.handleAppend)
 	m.node.RegisterRPC(RPCLease, m.handleLease)
 	m.node.RegisterRPC(RPCLogRead, m.handleLogRead)
+	m.node.RegisterRPC(core.RPCSuspect, m.handleSuspect)
 }
 
 func (m *Member) handleVote(_ netsim.NodeID, req []byte) ([]byte, error) {
@@ -420,8 +421,9 @@ func (m *Member) pullLog(p *Member) {
 
 // becomeLeader installs a new stint at term and runs the takeover
 // sequence: replicate the election record, fence the chain against the
-// deposed leader, announce, resume orphaned recoveries, then start the
-// heartbeat monitors and the lease loop.
+// deposed leader (which points the replicas' suspicions here), announce,
+// resume orphaned recoveries, then start the heartbeat monitors, the
+// suspicion intake and the lease loop.
 func (m *Member) becomeLeader(term uint64) {
 	m.leaderMu.Lock()
 	select {
@@ -437,10 +439,12 @@ func (m *Member) becomeLeader(term uint64) {
 		return
 	}
 	ls := &leaderStint{
-		m:        m,
-		term:     term,
-		stop:     make(chan struct{}),
-		handling: make(map[int]bool),
+		m:          m,
+		term:       term,
+		stop:       make(chan struct{}),
+		handling:   make(map[int]bool),
+		suspicions: make(chan int, m.o.chain.Len()),
+		confirming: make(map[int]bool),
 	}
 	m.leader = ls
 	m.leaderMu.Unlock()
@@ -453,7 +457,7 @@ func (m *Member) becomeLeader(term uint64) {
 	}
 	// Fence the data plane: every recovery command from now on carries
 	// this term, and the chain rejects anything older.
-	if !m.o.chain.FenceController(term) {
+	if !m.o.chain.FenceController(term, m.node.ID()) {
 		ls.depose()
 		return
 	}
@@ -462,8 +466,9 @@ func (m *Member) becomeLeader(term uint64) {
 		return
 	}
 
-	ls.begin(1)
+	ls.begin(2)
 	go ls.leaseLoop()
+	go ls.suspectLoop()
 	for i := 0; i < m.o.chain.Len(); i++ {
 		ls.begin(1)
 		go ls.monitor(i)
@@ -487,8 +492,13 @@ type leaderStint struct {
 	stopOnce sync.Once
 	stop     chan struct{}
 
-	hmu      sync.Mutex
-	handling map[int]bool
+	hmu        sync.Mutex
+	handling   map[int]bool
+	confirming map[int]bool // reporters whose suspicion is being confirmed
+
+	// suspicions holds reporters' ring positions for suspectLoop, room for
+	// one per position: a report that finds it full is already queued.
+	suspicions chan int
 
 	wg sync.WaitGroup
 }
@@ -637,7 +647,7 @@ func (ls *leaderStint) recoverPosition(idx int, failed netsim.NodeID) (RecoveryR
 	if failed != "" && ls.m.o.chain.RingID(idx) != failed {
 		return RecoveryReport{}, errBusy
 	}
-	return ls.runRecovery(idx)
+	return ls.runRecovery(idx, failed)
 }
 
 // runRecovery drives the three-step §5.2 recovery for ring position idx
@@ -645,8 +655,9 @@ func (ls *leaderStint) recoverPosition(idx int, failed netsim.NodeID) (RecoveryR
 // a successor can always resume from the last acknowledged step. A nil
 // error with rep.Err set means the recovery itself failed (and was logged
 // as such); a non-nil error means the stint lost authority mid-way and
-// the recovery is left for the successor.
-func (ls *leaderStint) runRecovery(idx int) (RecoveryReport, error) {
+// the recovery is left for the successor. failed is the node being
+// replaced, or "" for whatever runs at idx now.
+func (ls *leaderStint) runRecovery(idx int, failed netsim.NodeID) (RecoveryReport, error) {
 	m := ls.m
 	o := m.o
 	chain := o.chain
@@ -655,7 +666,10 @@ func (ls *leaderStint) runRecovery(idx int) (RecoveryReport, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.RecoveryTimeout)
 	defer cancel()
 
-	rep := RecoveryReport{RingIndex: idx, DetectedAt: time.Now(), Term: ls.term}
+	if failed == "" {
+		failed = chain.RingID(idx)
+	}
+	rep := RecoveryReport{RingIndex: idx, Failed: failed, DetectedAt: time.Now(), Term: ls.term}
 	t0 := time.Now()
 
 	needSpawn, needFetch, needAdopt := true, true, true
@@ -666,6 +680,7 @@ func (ls *leaderStint) runRecovery(idx int) (RecoveryReport, error) {
 		// A predecessor (or an earlier deposed stint of ours) left this
 		// recovery mid-flight: resume its epoch at the last logged step.
 		rep.Resumed = true
+		rep.Failed = inf.Failed
 		epoch = inf.Epoch
 		if inf.HasPhase {
 			switch inf.Phase {
@@ -684,7 +699,7 @@ func (ls *leaderStint) runRecovery(idx int) (RecoveryReport, error) {
 		}
 	} else {
 		epoch = ls.nextEpoch(idx)
-		if err := ls.replicate(Command{Kind: CmdRecoveryStart, Term: ls.term, Ring: idx, Epoch: epoch}); err != nil {
+		if err := ls.replicate(Command{Kind: CmdRecoveryStart, Term: ls.term, Ring: idx, Epoch: epoch, Failed: failed}); err != nil {
 			ls.depose()
 			return rep, err
 		}

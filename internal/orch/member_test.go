@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/ftsfc/ftc/internal/core"
 	"github.com/ftsfc/ftc/internal/netsim"
 )
 
@@ -23,7 +24,7 @@ func fuzzMember() *Member {
 	}
 }
 
-// FuzzMemberRPC feeds arbitrary bodies to all four member RPC handlers. None
+// FuzzMemberRPC feeds arbitrary bodies to all five member RPC handlers. None
 // may panic, and a request a handler refuses — an unparsable body, a stale
 // term, a negative prefix length, a vote or lease not granted — leaves the
 // member's term and log as they were.
@@ -35,6 +36,7 @@ func FuzzMemberRPC(f *testing.F) {
 	f.Add([]byte(`{"term":3,"candidate":1,"leader":1}`))
 	f.Add([]byte(`{"from":-7}`))
 	f.Add([]byte(`not json`))
+	f.Add(core.EncodeSuspicion(1))
 	rpcs := []struct {
 		name   string
 		handle func(*Member, netsim.NodeID, []byte) ([]byte, error)
@@ -43,6 +45,7 @@ func FuzzMemberRPC(f *testing.F) {
 		{RPCAppend, (*Member).handleAppend},
 		{RPCLease, (*Member).handleLease},
 		{RPCLogRead, (*Member).handleLogRead},
+		{core.RPCSuspect, (*Member).handleSuspect},
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, rpc := range rpcs {
@@ -67,8 +70,8 @@ func FuzzMemberRPC(f *testing.F) {
 					}
 					refused = true
 				}
-			case RPCLogRead:
-				refused = true // a read never changes anything
+			case RPCLogRead, core.RPCSuspect:
+				refused = true // a read, or a report to a follower, never changes anything
 			}
 			if refused && (m.Term() != fuzzTerm || !reflect.DeepEqual(m.Log(), before)) {
 				t.Fatalf("%s refused %q but moved term %d -> %d or log %v -> %v",

@@ -1,6 +1,7 @@
 // Package orch implements FTC's centralized orchestrator (§3.2, §5.2): it
-// deploys fault-tolerant chains, reliably monitors replicas with
-// heartbeats, detects fail-stop failures, and drives the three-step
+// deploys fault-tolerant chains, detects fail-stop failures — confirming
+// the replicas' data-plane suspicions with a probe along the ring, with
+// heartbeats as the backstop for an idle chain — and drives the three-step
 // recovery — spawn a replacement, recover state from alive group members,
 // and reroute traffic. In the paper the orchestrator is an ONOS SDN
 // controller; here it is one logical controller replicated over
@@ -118,7 +119,9 @@ func (c Config) WithDefaults() Config {
 // informing it about the alive replicas), state recovery (fetching state
 // from remote group members), and rerouting.
 type RecoveryReport struct {
-	RingIndex  int
+	RingIndex int
+	// Failed is the fabric node the recovery replaced.
+	Failed     netsim.NodeID
 	Middlebox  string
 	DetectedAt time.Time
 	Init       time.Duration
@@ -136,8 +139,8 @@ type RecoveryReport struct {
 
 // Orchestrator monitors one FTC chain and repairs it on failure. It runs
 // on Config.Members fabric nodes that elect a leader over a shared command
-// log. The leader owns heartbeats, failure detection, and recovery
-// execution; every recovery step is replicated before it acts, so when the
+// log. The leader owns heartbeats, suspicion intake, failure detection,
+// and recovery execution; every recovery step is replicated before it acts, so when the
 // leader dies a follower takes over and resumes — not restarts — whatever
 // was mid-flight. Fencing terms (Chain.FenceController plus the chain's
 // term-checked recovery steps) make a deposed leader's stale commands
@@ -155,6 +158,7 @@ type Orchestrator struct {
 	stopOnce sync.Once
 
 	detected  metrics.Counter
+	refuted   metrics.Counter
 	takeovers metrics.Counter
 	recHist   *metrics.Histogram
 	fetchHist *metrics.Histogram
@@ -293,9 +297,14 @@ func (o *Orchestrator) NodeID() netsim.NodeID {
 	return o.members[0].node.ID()
 }
 
-// Detected reports how many failures the (current and past) leaders'
-// heartbeat detectors declared (manual Recover calls are not counted).
+// Detected reports how many failures the (current and past) leaders
+// declared, from heartbeats or from a confirmed suspicion (manual Recover
+// calls are not counted).
 func (o *Orchestrator) Detected() uint64 { return o.detected.Value() }
+
+// Refuted counts data-plane suspicions whose path answered the leader's
+// probes end to end: nothing was recovered for them.
+func (o *Orchestrator) Refuted() uint64 { return o.refuted.Value() }
 
 // Takeovers counts completed leadership changes, including the initial
 // term-1 installation.
