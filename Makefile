@@ -59,17 +59,18 @@ crossbuild:
 race:
 	$(GO) test -race ./internal/netsim/... ./internal/core/... ./internal/trans/... ./internal/orch/... ./internal/state/... ./internal/fleet/... ./internal/mbox/...
 
-# Scheduler stress gate: the burst/steal equivalence proofs (delivered sets
-# + state digests identical to the per-packet reference at burst 32 and
-# adaptive, with one worker and with two stealing workers, under
-# deterministic loss) and the per-queue FIFO hammer, three times each under
-# -race, to shake out claim-migration races that a single run can miss.
-# Beside them, the path that has no queue to claim: concurrent ingests into
-# one replica (per-flow order, convergence) and its start/stop rules, in the
-# fabric and over real sockets; per-flow order out of the chain, where the
-# egress buffer holds packets in flow FIFOs, on ingest and on two queue
-# workers; the pending set that holds out-of-order frames (flow order, logs
-# never behind frames, the fetch gate, deadlines); wound-wait's hand-off to
+# Scheduler stress gate: the burst and worker-count equivalence proofs
+# (delivered sets + state digests identical to the per-packet reference at
+# burst 32 and adaptive, with one worker and with two workers, one per
+# ingress queue, under deterministic loss), three times under -race to
+# shake out races that a single run can miss. Beside them, the path that
+# has no queue: concurrent ingests into one replica (per-flow order,
+# convergence) and its start/stop rules, in the fabric and over real
+# sockets; per-flow order out of the chain, where the egress buffer holds
+# packets in flow FIFOs, on ingest and on two queue workers; an idle chain,
+# whose carriers must stop circulating once it has quiesced; the pending
+# set that holds out-of-order frames (flow order, logs never behind
+# frames, the fetch gate, deadlines); wound-wait's hand-off to
 # the wounder (three white-box cases) and two batches bumping MazuNAT's
 # shared counters, whose retries per flow setup must stay near zero;
 # nat-mt's flow setup on a chain, which must need next to no repair (behind
@@ -82,9 +83,8 @@ race:
 # its successor a replacement and a slow link's suspicions must all be
 # refuted, with no recovery.
 stress:
-	$(GO) test -race -count=3 -run 'TestBurstEquivalence|TestStealEquivalence' ./internal/core/
-	$(GO) test -race -count=3 -run 'TestQueueSchedPerQueueFIFO|TestQueueSchedSteal|TestQueueSchedReleaseRings' ./internal/netsim/
-	$(GO) test -race -count=3 -run 'TestIngestConcurrentFlowsFIFO|TestChainEgressKeepsFlowOrder|TestIngestLifecycle|TestPending' ./internal/core/
+	$(GO) test -race -count=3 -run 'TestBurstEquivalence|TestWorkersEquivalence' ./internal/core/
+	$(GO) test -race -count=3 -run 'TestIngestConcurrentFlowsFIFO|TestChainEgressKeepsFlowOrder|TestIngestLifecycle|TestPending|TestIdleChainGoesSilent' ./internal/core/
 	$(GO) test -race -count=3 -run 'TestMultiSocketPerFlowFIFO|TestStopAndCloseUnderIngestLoad' ./internal/trans/
 	$(GO) test -race -count=3 -run 'TestHandoff|TestBatchFlowSetupContention' ./internal/state/
 	$(GO) test -race -count=3 -tags stress -run TestFlowSetupNeedsNoRepair .

@@ -112,72 +112,6 @@ func BenchmarkFig5(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5Skewed measures the work-stealing scheduler under its worst
-// case: a Zipf-skewed workload (one elephant flow plus background flows, all
-// RSS-colliding onto one worker's home partitions) through FTC at
-// workers=4. Stealing redistributes those partitions, so pps should approach
-// the uniform-flow number instead of collapsing to ~1 worker's worth. The
-// sub-benchmark keeps the name EXPERIMENTS.md's rows cite.
-func BenchmarkFig5Skewed(b *testing.B) {
-	b.Run("steal", func(b *testing.B) {
-		p := exp.Params{Flows: 64, PacketSize: 128, Skew: 1.2}
-		// Per-flow state: inter-flow parallelism is what the scheduler
-		// redistributes; shared Gen keys would serialize workers on
-		// partition locks regardless of scheduling.
-		s, err := exp.BuildSUT(exp.FTC, exp.SingleGenPerFlow(16), p, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		b.ResetTimer()
-		pumpSUTChunked(b, s)
-	})
-}
-
-// pumpSUTChunked is pumpSUT with chunked generator sends: one route
-// resolution per chunk lets a single generator goroutine oversubscribe a
-// multi-worker SUT, which the skewed-workload benchmark needs — per-packet
-// SendOne saturates near one worker's throughput, hiding any scheduling
-// difference.
-func pumpSUTChunked(b *testing.B, s *exp.SUT) {
-	b.Helper()
-	const window = 1024
-	const chunk = 64
-	b.ReportAllocs()
-	start := time.Now()
-	sent := uint64(0)
-	for sent < uint64(b.N) {
-		for sent < uint64(b.N) && sent-s.Sink.Received() < window {
-			n := chunk
-			if rem := uint64(b.N) - sent; rem < chunk {
-				n = int(rem)
-			}
-			m, err := s.Gen.SendChunk(int(sent), n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sent += uint64(m)
-		}
-		if sent-s.Sink.Received() >= window {
-			runtime.Gosched()
-		}
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for s.Sink.Received() < uint64(b.N) {
-		if time.Now().After(deadline) {
-			b.Fatalf("egress %d of %d", s.Sink.Received(), b.N)
-		}
-		runtime.Gosched()
-	}
-	b.StopTimer()
-	if elapsed := time.Since(start).Seconds(); elapsed > 0 {
-		b.ReportMetric(float64(b.N)/elapsed, "pps")
-	}
-	if g := s.Goodput(); g > 0 {
-		b.ReportMetric(g, "goodput")
-	}
-}
-
 // BenchmarkFig6 sweeps Monitor's sharing level for NF/FTC/FTMB (Figure 6).
 func BenchmarkFig6(b *testing.B) {
 	// Endpoint sharing levels; `ftclab fig6` runs the full sweep.

@@ -87,7 +87,7 @@ func runBurstWorkload(t *testing.T, burst, n int) ([]int, string) {
 }
 
 // runSchedWorkload is runBurstWorkload generalized over worker count and
-// burst mode, for the stealing/adaptive equivalence proofs. The
+// burst mode, for the worker-count/adaptive equivalence proofs. The
 // delivered set stays a pure function of the fabric seed because loss
 // happens on the generator link before any scheduling decision, and the
 // state digest stays order-independent because the workload's middleboxes
@@ -148,20 +148,21 @@ func TestBurstEquivalence(t *testing.T) {
 	})
 }
 
-// TestStealEquivalence is the scheduling counterpart of
-// TestBurstEquivalence: with two stealing workers, fixed burst 32 and the
-// adaptive controller must deliver exactly the same packets as the
-// per-packet reference (fixed burst 1) under deterministic ingress loss and
-// converge every head and follower store to exactly the same state. Claim
-// migration between workers must be invisible in the output.
-func TestStealEquivalence(t *testing.T) {
+// TestWorkersEquivalence is the scheduling counterpart of
+// TestBurstEquivalence: with two workers, one per ingress queue, fixed
+// burst 32 and the adaptive controller must deliver exactly the same
+// packets as the per-packet reference (fixed burst 1) under deterministic
+// ingress loss and converge every head and follower store to exactly the
+// same state. How flows split across the workers must be invisible in the
+// output.
+func TestWorkersEquivalence(t *testing.T) {
 	variants := []struct {
 		name string
 		o    workloadOpts
 	}{
-		{"steal-fixed1", workloadOpts{burst: 1, workers: 2}},
-		{"steal-fixed32", workloadOpts{burst: 32, workers: 2}},
-		{"steal-adaptive", workloadOpts{burst: 0, workers: 2}},
+		{"workers2-fixed1", workloadOpts{burst: 1, workers: 2}},
+		{"workers2-fixed32", workloadOpts{burst: 32, workers: 2}},
+		{"workers2-adaptive", workloadOpts{burst: 0, workers: 2}},
 	}
 	const n = 400
 	t.Run("2pl", func(t *testing.T) {

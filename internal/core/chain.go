@@ -94,7 +94,7 @@ func (c *Chain) nodeID(idx int, spawn uint32) netsim.NodeID {
 
 func (c *Chain) buildReplica(idx int, id netsim.NodeID, mb Middlebox) *Replica {
 	sim := c.fabric.AddNode(id, netsim.NodeConfig{
-		Queues:   c.cfg.NumIngressQueues(),
+		Queues:   c.cfg.Workers,
 		QueueCap: c.cfg.QueueCap,
 		Selector: wire.RSSSelector,
 	})

@@ -355,6 +355,35 @@ func TestChainIdlePropagation(t *testing.T) {
 	}
 }
 
+// TestIdleChainGoesSilent: once traffic stops and the chain has quiesced,
+// carriers stop circulating. The buffer transfers every carrier's commits
+// back to the forwarder, so without a stop rule ring node 0 would send the
+// same commits around again every PropagateEvery, forever.
+func TestIdleChainGoesSilent(t *testing.T) {
+	cfg := testConfig()
+	mbs := []Middlebox{&countMB{"c0"}, &countMB{"c1"}, &countMB{"c2"}}
+	h := newHarness(t, cfg, mbs, netsim.Config{})
+	const n = 200
+	h.sendPackets(t, n)
+	h.collect(t, n, 15*time.Second)
+	waitForQuiescence(t, h, n)
+	// The last carriers may still be on their way when quiescence is first
+	// seen; within two seconds, one whole window must pass with no send.
+	window := 50 * cfg.PropagateEvery
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		before, _, _, _ := h.fabric.Stats()
+		time.Sleep(window)
+		after, _, _, _ := h.fabric.Stats()
+		if after == before {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("idle chain sent %d frames in %v", after-before, window)
+		}
+	}
+}
+
 func TestChainOutputCommit(t *testing.T) {
 	// The release rule: when a packet exits, the state updates it produced
 	// at the *last* middlebox (wrapped group) must already be at f+1

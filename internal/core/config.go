@@ -13,12 +13,12 @@ type Config struct {
 	// Partitions is the state-partition count per middlebox store. It must
 	// exceed the maximum worker count to keep lock contention low (§4.2).
 	Partitions int
-	// Workers is the number of queue workers per replica: the goroutines
-	// that drain the node's ingress queues, which senders inside the fabric
-	// fill. Bursts injected from outside it (a socket bridge's receive
-	// goroutines) run the pipeline on the goroutine that injected them and
-	// are not bounded by Workers; a bridged replica's parallelism is its
-	// bridge's socket count.
+	// Workers is the number of ingress queues a chain gives each replica
+	// node, and so the number of queue workers: one goroutine drains each
+	// queue, which senders inside the fabric fill. Bursts injected from
+	// outside it (a socket bridge's receive goroutines) run the pipeline on
+	// the goroutine that injected them and are not bounded by Workers; a
+	// bridged replica's parallelism is its bridge's socket count.
 	Workers int
 	// Burst is the vector-processing batch size: each worker drains up to
 	// this many frames per ingress wakeup (an injected burst is run in
@@ -96,10 +96,6 @@ const DefaultBurst = 32
 
 // Fixed protocol parameters. Each was a Config field no caller ever set.
 const (
-	// stealFactor is the number of flow partitions (ingress queues) per
-	// worker on multi-worker replicas: more partitions steal at a finer
-	// grain but cost more scan work per scheduling decision.
-	stealFactor = 8
 	// commitRefresh bounds how stale a tail's disseminated commit vector may
 	// get: commits ride every commitEvery'th packet, but at low rates a
 	// time-based refresh keeps buffer-release latency bounded.
@@ -118,20 +114,6 @@ const (
 // period); resending live-but-uncommitted logs snowballs message sizes.
 func (c Config) resendAfter() time.Duration {
 	return max(4*c.PropagateEvery, 10*time.Millisecond)
-}
-
-// NumIngressQueues is the ingress-queue count a replica node needs under
-// this config: one queue for a single worker, stealFactor flow partitions
-// per worker otherwise. Workers drain their home partitions first and steal
-// the deepest backlogged sibling partition when those run empty, preserving
-// per-flow FIFO order (DESIGN.md §9). Keeping the partition count a multiple
-// of Workers makes the stride home layout (partition p homes on worker
-// p mod Workers) agree with RSS hashing.
-func (c Config) NumIngressQueues() int {
-	if c.Workers <= 1 {
-		return c.Workers
-	}
-	return c.Workers * stealFactor
 }
 
 // Ring derives the chain's logical ring from the configuration.

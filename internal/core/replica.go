@@ -45,12 +45,14 @@ type Stats struct {
 }
 
 // SchedStats exposes the scheduling layer's observability (DESIGN.md §9):
-// how often workers stole a sibling's flow partition, how many bursts the
-// pipeline ran — every per-burst cost is amortized over Stats.RxFrames /
-// Bursts frames — and the most recent burst size. Per-queue depths and
-// selector clamps live on the netsim node (QueueDepths, Clamps).
+// how many bursts the pipeline ran — every per-burst cost is amortized over
+// Stats.RxFrames / Bursts frames — and the most recent burst size.
+// Per-queue depths and selector clamps live on the netsim node
+// (QueueDepths, Clamps).
 type SchedStats struct {
-	Steals metrics.Counter // bursts drained from a non-home flow partition
+	// Steals has no writer and always reads 0. It is kept only because the
+	// benchmark harness (bench/) reads it.
+	Steals metrics.Counter
 	Bursts metrics.Counter // bursts handled, queue workers and ingest alike
 	// Burst is the burst budget the adaptive controller last settled on (a
 	// queue worker) or the size of the burst last injected (ingest).
@@ -117,9 +119,7 @@ type Replica struct {
 	ingFree []*worker
 
 	pend pendingSet
-	// brackets counts the brackets open on the node, and the queue workers
-	// between taking frames off a queue and their bracket: frames there are
-	// in no queue yet (Quiescent).
+	// brackets counts the brackets open on the node (Quiescent).
 	brackets atomic.Int32
 
 	stats    Stats
@@ -272,22 +272,21 @@ func (r *Replica) SetGen(g uint32) {
 	r.fence(g)
 }
 
-// Start launches the worker threads, the maintenance tick and, on the
-// first node, the propagating timer, registers the control-plane handlers
-// and opens the node to injected bursts (ingest). Workers goroutines
-// schedule claim-based over whatever ingress queues the node has
-// (Config.NumIngressQueues when the chain built it).
+// Start launches one worker per ingress queue of the node, the
+// maintenance tick and, on the first node, the propagating timer, registers
+// the control-plane handlers and opens the node to injected bursts
+// (ingest).
 func (r *Replica) Start() {
 	r.registerControl()
 	r.ingMu.Lock()
 	r.started = true
 	r.ingMu.Unlock()
-	for i := 0; i < r.cfg.Workers; i++ {
+	for q := 0; q < r.sim.NumQueues(); q++ {
 		r.wg.Add(1)
-		go func(i int) {
+		go func(q int) {
 			defer r.wg.Done()
-			r.run(i)
-		}(i)
+			r.run(q)
+		}(q)
 	}
 	if r.fwd != nil {
 		r.wg.Add(1)
@@ -358,8 +357,8 @@ func (r *Replica) idle() bool {
 			return false
 		}
 	}
-	// Read after the queues: a worker counts itself in before it takes
-	// frames off one.
+	// Frames a queue worker has just received are in neither for the
+	// moment before handleBurst opens its bracket.
 	return r.stats.Pending.Load() == 0 && r.brackets.Load() == 0
 }
 

@@ -12,11 +12,22 @@ import (
 // pending piggyback state still flows through the chain. Its worker is a
 // queue worker's, so the frames a carrier's logs unblock resume in its
 // bracket.
+//
+// Every carrier that reaches the buffer is transferred back with the
+// buffer's commit view, so an idle chain would carry the same commits
+// around forever. A carrier with no logs whose commits equal the previous
+// carrier's is therefore not sent, unless resendAfter has passed since that
+// one or ring node 0 still awaits a transfer for frames it sent
+// (forwarder.sentAt, so the forwarder-silence evidence is answered). The
+// previous carrier took the same commits around; losses are repaired as
+// before, by the forwarder's log resend and the heads' anti-entropy step.
 func (r *Replica) propagateLoop() {
 	defer r.wg.Done()
 	t := time.NewTicker(r.cfg.PropagateEvery)
 	defer t.Stop()
 	w := r.newQueueWorker()
+	var lastFP uint64 // the last carrier's commits (fingerprint)
+	var lastAt time.Time
 	for {
 		select {
 		case <-r.life.Done():
@@ -35,6 +46,13 @@ func (r *Replica) propagateLoop() {
 				if len(logs) == 0 && len(commits) == 0 {
 					break
 				}
+				if len(logs) == 0 {
+					fp := fingerprint(commits)
+					if fp == lastFP && w.now.Sub(lastAt) < r.cfg.resendAfter() && r.fwd.sentAt.Load() == 0 {
+						break // nothing new since the last carrier
+					}
+					lastFP, lastAt = fp, w.now
+				}
 				msg := &Message{Gen: r.gen.Load(), Flags: FlagPropagating, Logs: logs, Commits: commits}
 				pkt := r.carrierFrom(msg.LenEstimate())
 				r.processPacket(pkt, msg, w)
@@ -46,6 +64,21 @@ func (r *Replica) propagateLoop() {
 			r.flushBurst(w)
 		}
 	}
+}
+
+// fingerprint hashes commits independently of their order (take hands
+// them out in map order), so two carriers' commits can be compared.
+func fingerprint(commits []Commit) uint64 {
+	var fp uint64
+	for _, c := range commits {
+		for _, e := range c.Vec {
+			x := (uint64(c.MB)<<16|uint64(e.Part))*0x9e3779b97f4a7c15 ^ e.Seq
+			x ^= x >> 31
+			x *= 0xbf58476d1ce4e5b9
+			fp += x ^ x>>29
+		}
+	}
+	return fp
 }
 
 // maintain is the replica's maintenance tick, every RepairEvery. When the

@@ -10,45 +10,27 @@ import (
 	"github.com/ftsfc/ftc/internal/wire"
 )
 
-// run is the worker loop: claim a non-empty flow partition (home first,
-// then the deepest backlogged sibling partition), drain one burst, process
-// it AND flush its deferred effects, and only then release the claim.
-// Holding the claim through the flush is what preserves per-flow FIFO order
-// across claim migrations: a flow hashes to exactly one partition, and a
-// partition never has frames in flight at two workers at once (DESIGN.md
-// §9). A single worker homes every queue and never steals.
-func (r *Replica) run(idx int) {
+// run is queue q's worker loop, the NF twin's: block for a burst, run it
+// through the pipeline and flush its deferred effects, and feed the burst
+// controller. One goroutine reads each queue and RSS hashes a flow to one
+// queue, so a flow's frames are handled in arrival order (DESIGN.md §9).
+// The loop ends when the node crashes or stops.
+func (r *Replica) run(q int) {
 	w := r.newQueueWorker()
 	ctl := netsim.NewBurstController(r.cfg.Burst)
-	sched := r.sim.NewQueueSched(idx, r.cfg.Workers)
 	for {
-		q, stolen := sched.Acquire()
-		if q < 0 {
-			// Crash or shutdown mid-stream: release any state locks the
-			// batch retains so post-mortem store reads (recovery, digests)
-			// never block on a dead worker.
+		n := r.sim.RecvBurst(q, w.in[:ctl.Size()])
+		if n == 0 {
+			// Release any state locks the batch retains so post-mortem
+			// store reads (recovery, digests) never block on a dead worker.
 			if w.batch != nil {
 				w.batch.Flush()
 			}
 			return
 		}
-		if stolen {
-			r.sched.Steals.Inc()
-		}
-		r.brackets.Add(1)
-		n := r.sim.DrainClaimed(q, w.in[:ctl.Size()])
-		if n > 0 {
-			r.handleBurst(w, n)
-		}
-		r.brackets.Add(-1)
-		depth := r.sim.QueueLen(q)
-		sched.Release(q)
-		ctl.Observe(n, depth)
+		r.handleBurst(w, n)
+		ctl.Observe(n, r.sim.QueueLen(q))
 		r.sched.Burst.Set(int64(ctl.Size()))
-		// n == 0 is not a crash signal: a claim can be won on a queue a
-		// sibling drained empty moments earlier, and a crash mid-drain is
-		// caught by the next Acquire returning q == -1 — the only exit
-		// path, so a live replica never sheds workers.
 	}
 }
 

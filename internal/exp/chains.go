@@ -42,17 +42,6 @@ func SingleGen(stateSize int) MBFactory {
 	}
 }
 
-// SingleGenPerFlow returns a one-middlebox Gen chain keyed by five-tuple:
-// every flow owns its state variable, so scaled multi-worker workloads
-// spread transactions across all state partitions instead of serializing on
-// the handful SingleGen's 16 fixed keys hash to. Per-flow Gen state also
-// ages out under Params.FlowTTL.
-func SingleGenPerFlow(stateSize int) MBFactory {
-	return func(int) []core.Middlebox {
-		return []core.Middlebox{mbox.NewGenFlows(stateSize)}
-	}
-}
-
 // FlowCounterChain returns a chain of n FlowCounter middleboxes with
 // distinct key prefixes ("fc0-", "fc1-", …). Every packet leaves one
 // per-flow counter in every store, so an external auditor can verify that

@@ -67,12 +67,6 @@ type Params struct {
 	// the NAPI-style adaptive controller in core/nf, each layer's fixed
 	// default elsewhere. 1 degenerates to per-packet processing.
 	Burst int
-	// Skew, when > 1, makes the generator draw flows from a Zipf
-	// distribution with parameter s = Skew and aligns every flow onto one
-	// RSS ingress queue of a `workers`-queue receiver (tgen.Spec.Skew /
-	// AlignQueues): the elephant-queue worst case that work stealing
-	// redistributes. 0 keeps the uniform round-robin workload.
-	Skew float64
 	// FlowTTL, when > 0, ages idle per-flow state out of FTC stores: any
 	// middlebox implementing core.FlowTTLer has its flow entries deleted
 	// (through the normal replication path) after this much idle time.
@@ -152,7 +146,6 @@ type buildOpts struct {
 	flows      int
 	f          int
 	burst      int
-	skew       float64
 	flowTTL    time.Duration
 	fabricCfg  netsim.Config
 }
@@ -167,7 +160,6 @@ func BuildSUT(kind Kind, factory MBFactory, p Params, workers int) (*SUT, error)
 		flows:      p.Flows,
 		f:          p.F,
 		burst:      p.Burst,
-		skew:       p.Skew,
 		flowTTL:    p.FlowTTL,
 	})
 }
@@ -221,15 +213,6 @@ func buildSUT(kind Kind, factory MBFactory, o buildOpts) (*SUT, error) {
 		Flows:      o.flows,
 		PacketSize: o.packetSize,
 		Burst:      o.burst,
-		Skew:       o.skew,
-	}
-	if o.skew > 1 {
-		// Elephant-queue alignment: every flow collides on one RSS queue of
-		// a Workers-queue receiver, i.e. on one worker's home partitions.
-		// FTC replicas expose a multiple of Workers flow partitions
-		// (core.Config.NumIngressQueues), so the same flows spread across
-		// that worker's home partitions for its siblings to steal.
-		spec.AlignQueues = o.workers
 	}
 	gen, err := tgen.NewGenerator(fabric, "gen", ingress, spec)
 	if err != nil {

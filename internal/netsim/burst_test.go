@@ -77,7 +77,8 @@ func TestRecvBurstCapped(t *testing.T) {
 }
 
 // TestRecvBurstCrash checks that a crashed node's RecvBurst returns 0, both
-// while blocked and on subsequent calls.
+// while blocked and on subsequent calls, and that a node which crashes with
+// a backlog hands out none of it: fail-stop loses the queued frames.
 func TestRecvBurstCrash(t *testing.T) {
 	f := New(Config{})
 	defer f.Stop()
@@ -92,6 +93,22 @@ func TestRecvBurstCrash(t *testing.T) {
 	}
 	if n := b.RecvBurst(0, buf); n != 0 {
 		t.Fatalf("RecvBurst after crash returned %d", n)
+	}
+
+	c := f.AddNode("c", NodeConfig{})
+	for i := 0; i < 8; i++ {
+		if !c.enqueue("a", []byte{byte(i)}, false) {
+			t.Fatalf("enqueue %d failed", i)
+		}
+	}
+	c.Crash()
+	for i := 0; i < 8; i++ {
+		if n := c.RecvBurst(0, buf[:1]); n != 0 {
+			t.Fatalf("call %d: RecvBurst on a crashed node with a backlog returned %d", i, n)
+		}
+	}
+	if _, ok := c.Recv(0); ok {
+		t.Fatal("Recv on a crashed node with a backlog returned a frame")
 	}
 }
 

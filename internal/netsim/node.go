@@ -49,13 +49,6 @@ type Node struct {
 	crashOn sync.Once
 	crashCh chan struct{} // closed on Crash; queues are never closed
 
-	// claims are the per-queue worker-claim flags of the stealing scheduler
-	// (sched.go): a set flag means one worker holds exclusive drain rights.
-	claims []atomic.Bool
-	// bell is the scheduler doorbell: enqueue pulses it after a frame is
-	// visible, and Release pulses it when a queue is returned with backlog,
-	// so a worker sleeping in Acquire can never miss work.
-	bell chan struct{}
 	// clamps counts selector results that fell outside [0, queues) and were
 	// clamped to queue 0 — a misconfigured RSS selector would otherwise
 	// silently pile flows onto one queue. Racy callers (full + enqueue) may
@@ -88,8 +81,6 @@ func newNode(id NodeID, f *Fabric, cfg NodeConfig) *Node {
 		selector: cfg.Selector,
 		hook:     cfg.Deliver,
 		crashCh:  make(chan struct{}),
-		claims:   make([]atomic.Bool, cfg.Queues),
-		bell:     make(chan struct{}, cfg.Queues),
 		handlers: make(map[string]RPCHandler),
 	}
 	for i := range n.queues {
@@ -156,7 +147,6 @@ func (n *Node) enqueue(from NodeID, frame []byte, block bool) bool {
 	if block {
 		select {
 		case n.queues[q] <- in:
-			n.ring()
 			return true
 		case <-n.crashCh:
 			return false
@@ -164,7 +154,6 @@ func (n *Node) enqueue(from NodeID, frame []byte, block bool) bool {
 	}
 	select {
 	case n.queues[q] <- in:
-		n.ring()
 		return true
 	case <-n.crashCh:
 		return false
@@ -173,21 +162,13 @@ func (n *Node) enqueue(from NodeID, frame []byte, block bool) bool {
 	}
 }
 
-// ring pulses the scheduler doorbell after a frame became visible in a
-// queue. The send fails fast (lock-free) when the bell buffer is already
-// full — a pending pulse is enough to wake every sleeping worker in turn,
-// since each wakes, rescans all queues, and re-rings on backlogged release.
-func (n *Node) ring() {
-	select {
-	case n.bell <- struct{}{}:
-	default:
-	}
-}
-
 // Recv blocks until a frame arrives on queue q or the node crashes.
 // ok is false once the node has crashed (undelivered frames are lost with
 // it, like a powered-off server's RX ring).
 func (n *Node) Recv(q int) (in Inbound, ok bool) {
+	if n.crashed.Load() {
+		return Inbound{}, false
+	}
 	select {
 	case in = <-n.queues[q]:
 		return in, true
@@ -199,12 +180,13 @@ func (n *Node) Recv(q int) (in Inbound, ok bool) {
 // RecvBurst drains up to len(buf) frames from queue q into buf in one
 // channel round-trip: one blocking receive for the first frame, then a
 // non-blocking drain of whatever else is already queued. It returns the
-// number of frames received, or 0 once the node has crashed. This is the
-// vector-packet-processing ingress: a worker pays one goroutine wakeup per
-// burst instead of per frame. With len(buf) == 1 it behaves exactly like
+// number of frames received, or 0 once the node has crashed: a crashed
+// node hands out none of the frames still queued, as TryRecv does. This is
+// the vector-packet-processing ingress: a worker pays one goroutine wakeup
+// per burst instead of per frame. With len(buf) == 1 it behaves exactly like
 // Recv.
 func (n *Node) RecvBurst(q int, buf []Inbound) int {
-	if len(buf) == 0 {
+	if len(buf) == 0 || n.crashed.Load() {
 		return 0
 	}
 	ch := n.queues[q]

@@ -8,7 +8,6 @@ package tgen
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -47,21 +46,6 @@ type Spec struct {
 	// per transmit call (default 32, matching the data plane's receive
 	// burst). Burst 1 degenerates to per-packet sends.
 	Burst int
-	// Skew, when > 1, draws each packet's flow from a Zipf distribution
-	// with parameter s = Skew over the flow set instead of round-robin:
-	// flow 0 is the elephant, the tail is background traffic. (At s = 1.2
-	// and 64 flows, flow 0 carries roughly a fifth of the packets.) Values
-	// in (0, 1] are rejected — the Zipf sampler needs s > 1.
-	Skew float64
-	// SkewSeed seeds the Zipf flow sampler (default 1) so skewed workloads
-	// are reproducible run to run.
-	SkewSeed int64
-	// AlignQueues, when > 0, selects flow endpoints so that every flow
-	// RSS-hashes to the same ingress queue on a receiver with AlignQueues
-	// queues (wire.RSSSelector). This models the hash-collision worst case
-	// behind work stealing: a NIC queue that inherits the elephant and its
-	// background flows while sibling queues sit idle.
-	AlignQueues int
 }
 
 // WithDefaults fills zero fields.
@@ -92,9 +76,6 @@ func (s Spec) WithDefaults() Spec {
 	if s.Burst <= 0 {
 		s.Burst = 32
 	}
-	if s.SkewSeed == 0 {
-		s.SkewSeed = 1
-	}
 	return s
 }
 
@@ -105,8 +86,6 @@ type Generator struct {
 	target netsim.NodeID
 	frames [][]byte
 	burst  [][]byte // scratch reused by sendChunk
-	copies [][]byte // per-slot frame copies for skewed chunks
-	zipf   *rand.Zipf
 	seq    atomic.Uint64
 	sent   metrics.Counter
 }
@@ -115,44 +94,13 @@ type Generator struct {
 // template frame per flow.
 func NewGenerator(fabric *netsim.Fabric, id, target netsim.NodeID, spec Spec) (*Generator, error) {
 	spec = spec.WithDefaults()
-	if spec.Skew != 0 && spec.Skew <= 1 {
-		return nil, fmt.Errorf("tgen: Skew %g invalid: the Zipf parameter must exceed 1", spec.Skew)
-	}
 	g := &Generator{
 		spec:   spec,
 		node:   fabric.AddNode(id, netsim.NodeConfig{}),
 		target: target,
 	}
-	if spec.Skew > 1 {
-		g.zipf = rand.NewZipf(rand.New(rand.NewSource(spec.SkewSeed)), spec.Skew, 1, uint64(spec.Flows-1))
-	}
-	if spec.AlignQueues > 0 {
-		// Elephant-queue mode: accept only flow endpoints whose RSS hash
-		// collides with flow 0's ingress queue on an AlignQueues-queue
-		// receiver. On average AlignQueues candidates are tried per
-		// accepted flow; the limit only guards against a degenerate
-		// selector.
-		target, limit := -1, spec.Flows*spec.AlignQueues*64
-		for k := 0; len(g.frames) < spec.Flows; k++ {
-			if k > limit {
-				return nil, fmt.Errorf("tgen: no %d RSS-colliding flows in %d candidates", spec.Flows, limit)
-			}
-			buf, err := g.buildFlow(len(g.frames), k)
-			if err != nil {
-				return nil, err
-			}
-			q := wire.RSSSelector(buf, spec.AlignQueues)
-			if target < 0 {
-				target = q
-			}
-			if q == target {
-				g.frames = append(g.frames, buf)
-			}
-		}
-		return g, nil
-	}
 	for i := 0; i < spec.Flows; i++ {
-		buf, err := g.buildFlow(i, i)
+		buf, err := g.buildFlow(i)
 		if err != nil {
 			return nil, err
 		}
@@ -161,14 +109,12 @@ func NewGenerator(fabric *netsim.Fabric, id, target netsim.NodeID, spec Spec) (*
 	return g, nil
 }
 
-// buildFlow builds flow i's template frame using the k'th candidate
-// endpoint pair (source address and port increment from the spec base).
-// Plain workloads use k == i; elephant-queue alignment probes successive k
-// until the endpoints hash where it wants them.
-func (g *Generator) buildFlow(i, k int) ([]byte, error) {
+// buildFlow builds flow i's template frame: source address and port
+// increment from the spec base.
+func (g *Generator) buildFlow(i int) ([]byte, error) {
 	spec := g.spec
 	payloadLen := spec.PacketSize - (wire.EthernetHeaderLen + wire.IPv4MinHeaderLen + wire.UDPHeaderLen)
-	n := spec.SrcBase.Uint32() + uint32(k)
+	n := spec.SrcBase.Uint32() + uint32(i)
 	src := wire.Addr4(byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
 	payload := make([]byte, payloadLen)
 	binary.BigEndian.PutUint32(payload[0:4], payloadMagic)
@@ -177,7 +123,7 @@ func (g *Generator) buildFlow(i, k int) ([]byte, error) {
 		SrcMAC: wire.MAC{0x02, 0x10, 0, 0, byte(i >> 8), byte(i)},
 		DstMAC: wire.MAC{0x02, 0x20, 0, 0, 0, 1},
 		Src:    src, Dst: spec.Dst,
-		SrcPort: uint16(1024 + k%60000), DstPort: spec.DstPort,
+		SrcPort: uint16(1024 + i%60000), DstPort: spec.DstPort,
 		Payload:  payload,
 		Headroom: spec.Headroom,
 	})
@@ -190,9 +136,8 @@ func (g *Generator) buildFlow(i, k int) ([]byte, error) {
 // Sent reports the number of frames injected so far.
 func (g *Generator) Sent() uint64 { return g.sent.Value() }
 
-// SendOne stamps and transmits one frame of flow i (mod the flow count),
-// or of a Zipf-drawn flow under a skewed spec. Callers must not invoke
-// SendOne concurrently.
+// SendOne stamps and transmits one frame of flow i (mod the flow count).
+// Callers must not invoke SendOne concurrently.
 func (g *Generator) SendOne(i int) error { return g.sendOne(i) }
 
 // SendChunk stamps and transmits up to n frames starting at flow index i
@@ -202,20 +147,11 @@ func (g *Generator) SendOne(i int) error { return g.sendOne(i) }
 // oversubscribe multi-worker systems. Not safe for concurrent use.
 func (g *Generator) SendChunk(i, n int) (int, error) { return g.sendChunk(i, n) }
 
-// pick maps a caller's round-robin index to a flow: identity modulo the
-// flow count, or a Zipf draw (flow 0 heaviest) under a skewed spec.
-func (g *Generator) pick(i int) int {
-	if g.zipf != nil {
-		return int(g.zipf.Uint64())
-	}
-	return i % len(g.frames)
-}
-
 // sendOne stamps and transmits one flow's template. Because the fabric
 // copies frames on Send, mutating the template in place between sends is
 // safe with a single sender goroutine per template range.
 func (g *Generator) sendOne(i int) error {
-	err := g.node.Send(g.target, g.stampBuf(g.frames[g.pick(i)]))
+	err := g.node.Send(g.target, g.stampBuf(g.frames[i%len(g.frames)]))
 	if err == nil {
 		g.sent.Inc()
 	}
@@ -234,33 +170,13 @@ func (g *Generator) stampBuf(frame []byte) []byte {
 	return frame
 }
 
-// stampCopy copies a flow template into the chunk slot's scratch buffer and
-// stamps the copy. Skewed chunks need it: a Zipf draw can repeat a flow
-// within one chunk, and two chunk slots must not alias one mutable
-// template.
-func (g *Generator) stampCopy(slot int, frame []byte) []byte {
-	for slot >= len(g.copies) {
-		g.copies = append(g.copies, nil)
-	}
-	buf := g.copies[slot]
-	if cap(buf) < len(frame) {
-		buf = make([]byte, len(frame))
-		g.copies[slot] = buf
-	}
-	buf = buf[:len(frame)]
-	copy(buf, frame)
-	return g.stampBuf(buf)
-}
-
 // sendChunk stamps and transmits up to n frames starting at flow index i in
 // one fabric call: the route resolves once per chunk instead of once per
-// frame. Uniform chunks are capped at the flow count — the fabric copies
-// frames only at transmit time, so a chunk must not contain the same
-// mutable template twice; skewed chunks stamp per-slot copies instead,
-// since Zipf draws repeat flows. Returns how many frames were handed to
-// the fabric.
+// frame. Chunks are capped at the flow count — the fabric copies frames
+// only at transmit time, so a chunk must not contain the same mutable
+// template twice. Returns how many frames were handed to the fabric.
 func (g *Generator) sendChunk(i, n int) (int, error) {
-	if g.zipf == nil && n > len(g.frames) {
+	if n > len(g.frames) {
 		n = len(g.frames)
 	}
 	if n <= 1 {
@@ -274,11 +190,7 @@ func (g *Generator) sendChunk(i, n int) (int, error) {
 	}
 	b := g.burst[:n]
 	for k := 0; k < n; k++ {
-		if g.zipf != nil {
-			b[k] = g.stampCopy(k, g.frames[g.pick(0)])
-		} else {
-			b[k] = g.stampBuf(g.frames[(i+k)%len(g.frames)])
-		}
+		b[k] = g.stampBuf(g.frames[(i+k)%len(g.frames)])
 	}
 	err := g.node.SendBurst(g.target, b)
 	if err != nil {

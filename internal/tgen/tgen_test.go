@@ -163,108 +163,3 @@ func TestMeasureLatencyUnderLoad(t *testing.T) {
 		t.Fatal("no latency samples under load")
 	}
 }
-
-// TestSkewRejectsInvalidParam pins the Zipf parameter contract: s must
-// exceed 1 (math/rand's requirement), and (0, 1] is an error rather than a
-// silent fallback to uniform.
-func TestSkewRejectsInvalidParam(t *testing.T) {
-	f := netsim.New(netsim.Config{})
-	defer f.Stop()
-	f.AddNode("dst", netsim.NodeConfig{QueueCap: 64})
-	for _, s := range []float64{0.5, 1.0} {
-		if _, err := NewGenerator(f, "gen", "dst", Spec{Flows: 8, Skew: s}); err == nil {
-			t.Fatalf("Skew=%v accepted, want error", s)
-		}
-	}
-}
-
-// TestSkewDistribution draws from a skewed generator and checks the Zipf
-// shape: flow 0 dominates (the elephant) and the head flows outweigh the
-// tail, while every pick stays in range.
-func TestSkewDistribution(t *testing.T) {
-	f := netsim.New(netsim.Config{})
-	defer f.Stop()
-	f.AddNode("dst", netsim.NodeConfig{QueueCap: 64})
-	g, err := NewGenerator(f, "gen", "dst", Spec{Flows: 64, PacketSize: 128, Skew: 1.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const draws = 100000
-	counts := make([]int, 64)
-	for i := 0; i < draws; i++ {
-		k := g.pick(i)
-		if k < 0 || k >= 64 {
-			t.Fatalf("pick returned %d, outside [0, 64)", k)
-		}
-		counts[k]++
-	}
-	if share := float64(counts[0]) / draws; share < 0.2 {
-		t.Fatalf("elephant flow drew %.1f%% of traffic, want ≥ 20%%", share*100)
-	}
-	if counts[0] <= counts[1] {
-		t.Fatalf("flow 0 (%d draws) should dominate flow 1 (%d)", counts[0], counts[1])
-	}
-	head, tail := 0, 0
-	for i, c := range counts {
-		if i < 8 {
-			head += c
-		} else {
-			tail += c
-		}
-	}
-	if head <= tail {
-		t.Fatalf("head flows drew %d, tail %d — not Zipf-shaped", head, tail)
-	}
-}
-
-// TestSkewDeterministic pins the seeded draw sequence: two generators with
-// the same SkewSeed must pick identical flow sequences, so skewed
-// benchmark runs are reproducible.
-func TestSkewDeterministic(t *testing.T) {
-	f := netsim.New(netsim.Config{})
-	defer f.Stop()
-	f.AddNode("dst", netsim.NodeConfig{QueueCap: 64})
-	mk := func(id netsim.NodeID) *Generator {
-		g, err := NewGenerator(f, id, "dst", Spec{Flows: 32, PacketSize: 128, Skew: 1.3, SkewSeed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	a, b := mk("gen-a"), mk("gen-b")
-	for i := 0; i < 1000; i++ {
-		if x, y := a.pick(i), b.pick(i); x != y {
-			t.Fatalf("draw %d diverged: %d vs %d", i, x, y)
-		}
-	}
-}
-
-// TestAlignQueuesCollision pins the elephant-queue construction: with
-// AlignQueues set, every flow's frame must RSS-select the same ingress
-// queue of an AlignQueues-queue receiver — the worst case the stealing
-// scheduler exists for — while the flows stay distinct.
-func TestAlignQueuesCollision(t *testing.T) {
-	f := netsim.New(netsim.Config{})
-	defer f.Stop()
-	f.AddNode("dst", netsim.NodeConfig{QueueCap: 64})
-	g, err := NewGenerator(f, "gen", "dst", Spec{Flows: 32, PacketSize: 128, Skew: 1.2, AlignQueues: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := wire.RSSSelector(g.frames[0], 4)
-	tuples := map[string]bool{}
-	for i, fr := range g.frames {
-		if q := wire.RSSSelector(fr, 4); q != want {
-			t.Fatalf("flow %d selects queue %d, want %d — alignment broken", i, q, want)
-		}
-		p, err := wire.Parse(fr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		key := p.FiveTuple().String()
-		if tuples[key] {
-			t.Fatalf("flow %d duplicates five-tuple %s", i, key)
-		}
-		tuples[key] = true
-	}
-}

@@ -6,17 +6,17 @@ import (
 )
 
 // rssGolden pins the flow→queue mapping. If any entry ever changes, flows
-// land on different ingress queues — and different steal partitions —
-// across versions, which silently breaks per-flow FIFO guarantees during
-// rolling upgrades and invalidates recorded partition layouts. Treat a
-// diff here as a protocol-breaking change, not a test to update.
+// land on different ingress queues across versions, which silently breaks
+// per-flow FIFO guarantees during rolling upgrades and invalidates recorded
+// partition layouts. Treat a diff here as a protocol-breaking change, not a
+// test to update.
 var rssGolden = []struct {
 	srcLast byte
 	sport   uint16
 	hash    uint64
-	q4      int // RSSSelector at 4 queues (the pinned workers=4 layout)
+	q4      int // RSSSelector at 4 queues
 	q8      int
-	q32     int // workers=4 × 8 flow partitions each
+	q32     int
 }{
 	{1, 1024, 0x839e88ca00092877, 3, 7, 23},
 	{2, 1025, 0x43e68adfd9d72b83, 3, 3, 3},
@@ -70,27 +70,6 @@ func TestRSSGoldenVectors(t *testing.T) {
 		}
 		if got := RSSSelector(frame, 32); got != g.q32 {
 			t.Errorf("flow %d at 32 queues → %d, want %d", g.srcLast, got, g.q32)
-		}
-	}
-}
-
-// TestRSSSelectorStrideConsistency pins the arithmetic the stealing
-// scheduler's stride home layout relies on: when the partition count is a
-// multiple of the worker count, a flow's partition modulo the worker count
-// equals the queue it would select with one queue per worker — so every
-// partition homes on the worker that owned the flow in the pre-stealing
-// layout.
-func TestRSSSelectorStrideConsistency(t *testing.T) {
-	for _, g := range rssGolden {
-		frame := goldenFrame(t, g.srcLast, g.sport)
-		for _, workers := range []int{2, 4} {
-			for _, factor := range []int{2, 8} {
-				p := RSSSelector(frame, workers*factor)
-				if got, want := p%workers, RSSSelector(frame, workers); got != want {
-					t.Fatalf("flow %d: partition %d of %d homes on worker %d, want %d",
-						g.srcLast, p, workers*factor, got, want)
-				}
-			}
 		}
 	}
 }
